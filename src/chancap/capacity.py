@@ -191,6 +191,7 @@ def verify_additivity(
             "chi_star_single": single,
             "restarts": result.restarts_used,
             "converged": result.converged,
+            "duality_gap": result.duality_gap,
             "opt_seed": result.seed,
         },
     )
@@ -263,6 +264,7 @@ def verify_theorem1(
             "two_use_branch_avg_chi": branch_avg,
             "restarts": cfg.restarts,
             "converged": product_side.converged and two_use.converged,
+            "duality_gap": product_side.duality_gap,
             "opt_seed": product_side.seed,
         },
         notes=_dimension_note(d),

@@ -3,7 +3,8 @@
 Subcommands: `capacity {depolarizing|periodic|convex}`,
 `verify {additivity|theorem1|theorem2}`, and `sweep`.  Output is a JSON
 report (or CSV with --format csv); exit code 0 on success, 1 when a
-verification check fails, 2 on usage or validation errors.
+verification check fails, 2 on usage or validation errors, 3 on a numerical
+failure (an eigensolver that did not converge).
 
 Determinism contract: the same flags and seed produce byte-identical
 output.  Wall-clock timing is therefore reported only with --timings.
@@ -49,7 +50,9 @@ def _add_optimizer(sp: argparse.ArgumentParser):
     sp.add_argument("--restarts", type=int, default=None)
     sp.add_argument("--iters", type=int, default=None)
     sp.add_argument("--m", type=int, default=None, help="ensemble size (default: input dim squared)")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="duality-gap stop (bits) of the final probability step in "
+                    "mean mode (additivity, theorem1); theorem2 does not use it")
     sp.add_argument("--threads", type=int, default=None, help="parallel restart workers")
 
 
@@ -302,6 +305,10 @@ def main(argv=None) -> int:
             payload, code = _run_verify(args, cfg_file)
         else:
             payload, code = _run_sweep(args, cfg_file)
+    except np.linalg.LinAlgError as err:
+        # a ValueError subclass, so it must be caught first
+        print(f"error: numerical failure: {err}", file=sys.stderr)
+        return 3
     except (CPViolationError, CapabilityError, DimensionMismatchError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,9 +2,16 @@
 
 Independent numerical maximization of Holevo-quantity objectives: the check
 against every closed form, and the probe for any gain from entangled inputs.
-Probabilities are optimized exactly (projected gradient on the simplex; the
-objective is concave in them), states by random local perturbations with a
-decaying step, accepting improvements only.
+States move by random local perturbations with a decaying step, accepting
+improvements only.  Between sweeps the probabilities take a step of their own
+(the objective is concave in them).  For the Holevo quantity and its branch
+average ("mean" mode) that step is the Blahut-Arimoto update of the
+classical-quantum channel j -> sigma_j: p_j <- p_j 2^{D(sigma_j || sigma_bar)},
+normalized.  One update per sweep, warm-started from the previous sweep; after
+the last sweep it repeats until the duality gap max_j D(sigma_j || sigma_bar)
+- chi, an upper bound on what any reweighting of the final states could add,
+falls below `tol` or `prob_iters` updates have run.  The branch minimum ("min" mode) is not of that form and
+keeps projected-gradient ascent on the simplex.
 
 The pseudo-random source is numpy's PCG64; restart r draws from the r-th
 child of SeedSequence(seed), so runs are reproducible and the per-restart
@@ -14,6 +21,7 @@ uniform computational-basis ensemble, the rest from random pure states.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,7 +42,14 @@ _EIG_FLOOR = 1e-30  # keeps log2 of the average output finite in gradients
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Budgets and knobs for the ascent; defaults hit the package's
-    verification tolerances in minutes at desk scale."""
+    verification tolerances in minutes at desk scale.
+
+    `tol` is the duality-gap stop (bits) of the Blahut-Arimoto probability
+    step run after the last sweep in mean mode; that step also stops after
+    `prob_iters` updates.  The min-mode objective (maximin) does not use
+    `tol`: its projected-gradient step stops on a gain below `prob_tol` or
+    after `prob_iters` gradient steps.
+    """
 
     restarts: int = 32
     iters: int = 2000
@@ -55,6 +70,8 @@ class OptimizerConfig:
             raise ValueError("restarts and iters must be positive")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +99,11 @@ class EnsembleParams:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best value found, the ensemble achieving it, and run diagnostics."""
+    """Best value found, the ensemble achieving it, and run diagnostics.
+
+    `duality_gap` is the best restart's final Blahut-Arimoto gap in bits:
+    no reweighting of its states raises the value by more.  None in min
+    mode."""
 
     value: float
     ensemble: Ensemble
@@ -90,6 +111,7 @@ class OptResult:
     iterations: int
     converged: bool
     seed: int
+    duality_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -99,6 +121,7 @@ class _RestartOutcome:
     probs: np.ndarray
     iterations: int
     converged: bool
+    duality_gap: float | None
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -164,7 +187,9 @@ class _Ascent:
 
     def _gradient(self) -> np.ndarray:
         """Supergradient of the objective in the probabilities (up to the
-        uniform component the simplex projection ignores)."""
+        uniform component the simplex projection ignores).  In mean mode
+        entry j is the branch average of D(sigma_ij || sigma_bar_i), so
+        value = probs @ gradient."""
         if self.mode == "min":
             active = [int(np.argmin(self.chis))]
             scale = 1.0
@@ -179,11 +204,42 @@ class _Ascent:
             g += -traces - self.entropies[i]
         return g * scale
 
-    def prob_step(self) -> float:
+    def prob_step(self, final: bool = False) -> float | None:
+        """Reoptimize the probabilities for the current states.
+
+        Mean mode: one Blahut-Arimoto update; with `final`, updates until the
+        duality gap falls below tol or prob_iters updates have run, returning
+        the gap at the committed probabilities.  Min mode: projected gradient
+        (see `_projected_gradient`) whether final or not; returns None."""
+        if self.mode == "min":
+            self._projected_gradient()
+            return None
+        g = self._gradient()
+        if not final:
+            self._blahut_arimoto(g)
+            return None
+        for _ in range(self.cfg.prob_iters):
+            if self._duality_gap(g) < self.cfg.tol:
+                break
+            self._blahut_arimoto(g)
+            g = self._gradient()
+        return self._duality_gap(g)
+
+    def _duality_gap(self, g: np.ndarray) -> float:
+        # probs @ g is a convex combination of g, so it can exceed max(g)
+        # only by round-off
+        return max(0.0, float(np.max(g) - self.probs @ g))
+
+    def _blahut_arimoto(self, g: np.ndarray):
+        """p_j <- p_j 2^(g_j) / Z for g = `_gradient()`; never lowers the
+        mean-mode value (up to round-off)."""
+        w = self.probs * np.exp2(g - np.max(g))
+        self._commit_probs(w / w.sum())
+
+    def _projected_gradient(self):
         """Projected-gradient ascent with backtracking until the gain per
         gradient step falls below prob_tol.  Steps are accepted only when
         the combined objective improves."""
-        total = 0.0
         eta = 1.0
         for _ in range(self.cfg.prob_iters):
             g = self._gradient()
@@ -199,9 +255,7 @@ class _Ascent:
                 eta *= 0.5
             if gain < self.cfg.prob_tol:
                 break
-            total += gain
             eta = min(eta * 2.0, 1e3)
-        return total
 
     def propose_state(self, j: int, step: float, rng: np.random.Generator) -> float:
         """Perturb member j; keep the move only if the objective improves.
@@ -267,8 +321,8 @@ def _run_restart(stacks, mode, dim, m, cfg, rng, structured) -> _RestartOutcome:
         if converged:
             break
         ascent.prob_step()
-    ascent.prob_step()
-    return _RestartOutcome(ascent.value, ascent.psis, ascent.probs, sweeps, converged)
+    gap = ascent.prob_step(final=True)
+    return _RestartOutcome(ascent.value, ascent.psis, ascent.probs, sweeps, converged, gap)
 
 
 def _decode(psis: np.ndarray, probs: np.ndarray) -> Ensemble:
@@ -319,6 +373,7 @@ def _maximize(
         iterations=best.iterations,
         converged=best.converged,
         seed=int(seed),
+        duality_gap=best.duality_gap,
     )
 
 

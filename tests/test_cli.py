@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from chancap import capacity
 from chancap.cli import main
 
 CHI_HALF = 0.18872187554086717
@@ -67,6 +69,7 @@ def test_verify_byte_identical_output(capsys):
     payload = json.loads(first)
     assert payload["seed"] == 7
     assert all(check["pass"] for check in payload["checks"])
+    assert payload["results"]["duality_gap"] >= 0.0
 
 
 def test_verify_generates_and_reports_seed(capsys):
@@ -89,6 +92,7 @@ def test_verify_theorem1(capsys):
     assert code == 0
     assert payload["results"]["closed_form"] == pytest.approx(PERIODIC_09_05, abs=1e-9)
     assert payload["results"]["optimizer_value"] == pytest.approx(PERIODIC_09_05, abs=1e-3)
+    assert payload["results"]["duality_gap"] >= 0.0
 
 
 def test_verify_theorem2(capsys):
@@ -158,6 +162,26 @@ def test_missing_dimension_is_usage_error(capsys):
     code, _, err = run(capsys, ["capacity", "depolarizing", "--lambda", "0.5"])
     assert code == 2
     assert "--d" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf"])
+def test_bad_tol_is_usage_error(capsys, tol):
+    argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--seed", "7", "--tol", tol]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+
+
+def test_numerical_failure_exit_code(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(capacity, "verify_additivity", fail)
+    code, out, err = run(capsys, ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--seed", "7"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: numerical failure: Eigenvalues did not converge\n"
 
 
 def test_config_file_provides_defaults(tmp_path, capsys):

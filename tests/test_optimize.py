@@ -19,7 +19,7 @@ from chancap import (
     maximize_min_chi,
     tensor_channels,
 )
-from chancap.optimize import EnsembleParams, OptimizerConfig
+from chancap.optimize import EnsembleParams, OptimizerConfig, _Ascent
 
 # small budgets keep the unit tests quick; the acceptance suite runs the
 # spec budgets
@@ -177,3 +177,65 @@ def test_ensemble_params_decode():
     assert np.all(ens.probs >= 0)
     assert params.m == 3
     assert ens.probs[1] > ens.probs[0] > ens.probs[2]
+
+
+def _random_psis(rng, m, dim):
+    psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
+    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "channels,dim,m",
+    [
+        ((tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        ((depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+    ],
+)
+def test_mean_prob_step_monotone(channels, dim, m):
+    cfg = OptimizerConfig()
+    for seed in range(5):
+        psis = _random_psis(np.random.default_rng(seed), m, dim)
+        ascent = _Ascent([ch.stack for ch in channels], "mean", psis, np.full(m, 1.0 / m), cfg)
+        for _ in range(100):
+            before = ascent.value
+            ascent.prob_step()
+            assert ascent.value >= before - 1e-15
+
+
+@pytest.mark.parametrize("prob_iters", [1, 3, 200])
+def test_duality_gap_brackets_optimum(prob_iters):
+    # the computational basis is an optimal set of states for Delta_0.5, so
+    # over its probabilities value <= chi* <= value + gap
+    ch = depolarizing(2, 0.5)
+    psis = np.eye(2, dtype=np.complex128)[[0, 1, 0, 1]]
+    cfg = OptimizerConfig(prob_iters=prob_iters)
+    ascent = _Ascent([ch.stack], "mean", psis, np.array([0.55, 0.3, 0.1, 0.05]), cfg)
+    gap = ascent.prob_step(final=True)
+    chi_star = chi_star_depolarizing(2, 0.5)
+    assert ascent.value <= chi_star + 1e-12
+    assert chi_star <= ascent.value + gap + 1e-12
+    if prob_iters < 200:
+        assert gap > cfg.tol
+    else:
+        assert gap < cfg.tol
+
+
+def test_tol_is_the_final_gap_stop():
+    stack = tensor_channels([depolarizing(2, 0.5)] * 2).stack
+    psis = _random_psis(np.random.default_rng(3), 8, 4)
+    loose, tight = (
+        _Ascent([stack], "mean", psis, np.full(8, 1 / 8), OptimizerConfig(tol=tol)).prob_step(final=True)
+        for tol in (1e-1, OptimizerConfig().tol)
+    )
+    assert tight < loose < 1e-1
+
+
+def test_duality_gap_none_in_min_mode():
+    cc = ConvexCombinationChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)), [0.5, 0.5])
+    assert maximize_min_chi(cc, 4, OptimizerConfig(restarts=1, iters=20, seed=1)).duality_gap is None
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+def test_non_positive_or_non_finite_tol_rejected(tol):
+    with pytest.raises(ValueError):
+        OptimizerConfig(tol=tol)
