@@ -5,7 +5,6 @@ convex-combination channels, plus an independent ensemble optimizer used to
 verify the closed forms and the additivity of the capacity at desk scale.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .capacity import (
     CapacityReport,
     capacity_convex_depolarizing,
@@ -45,7 +44,6 @@ from .holevo import (
     uniform_orthonormal_ensemble,
 )
 from .optimize import (
-    EnsembleParams,
     OptimizerConfig,
     OptResult,
     additivity_check,
@@ -68,7 +66,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "__version__",
     # states
     "DensityMatrix",
@@ -109,7 +106,6 @@ __all__ = [
     "uniform_orthonormal_ensemble",
     # optimize
     "OptimizerConfig",
-    "EnsembleParams",
     "OptResult",
     "maximize_chi",
     "maximize_avg_chi",

@@ -153,8 +153,12 @@ def report_periodic(d: int, lambdas: Sequence[float]) -> CapacityReport:
 
 
 def report_convex(d: int, lambdas: Sequence[float], gammas: Sequence[float] | None = None) -> CapacityReport:
+    """The mixing weights, when given, must be a probability vector with one
+    entry per branch, as for ConvexCombinationChannel; they do not enter the
+    closed form."""
     channel = {"type": "convex", "d": d, "lambdas": list(lambdas)}
     if gammas is not None:
+        channels.check_weights(np.asarray(gammas, dtype=np.float64), len(lambdas), "gamma")
         channel["gammas"] = list(gammas)
     return CapacityReport(
         channel=channel,

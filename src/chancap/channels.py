@@ -11,7 +11,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .errors import CapabilityError, CPViolationError, DimensionMismatchError
 from .states import DensityMatrix
 
@@ -58,7 +57,7 @@ class KrausChannel:
 
     @cached_property
     def stack(self) -> np.ndarray:
-        """(terms, dout, din) array view for the kernels."""
+        """(terms, dout, din) array of the Kraus terms."""
         s = np.stack(self.kraus)
         s.setflags(write=False)
         return s
@@ -103,6 +102,15 @@ class PeriodicChannel:
         return self.branches[0].din
 
 
+def check_weights(weights: np.ndarray, count: int, name: str):
+    """Raise ValueError unless `weights` holds `count` nonnegative numbers
+    summing to 1 within GAMMA_SUM_TOL (NaN fails both tests)."""
+    if weights.ndim != 1 or weights.size != count:
+        raise ValueError(f"need one {name} per branch, got {weights.size} for {count}")
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= GAMMA_SUM_TOL):
+        raise ValueError(f"{name}s must be a probability vector, got {weights.tolist()}")
+
+
 @dataclass(frozen=True)
 class ConvexCombinationChannel:
     """Applies one memoryless branch to the whole codeword, drawn once
@@ -122,10 +130,7 @@ class ConvexCombinationChannel:
         d = branches[0].din
         if any(b.din != d or b.dout != d for b in branches):
             raise DimensionMismatchError("all branches must share din = dout = d")
-        if gammas.ndim != 1 or gammas.size != len(branches):
-            raise ValueError("need one gamma per branch")
-        if np.any(gammas < 0) or abs(gammas.sum() - 1.0) > GAMMA_SUM_TOL:
-            raise ValueError(f"gammas must be a probability vector, got {gammas.tolist()}")
+        check_weights(gammas, len(branches), "gamma")
 
     @property
     def d(self) -> int:
@@ -174,7 +179,8 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatchError(
             f"state dim {rho.dim} does not match channel input dim {ch.din}"
         )
-    return DensityMatrix(_kernels.apply_kraus_dm(ch.stack, rho.mat))
+    k = ch.stack
+    return DensityMatrix(np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=True))
 
 
 def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
@@ -246,10 +252,7 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     """The channel rho -> sum_i w_i Phi_i(rho) as a single Kraus list."""
     channels = list(channels)
     weights = np.asarray(weights, dtype=np.float64)
-    if len(channels) != weights.size:
-        raise ValueError("need one weight per channel")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > GAMMA_SUM_TOL:
-        raise ValueError(f"weights must be a probability vector, got {weights.tolist()}")
+    check_weights(weights, len(channels), "weight")
     terms = []
     for w, c in zip(weights, channels):
         if w > PRUNE_TOL:

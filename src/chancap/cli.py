@@ -3,8 +3,10 @@
 Subcommands: `capacity {depolarizing|periodic|convex}`,
 `verify {additivity|theorem1|theorem2}`, and `sweep`.  Output is a JSON
 report (or CSV with --format csv); exit code 0 on success, 1 when a
-verification check fails, 2 on usage or validation errors, 3 on a numerical
-failure (an eigensolver that did not converge).
+verification check fails, 2 on usage or validation errors (including a
+config key that is unknown or contradicts the command), 3 on a numerical
+failure (an eigensolver that did not converge, or a non-finite value in the
+report).
 
 Determinism contract: the same flags and seed produce byte-identical
 output.  Wall-clock timing is therefore reported only with --timings.
@@ -16,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -26,7 +29,23 @@ from . import capacity
 from .errors import CapabilityError, CPViolationError, DimensionMismatchError
 from .optimize import OptimizerConfig
 
-_OPTIMIZER_KEYS = ("restarts", "iters", "m", "seed", "tol", "threads")
+_OPTIMIZER_KEYS = ("restarts", "iters", "m", "seed", "tol")
+
+
+class _NonFinite(ArithmeticError):
+    """A report value is NaN or infinite."""
+
+
+# the channel family each command works on, as a config's channel.type names it
+_CHANNEL_TYPES = {
+    "capacity depolarizing": "depolarizing",
+    "capacity periodic": "periodic",
+    "capacity convex": "convex",
+    "verify additivity": "depolarizing",
+    "verify theorem1": "periodic",
+    "verify theorem2": "convex",
+    "sweep": "depolarizing",
+}
 
 
 def _float_list(text: str) -> list[float]:
@@ -53,7 +72,6 @@ def _add_optimizer(sp: argparse.ArgumentParser):
     sp.add_argument("--tol", type=float, default=None,
                     help="duality-gap stop (bits) of the final probability step in "
                     "mean mode (additivity, theorem1); theorem2 does not use it")
-    sp.add_argument("--threads", type=int, default=None, help="parallel restart workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,11 +186,29 @@ def _payload(command: str, inputs: dict, results: dict, checks=(), timing_ms=Non
     }
 
 
-def _check_command_field(cfg_file: dict, invoked: str):
+def _check_config(cfg_file: dict, invoked: str):
+    """Reject config keys that would otherwise be ignored or contradict the
+    invoked command."""
     declared = cfg_file.get("command")
     if declared is not None and declared != invoked:
         raise ValueError(
             f"config file is for command {declared!r} but {invoked!r} was invoked"
+        )
+    channel = cfg_file.get("channel", {})
+    kind = channel.get("type") if isinstance(channel, dict) else None
+    if kind is not None and kind != _CHANNEL_TYPES[invoked]:
+        raise ValueError(
+            f"config channel.type is {kind!r} but {invoked!r} works on "
+            f"{_CHANNEL_TYPES[invoked]!r} channels"
+        )
+    optimizer = cfg_file.get("optimizer", {})
+    if not isinstance(optimizer, dict):
+        raise ValueError("config optimizer block must be a JSON object")
+    unknown = sorted(set(optimizer) - set(_OPTIMIZER_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown config optimizer key(s) {', '.join(unknown)}; "
+            f"known: {', '.join(_OPTIMIZER_KEYS)}"
         )
 
 
@@ -210,7 +246,6 @@ def _run_verify(args, cfg_file: dict) -> tuple[dict, int]:
         "restarts": cfg.restarts,
         "iters": cfg.iters,
         "tol": cfg.tol,
-        "threads": cfg.threads,
     }
     if family == "additivity":
         lam = float(_require(_pick(args, cfg_file, "lam", "lambda"), "--lambda"))
@@ -275,8 +310,11 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _render(payload: dict, fmt: str, command: str) -> str:
+    for key, value in _flatten(payload):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _NonFinite(f"{key} is {value}")
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if command == "sweep":
@@ -298,24 +336,24 @@ def main(argv=None) -> int:
         cfg_file = _load_config(args.config)
         family = getattr(args, "family", None)
         invoked = args.command if family is None else f"{args.command} {family}"
-        _check_command_field(cfg_file, invoked)
+        _check_config(cfg_file, invoked)
         if args.command == "capacity":
             payload, code = _run_capacity(args, cfg_file)
         elif args.command == "verify":
             payload, code = _run_verify(args, cfg_file)
         else:
             payload, code = _run_sweep(args, cfg_file)
-    except np.linalg.LinAlgError as err:
-        # a ValueError subclass, so it must be caught first
+        if args.timings or cfg_file.get("timings"):
+            payload["timing_ms"] = (time.perf_counter() - started) * 1e3
+        fmt = args.format or cfg_file.get("format") or "json"
+        text = _render(payload, fmt, args.command)
+    except (np.linalg.LinAlgError, _NonFinite) as err:
+        # LinAlgError is a ValueError subclass, so it must be caught first
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return 3
     except (CPViolationError, CapabilityError, DimensionMismatchError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.timings or cfg_file.get("timings"):
-        payload["timing_ms"] = (time.perf_counter() - started) * 1e3
-    fmt = args.format or cfg_file.get("format") or "json"
-    text = _render(payload, fmt, args.command)
     out = args.out or cfg_file.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:

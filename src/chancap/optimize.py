@@ -10,26 +10,37 @@ classical-quantum channel j -> sigma_j: p_j <- p_j 2^{D(sigma_j || sigma_bar)},
 normalized.  One update per sweep, warm-started from the previous sweep; after
 the last sweep it repeats until the duality gap max_j D(sigma_j || sigma_bar)
 - chi, an upper bound on what any reweighting of the final states could add,
-falls below `tol` or `prob_iters` updates have run.  The branch minimum ("min" mode) is not of that form and
-keeps projected-gradient ascent on the simplex.
+falls below `tol` or `prob_iters` updates have run.  The branch minimum ("min"
+mode) is not of that form and keeps projected-gradient ascent on the simplex,
+one restart at a time.
+
+All restarts of one search run in lockstep as one numpy batch.  At the start
+of a sweep every live restart draws its m moves, and the candidate states,
+their channel outputs and output entropies are computed for all of them in
+one batch (member j changes only at its own proposal, so computing ahead
+changes nothing).  Each proposal then needs one batched eigensolve of the
+updated average outputs, and each restart accepts its move only if its own
+objective improves.  A restart whose patience runs out is frozen: it leaves
+the batch, leaves unused the moves it drew for the rest of that sweep, draws
+nothing more, and rejoins the others only for the final probability step.
 
 The pseudo-random source is numpy's PCG64; restart r draws from the r-th
-child of SeedSequence(seed), so runs are reproducible and the per-restart
-streams do not depend on the restart count.  Restart 0 starts from the
-uniform computational-basis ensemble, the rest from random pure states.
+child of SeedSequence(seed), in the same order whatever else is in the batch,
+so runs are reproducible and each restart's outcome depends neither on the
+restart count nor on batching.  Restart 0 starts from the uniform
+computational-basis ensemble, the rest from random pure states.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import holevo
-from ._kernels import apply_kraus_pure, entropy_psd
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .errors import CapabilityError
 from .holevo import Ensemble
@@ -37,12 +48,17 @@ from .states import DensityMatrix
 
 _BACKTRACK_FLOOR = 1e-14
 _EIG_FLOOR = 1e-30  # keeps log2 of the average output finite in gradients
+_CHUNK = 1 << 20  # complex entries of Kraus images held at once (16 MB)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Budgets and knobs for the ascent; defaults hit the package's
     verification tolerances in minutes at desk scale.
+
+    The `restarts` run in lockstep, one sweep of `m` proposals at a time, for
+    at most `iters` sweeps; a restart freezes once `patience` proposals in a
+    row have gained less than `min_improvement`.
 
     `tol` is the duality-gap stop (bits) of the Blahut-Arimoto probability
     step run after the last sweep in mean mode; that step also stops after
@@ -55,7 +71,6 @@ class OptimizerConfig:
     iters: int = 2000
     seed: int | None = None
     tol: float = 1e-6
-    threads: int = 1
     step0: float = 0.5
     step_decay: float = 0.9935
     step_min: float = 1e-6
@@ -68,33 +83,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.iters < 1:
             raise ValueError("restarts and iters must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-
-
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Unconstrained ensemble parametrization: unit state vectors plus
-    logits mapped to the probability simplex."""
-
-    states: np.ndarray  # (m, dim) rows of unit norm
-    logits: np.ndarray  # (m,)
-
-    @property
-    def m(self) -> int:
-        return self.states.shape[0]
-
-    def probabilities(self) -> np.ndarray:
-        e = np.exp(self.logits - np.max(self.logits))
-        return e / e.sum()
-
-    def decode(self) -> Ensemble:
-        states = tuple(
-            DensityMatrix(np.outer(psi, psi.conj())) for psi in self.states
-        )
-        return Ensemble(self.probabilities(), states)
 
 
 @dataclass(frozen=True)
@@ -134,195 +124,296 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-class _Ascent:
-    """Incremental evaluation state for one restart.
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products over the last axis, broadcast over the rest; each is
+    one BLAS dot, so a row's result does not depend on the batch."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
-    Per branch i and ensemble member j it caches the channel output, its
-    entropy, the probability-weighted average output and entropies, so a
-    single-state proposal costs two eigensolves per branch instead of m+1.
+
+def _entropies(mats: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a stack (..., d, d) of Hermitian
+    PSD matrices; round-off negatives in a spectrum contribute 0."""
+    w = np.linalg.eigvalsh(mats)
+    return -(w * np.log2(w, out=np.zeros(w.shape), where=w > 0)).sum(axis=-1)
+
+
+def _apply_pure(stack: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Outputs sum_k (K_k psi)(K_k psi)^dag of a (terms, dout, din) Kraus
+    stack for a stack (..., din) of pure inputs, taken in chunks so the
+    Kraus images held at once stay below _CHUNK entries."""
+    terms, dout, din = stack.shape
+    rows = stack.transpose(1, 0, 2).reshape(dout * terms, din)  # row (a, k): row a of K_k
+    flat = psis.reshape(-1, din)
+    out = np.empty((len(flat), dout, dout), dtype=np.complex128)
+    size = max(1, _CHUNK // (dout * terms))
+    for lo in range(0, len(flat), size):
+        v = (rows @ flat[lo : lo + size, :, None]).reshape(-1, dout, terms)
+        out[lo : lo + size] = np.einsum("nik,njk->nij", v, v.conj())
+    return out.reshape(psis.shape[:-1] + (dout, dout))
+
+
+class _Ascent:
+    """Incremental evaluation state for a batch of restarts.
+
+    Arrays carry a leading restart axis.  Per restart, branch i and member j
+    it caches the channel output outs[:, i, j] and its entropy, and per
+    branch the probability-weighted average output and the weighted member
+    entropies, so a single-state proposal costs two eigensolves per branch
+    instead of m+1.  The helpers taking `rows` act on those restarts only.
     """
+
+    _PER_RESTART = ("psis", "outs", "entropies", "probs", "rbar", "sum_p_s", "chis", "value")
 
     def __init__(self, stacks: Sequence[np.ndarray], mode: str, psis, probs, cfg):
         self.stacks = list(stacks)
         self.mode = mode
         self.cfg = cfg
-        self.psis = np.array(psis, dtype=np.complex128)
-        self.probs = np.asarray(probs, dtype=np.float64)
-        self.m = self.psis.shape[0]
+        self.psis = np.array(psis, dtype=np.complex128)  # (R, m, din)
+        restarts, self.m, _ = self.psis.shape
         self.nb = len(self.stacks)
-        dout = self.stacks[0].shape[1]
-        self.outs = [np.empty((self.m, dout, dout), dtype=np.complex128) for _ in range(self.nb)]
-        self.entropies = [np.empty(self.m) for _ in range(self.nb)]
-        self.rbar = [None] * self.nb
-        self.s_rbar = np.empty(self.nb)
-        self.sum_p_s = np.empty(self.nb)
-        self.chis = np.empty(self.nb)
-        self.value = -np.inf
-        for i, stack in enumerate(self.stacks):
-            for j in range(self.m):
-                self.outs[i][j] = apply_kraus_pure(stack, self.psis[j])
-                self.entropies[i][j] = entropy_psd(self.outs[i][j])
-        self._commit_probs(self.probs)
+        self.outs = np.stack([_apply_pure(s, self.psis) for s in self.stacks], axis=1)
+        self.entropies = _entropies(self.outs)  # (R, nb, m)
+        self.probs = np.empty((restarts, self.m))
+        self.rbar = np.empty((restarts, self.nb) + self.outs.shape[-2:], dtype=np.complex128)
+        self.sum_p_s = np.empty((restarts, self.nb))
+        self.chis = np.empty((restarts, self.nb))
+        self.value = np.empty(restarts)
+        self._commit_probs(np.arange(restarts), np.asarray(probs, dtype=np.float64))
 
-    def _combine(self, chis) -> float:
+    def split(self, leave: np.ndarray) -> _Ascent:
+        """Move the restarts selected by the boolean mask `leave` out of this
+        batch into a new one, which is returned."""
+        out = copy.copy(self)
+        for name in self._PER_RESTART:
+            rows = getattr(self, name)
+            setattr(out, name, rows[leave])
+            setattr(self, name, rows[~leave])
+        return out
+
+    def join(self, other: _Ascent):
+        """Append the restarts of batch `other` to this one."""
+        for name in self._PER_RESTART:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
+
+    def _combine(self, chis: np.ndarray) -> np.ndarray:
         if self.mode == "min":
-            return float(np.min(chis))
-        return float(np.mean(chis))
+            return chis.min(axis=-1)
+        return chis.sum(axis=-1) / self.nb  # the bits of np.mean
 
-    def _chis_at(self, probs: np.ndarray) -> np.ndarray:
-        chis = np.empty(self.nb)
-        for i in range(self.nb):
-            avg = np.tensordot(probs, self.outs[i], axes=1)
-            chis[i] = entropy_psd(avg) - float(probs @ self.entropies[i])
-        return chis
+    def _averages(self, probs: np.ndarray, outs: np.ndarray) -> np.ndarray:
+        """sum_j probs[..., j] outs[..., i, j] for every branch i."""
+        flat = outs.reshape(outs.shape[:-2] + (-1,))
+        avg = probs[..., None, None, :] @ flat
+        return avg.reshape(outs.shape[:-3] + outs.shape[-2:])
 
-    def _commit_probs(self, probs: np.ndarray):
-        self.probs = probs
-        for i in range(self.nb):
-            self.rbar[i] = np.tensordot(probs, self.outs[i], axes=1)
-            self.s_rbar[i] = entropy_psd(self.rbar[i])
-            self.sum_p_s[i] = float(probs @ self.entropies[i])
-            self.chis[i] = self.s_rbar[i] - self.sum_p_s[i]
-        self.value = self._combine(self.chis)
+    def _chis_at(self, r: int, probs: np.ndarray) -> np.ndarray:
+        """Branch Holevo quantities of restart r at other probabilities."""
+        s_avg = _entropies(self._averages(probs, self.outs[r]))
+        return s_avg - _dot(probs, self.entropies[r])
 
-    def _gradient(self) -> np.ndarray:
-        """Supergradient of the objective in the probabilities (up to the
-        uniform component the simplex projection ignores).  In mean mode
-        entry j is the branch average of D(sigma_ij || sigma_bar_i), so
-        value = probs @ gradient."""
+    def _commit_probs(self, rows: np.ndarray, probs: np.ndarray):
+        self.probs[rows] = probs
+        self.rbar[rows] = self._averages(probs, self.outs[rows])
+        self.sum_p_s[rows] = _dot(probs[:, None, :], self.entropies[rows])
+        self.chis[rows] = _entropies(self.rbar[rows]) - self.sum_p_s[rows]
+        self.value[rows] = self._combine(self.chis[rows])
+
+    def _gradient(self, rows: np.ndarray) -> np.ndarray:
+        """Supergradient of each restart's objective in its probabilities
+        (up to the uniform component the simplex projection ignores), shape
+        (len(rows), m).  In mean mode entry j is the branch average of
+        D(sigma_ij || sigma_bar_i), so value = probs @ gradient; in min mode
+        it is that of the worst branch alone."""
         if self.mode == "min":
-            active = [int(np.argmin(self.chis))]
+            worst = np.argmin(self.chis[rows], axis=1)[:, None]
+            rows = rows[:, None]
+            rbar, outs, ents = self.rbar[rows, worst], self.outs[rows, worst], self.entropies[rows, worst]
             scale = 1.0
         else:
-            active = list(range(self.nb))
+            rbar, outs, ents = self.rbar[rows], self.outs[rows], self.entropies[rows]
             scale = 1.0 / self.nb
-        g = np.zeros(self.m)
-        for i in active:
-            w, v = np.linalg.eigh(self.rbar[i])
-            logm = (v * np.log2(np.maximum(w, _EIG_FLOOR))) @ v.conj().T
-            traces = np.real(np.einsum("jab,ba->j", self.outs[i], logm))
-            g += -traces - self.entropies[i]
+        w, v = np.linalg.eigh(rbar)
+        logm = (v * np.log2(np.maximum(w, _EIG_FLOOR))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        logm_t = logm.swapaxes(-1, -2)[..., None, :, :]
+        # Re tr(outs_j logm), summed row by row as einsum("jab,ba->j") does
+        traces = (outs.real * logm_t.real - outs.imag * logm_t.imag).sum(axis=-1).sum(axis=-1)
+        g = np.zeros((len(rows), self.m))
+        for i in range(traces.shape[1]):
+            g += -traces[:, i] - ents[:, i]
         return g * scale
 
-    def prob_step(self, final: bool = False) -> float | None:
-        """Reoptimize the probabilities for the current states.
+    def prob_step(self, final: bool = False) -> np.ndarray | None:
+        """Reoptimize the probabilities of every restart for its current
+        states.
 
-        Mean mode: one Blahut-Arimoto update; with `final`, updates until the
-        duality gap falls below tol or prob_iters updates have run, returning
-        the gap at the committed probabilities.  Min mode: projected gradient
-        (see `_projected_gradient`) whether final or not; returns None."""
+        Mean mode: one Blahut-Arimoto update; with `final`, updates until
+        each restart's duality gap falls below tol or prob_iters updates have
+        run, returning the gaps at the committed probabilities.  Min mode:
+        projected gradient for each restart in turn (see
+        `_projected_gradient`) whether final or not; returns None."""
+        rows = np.arange(self.value.size)
         if self.mode == "min":
-            self._projected_gradient()
+            for r in rows:
+                self._projected_gradient(r)
             return None
-        g = self._gradient()
+        g = self._gradient(rows)
         if not final:
-            self._blahut_arimoto(g)
+            self._blahut_arimoto(rows, g)
             return None
+        gaps = self._duality_gap(rows, g)
         for _ in range(self.cfg.prob_iters):
-            if self._duality_gap(g) < self.cfg.tol:
+            todo = np.flatnonzero(gaps >= self.cfg.tol)
+            if not todo.size:
                 break
-            self._blahut_arimoto(g)
-            g = self._gradient()
-        return self._duality_gap(g)
+            self._blahut_arimoto(todo, g[todo])
+            g[todo] = self._gradient(todo)
+            gaps[todo] = self._duality_gap(todo, g[todo])
+        return gaps
 
-    def _duality_gap(self, g: np.ndarray) -> float:
+    def _duality_gap(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
         # probs @ g is a convex combination of g, so it can exceed max(g)
         # only by round-off
-        return max(0.0, float(np.max(g) - self.probs @ g))
+        return np.maximum(0.0, np.max(g, axis=1) - _dot(self.probs[rows], g))
 
-    def _blahut_arimoto(self, g: np.ndarray):
-        """p_j <- p_j 2^(g_j) / Z for g = `_gradient()`; never lowers the
-        mean-mode value (up to round-off)."""
-        w = self.probs * np.exp2(g - np.max(g))
-        self._commit_probs(w / w.sum())
+    def _blahut_arimoto(self, rows: np.ndarray, g: np.ndarray):
+        """p_j <- p_j 2^(g_j) / Z for g = `_gradient(rows)`; never lowers
+        the mean-mode value (up to round-off)."""
+        w = self.probs[rows] * np.exp2(g - np.max(g, axis=1, keepdims=True))
+        self._commit_probs(rows, w / w.sum(axis=1, keepdims=True))
 
-    def _projected_gradient(self):
-        """Projected-gradient ascent with backtracking until the gain per
-        gradient step falls below prob_tol.  Steps are accepted only when
-        the combined objective improves."""
+    def _projected_gradient(self, r: int):
+        """Projected-gradient ascent of restart r with backtracking until the
+        gain per gradient step falls below prob_tol.  Steps are accepted only
+        when the combined objective improves."""
+        one = np.array([r])
         eta = 1.0
         for _ in range(self.cfg.prob_iters):
-            g = self._gradient()
+            g = self._gradient(one)[0]
             gain = 0.0
             while eta >= _BACKTRACK_FLOOR:
-                cand = _project_simplex(self.probs + eta * g)
-                chis = self._chis_at(cand)
-                val = self._combine(chis)
-                if val > self.value:
-                    gain = val - self.value
-                    self._commit_probs(cand)
+                cand = _project_simplex(self.probs[r] + eta * g)
+                val = self._combine(self._chis_at(r, cand))
+                if val > self.value[r]:
+                    gain = val - self.value[r]
+                    self._commit_probs(one, cand[None])
                     break
                 eta *= 0.5
             if gain < self.cfg.prob_tol:
                 break
             eta = min(eta * 2.0, 1e3)
 
-    def propose_state(self, j: int, step: float, rng: np.random.Generator) -> float:
-        """Perturb member j; keep the move only if the objective improves.
-        Returns the improvement (0 on rejection)."""
-        noise = rng.normal(size=self.psis.shape[1]) + 1j * rng.normal(size=self.psis.shape[1])
-        cand = self.psis[j] + step * noise
-        cand /= np.linalg.norm(cand)
-        p = self.probs[j]
-        new_chis = np.empty(self.nb)
-        payload = []
-        for i in range(self.nb):
-            out_new = apply_kraus_pure(self.stacks[i], cand)
-            s_new = entropy_psd(out_new)
-            rbar_new = self.rbar[i] + p * (out_new - self.outs[i][j])
-            s_rbar_new = entropy_psd(rbar_new)
-            sum_p_s_new = self.sum_p_s[i] + p * (s_new - self.entropies[i][j])
-            new_chis[i] = s_rbar_new - sum_p_s_new
-            payload.append((out_new, s_new, rbar_new, s_rbar_new, sum_p_s_new))
-        new_value = self._combine(new_chis)
-        gain = new_value - self.value
-        if gain <= 0:
-            return 0.0
-        self.psis[j] = cand
-        for i, (out_new, s_new, rbar_new, s_rbar_new, sum_p_s_new) in enumerate(payload):
-            self.outs[i][j] = out_new
-            self.entropies[i][j] = s_new
-            self.rbar[i] = rbar_new
-            self.s_rbar[i] = s_rbar_new
-            self.sum_p_s[i] = sum_p_s_new
-            self.chis[i] = new_chis[i]
-        self.value = new_value
-        return gain
+    def candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A sweep's proposals computed ahead in one batch: the states
+        psis + moves normalized (R, m, din), their channel outputs
+        (R, m, nb, dout, dout) and output entropies (R, m, nb).  Ahead is
+        soon enough, since member j changes only at its own proposal."""
+        v = self.psis + moves
+        # the bits of np.linalg.norm, row by row
+        cands = v / np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))[..., None]
+        outs = np.stack([_apply_pure(s, cands) for s in self.stacks], axis=2)
+        return cands, outs, _entropies(outs)
+
+    def propose(self, j: int, cand: np.ndarray, out: np.ndarray, ent: np.ndarray) -> np.ndarray:
+        """Offer each restart member j's candidate from `candidates` (its
+        row of cand, out and ent); a restart keeps the move only if its
+        objective improves.  Returns the improvements (0 on rejection)."""
+        p = self.probs[:, j, None]
+        rbar = self.rbar + p[..., None, None] * (out - self.outs[:, :, j])
+        sum_p_s = self.sum_p_s + p * (ent - self.entropies[:, :, j])
+        chis = _entropies(rbar) - sum_p_s
+        value = self._combine(chis)
+        gain = value - self.value
+        keep = gain > 0
+        if keep.any():
+            self.psis[keep, j] = cand[keep]
+            self.outs[keep, :, j] = out[keep]
+            self.entropies[keep, :, j] = ent[keep]
+            self.rbar[keep] = rbar[keep]
+            self.sum_p_s[keep] = sum_p_s[keep]
+            self.chis[keep] = chis[keep]
+            self.value[keep] = value[keep]
+        return np.where(keep, gain, 0.0)
 
 
-def _initial_params(dim: int, m: int, rng: np.random.Generator, structured: bool) -> EnsembleParams:
+def _initial_states(dim: int, m: int, rng: np.random.Generator, structured: bool) -> np.ndarray:
     if structured:
-        psis = np.eye(dim, dtype=np.complex128)[np.arange(m) % dim]
-    else:
-        psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
-        psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    return EnsembleParams(states=psis, logits=np.zeros(m))
+        return np.eye(dim, dtype=np.complex128)[np.arange(m) % dim]
+    psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
+    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
-def _run_restart(stacks, mode, dim, m, cfg, rng, structured) -> _RestartOutcome:
-    params = _initial_params(dim, m, rng, structured)
-    ascent = _Ascent(stacks, mode, params.states, params.probabilities(), cfg)
-    ascent.prob_step()
-    quiet = 0
-    converged = False
-    sweeps = 0
-    for t in range(cfg.iters):
-        sweeps = t + 1
-        envelope = max(cfg.step_min, cfg.step0 * cfg.step_decay**t)
-        for j in range(m):
+def _moves(m: int, dim: int, envelope: float, rngs) -> np.ndarray:
+    """A sweep's random moves, shape (len(rngs), m, dim): restart n draws a
+    step and then its noise from rngs[n] for each member in turn."""
+    steps, noise = [], []
+    for rng in rngs:
+        for _ in range(m):
             # spread proposals over two decades below the decaying envelope
             # so fine refinements are tried long before the envelope shrinks
-            step = envelope * 10.0 ** (-2.0 * rng.random())
-            gain = ascent.propose_state(j, step, rng)
-            quiet = quiet + 1 if gain < cfg.min_improvement else 0
-            if quiet >= cfg.patience:
-                converged = True
-                break
-        if converged:
+            steps.append(envelope * 10.0 ** (-2.0 * rng.random()))
+            noise.append(rng.normal(size=2 * dim))
+    steps = np.reshape(steps, (len(rngs), m, 1))
+    noise = np.reshape(noise, (len(rngs), m, 2 * dim))
+    return steps * (noise[..., :dim] + 1j * noise[..., dim:])
+
+
+def _ascend(
+    stacks: Sequence[np.ndarray],
+    mode: str,
+    psis: np.ndarray,
+    cfg: OptimizerConfig,
+    rngs: Sequence[np.random.Generator],
+) -> list[_RestartOutcome]:
+    """Run one restart per row of `psis` (R, m, din) in lockstep from
+    uniform probabilities, restart r drawing from rngs[r].  A restart whose
+    patience runs out leaves the batch, so the proposals of the others cost
+    nothing for it; all take the final probability step together."""
+    restarts, m, dim = psis.shape
+    ascent = _Ascent(stacks, mode, psis, np.full((restarts, m), 1.0 / m), cfg)
+    ascent.prob_step()
+    ids = np.arange(restarts)  # the restart of each row of `ascent`
+    gens = list(rngs)  # and its generator
+    quiet = np.zeros(restarts, dtype=int)
+    sweeps = np.full(restarts, cfg.iters)
+    converged = np.zeros(restarts, dtype=bool)
+    frozen = []  # (ids, batch) of the restarts that have left `ascent`
+    for t in range(cfg.iters):
+        # drawn a sweep ahead: a restart that freezes mid-sweep never draws
+        # again, so the moves it leaves unused change nothing
+        moves = _moves(m, dim, max(cfg.step_min, cfg.step0 * cfg.step_decay**t), gens)
+        sweep = ascent.candidates(moves)
+        for j in range(m):
+            gain = ascent.propose(j, *(x[:, j] for x in sweep))
+            quiet = np.where(gain < cfg.min_improvement, quiet + 1, 0)
+            leave = quiet >= cfg.patience
+            if leave.any():
+                sweeps[ids[leave]] = t + 1
+                converged[ids[leave]] = True
+                frozen.append((ids[leave], ascent.split(leave)))
+                ids, quiet = ids[~leave], quiet[~leave]
+                sweep = [x[~leave] for x in sweep]
+                gens = [rngs[r] for r in ids]
+                if not ids.size:
+                    break
+        if not ids.size:
             break
         ascent.prob_step()
-    gap = ascent.prob_step(final=True)
-    return _RestartOutcome(ascent.value, ascent.psis, ascent.probs, sweeps, converged, gap)
+    for members, batch in frozen:
+        ids = np.concatenate([ids, members])
+        ascent.join(batch)
+    gaps = ascent.prob_step(final=True)
+
+    outcomes = [None] * restarts
+    for n, r in enumerate(ids):
+        outcomes[r] = _RestartOutcome(
+            float(ascent.value[n]),
+            ascent.psis[n],
+            ascent.probs[n],
+            int(sweeps[r]),
+            bool(converged[r]),
+            None if gaps is None else float(gaps[n]),
+        )
+    return outcomes
 
 
 def _decode(psis: np.ndarray, probs: np.ndarray) -> Ensemble:
@@ -348,16 +439,9 @@ def _maximize(
         raise ValueError(f"ensemble size must be positive, got {m}")
     seed = cfg.seed if cfg.seed is not None else np.random.SeedSequence().entropy
     children = np.random.SeedSequence(seed).spawn(cfg.restarts)
-
-    def run(idx: int) -> _RestartOutcome:
-        rng = np.random.Generator(np.random.PCG64(children[idx]))
-        return _run_restart(stacks, mode, dim, m, cfg, rng, structured=(idx == 0))
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(run, range(cfg.restarts)))
-    else:
-        outcomes = [run(i) for i in range(cfg.restarts)]
+    rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
+    psis = np.stack([_initial_states(dim, m, rng, r == 0) for r, rng in enumerate(rngs)])
+    outcomes = _ascend(stacks, mode, psis, cfg, rngs)
 
     best = outcomes[0]
     for outcome in outcomes[1:]:

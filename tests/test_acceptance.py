@@ -2,7 +2,7 @@
 budget, one pass/fail line each (run with `pytest tests/test_acceptance.py -v -s`).
 
 The optimizer criteria use the full default budgets (32 restarts, 2000
-sweeps); the whole module takes a few minutes with the compiled kernels.
+sweeps); the whole module takes about 15 s on two cores.
 """
 
 import json

@@ -250,6 +250,14 @@ def test_convex_gamma_validation():
         ConvexCombinationChannel((depolarizing(2, 0.5),), [0.9])
 
 
+def test_weights_reject_nan():
+    branches = (depolarizing(2, 0.9), depolarizing(2, 0.5))
+    with pytest.raises(ValueError, match="probability"):
+        ConvexCombinationChannel(branches, [float("nan"), float("nan")])
+    with pytest.raises(ValueError, match="probability"):
+        mix_channels(branches, [float("nan"), 1.0])
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_depolarizing_output_spectrum_law(d):
     rng = np.random.default_rng(16 + d)

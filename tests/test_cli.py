@@ -261,3 +261,60 @@ def test_report_csv_flattening(capsys):
     assert lines[0] == "key,value"
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert "results.closed_form" in keys
+
+
+def test_threads_flag_is_gone(capsys):
+    argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--seed", "7", "--threads", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["threadz", "threads"])
+def test_config_unknown_optimizer_key(tmp_path, capsys, key):
+    cfg = {
+        "channel": {"type": "depolarizing", "d": 2, "lambda": 0.5},
+        "optimizer": {"restarts": 1, "iters": 5, "seed": 7, key: 2},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, ["verify", "additivity", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert key in err
+
+
+def test_config_channel_type_mismatch(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"channel": {"type": "convex", "d": 2, "lambda": 0.5}}))
+    code, out, err = run(capsys, ["capacity", "depolarizing", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert "channel.type" in err and "convex" in err
+
+
+def test_config_channel_type_matching_family(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"channel": {"type": "periodic", "d": 2, "lambdas": [0.9, 0.5]}}))
+    code, out, _ = run(capsys, ["capacity", "periodic", "--config", str(path)])
+    assert code == 0
+    assert json.loads(out)["results"]["closed_form"] == pytest.approx(PERIODIC_09_05, abs=1e-9)
+
+
+@pytest.mark.parametrize("gammas", ["nan,nan", "1.0", "0.3,0.3,0.4", "-0.5,1.5", "0.3,0.6"])
+def test_capacity_convex_rejects_bad_gammas(capsys, gammas):
+    argv = ["capacity", "convex", "--d", "2", "--lambdas", "0.9,0.5", f"--gammas={gammas}"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "gamma" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, fmt):
+    def report(d, lam):
+        return capacity.CapacityReport(channel={}, closed_form=float("nan"))
+
+    monkeypatch.setattr(capacity, "report_depolarizing", report)
+    argv = ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5", "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "error: numerical failure: results.closed_form is nan\n"

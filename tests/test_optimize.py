@@ -19,7 +19,7 @@ from chancap import (
     maximize_min_chi,
     tensor_channels,
 )
-from chancap.optimize import EnsembleParams, OptimizerConfig, _Ascent
+from chancap.optimize import OptimizerConfig, _Ascent, _ascend, _initial_states
 
 # small budgets keep the unit tests quick; the acceptance suite runs the
 # spec budgets
@@ -71,12 +71,41 @@ def test_determinism_same_seed():
         np.testing.assert_array_equal(sa.mat, sb.mat)
 
 
-def test_determinism_with_threads():
-    ch = depolarizing(2, 0.5)
-    a = maximize_chi(ch, 4, FAST)
-    b = maximize_chi(ch, 4, OptimizerConfig(restarts=4, iters=300, seed=7, threads=4))
-    assert a.value == b.value
-    np.testing.assert_array_equal(a.ensemble.probs, b.ensemble.probs)
+def _restart_streams(seed, restarts, dim, m):
+    """Per-restart generators and start states, drawn as _maximize does."""
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+    psis = np.stack([_initial_states(dim, m, rng, r == 0) for r, rng in enumerate(rngs)])
+    return rngs, psis
+
+
+@pytest.mark.parametrize(
+    "mode,channels,dim,m,cfg",
+    [
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 8,
+         OptimizerConfig(restarts=5, iters=200, seed=7, patience=60)),
+        ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
+         OptimizerConfig(restarts=5, iters=300, seed=3)),
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
+         OptimizerConfig(restarts=5, iters=300, seed=7)),
+    ],
+)
+def test_batching_independence(mode, channels, dim, m, cfg):
+    # each restart run inside the batch must end exactly where it ends alone
+    stacks = [ch.stack for ch in channels]
+    rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
+    batched = _ascend(stacks, mode, psis, cfg, rngs)
+    sweeps = {out.iterations for out in batched}
+    assert len(sweeps) > 1, "restarts should freeze at different sweeps"
+    for r, together in enumerate(batched):
+        rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
+        (alone,) = _ascend(stacks, mode, psis[r : r + 1], cfg, rngs[r : r + 1])
+        assert together.value == alone.value
+        assert together.iterations == alone.iterations
+        assert together.converged == alone.converged
+        assert together.duality_gap == alone.duality_gap
+        np.testing.assert_array_equal(together.psis, alone.psis)
+        np.testing.assert_array_equal(together.probs, alone.probs)
 
 
 def test_monotone_in_restarts():
@@ -167,18 +196,6 @@ def test_additivity_gap_mixed_product():
     assert res.value == pytest.approx(expected, abs=1e-2)
 
 
-def test_ensemble_params_decode():
-    rng = np.random.default_rng(0)
-    states = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    params = EnsembleParams(states=states, logits=np.array([0.0, 1.0, -1.0]))
-    ens = params.decode()
-    assert abs(ens.probs.sum() - 1.0) < 1e-12
-    assert np.all(ens.probs >= 0)
-    assert params.m == 3
-    assert ens.probs[1] > ens.probs[0] > ens.probs[2]
-
-
 def _random_psis(rng, m, dim):
     psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
@@ -195,9 +212,9 @@ def test_mean_prob_step_monotone(channels, dim, m):
     cfg = OptimizerConfig()
     for seed in range(5):
         psis = _random_psis(np.random.default_rng(seed), m, dim)
-        ascent = _Ascent([ch.stack for ch in channels], "mean", psis, np.full(m, 1.0 / m), cfg)
+        ascent = _Ascent([ch.stack for ch in channels], "mean", psis[None], np.full((1, m), 1.0 / m), cfg)
         for _ in range(100):
-            before = ascent.value
+            before = ascent.value.copy()
             ascent.prob_step()
             assert ascent.value >= before - 1e-15
 
@@ -209,7 +226,7 @@ def test_duality_gap_brackets_optimum(prob_iters):
     ch = depolarizing(2, 0.5)
     psis = np.eye(2, dtype=np.complex128)[[0, 1, 0, 1]]
     cfg = OptimizerConfig(prob_iters=prob_iters)
-    ascent = _Ascent([ch.stack], "mean", psis, np.array([0.55, 0.3, 0.1, 0.05]), cfg)
+    ascent = _Ascent([ch.stack], "mean", psis[None], np.array([[0.55, 0.3, 0.1, 0.05]]), cfg)
     gap = ascent.prob_step(final=True)
     chi_star = chi_star_depolarizing(2, 0.5)
     assert ascent.value <= chi_star + 1e-12
@@ -224,7 +241,7 @@ def test_tol_is_the_final_gap_stop():
     stack = tensor_channels([depolarizing(2, 0.5)] * 2).stack
     psis = _random_psis(np.random.default_rng(3), 8, 4)
     loose, tight = (
-        _Ascent([stack], "mean", psis, np.full(8, 1 / 8), OptimizerConfig(tol=tol)).prob_step(final=True)
+        _Ascent([stack], "mean", psis[None], np.full((1, 8), 1 / 8), OptimizerConfig(tol=tol)).prob_step(final=True)
         for tol in (1e-1, OptimizerConfig().tol)
     )
     assert tight < loose < 1e-1
