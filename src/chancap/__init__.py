@@ -23,7 +23,6 @@ from .channels import (
     apply,
     apply_convex,
     apply_periodic,
-    channel_from_descriptor,
     depolarizing,
     identity_channel,
     mix_channels,
@@ -93,7 +92,6 @@ __all__ = [
     "apply_periodic",
     "apply_convex",
     "mix_channels",
-    "channel_from_descriptor",
     # holevo
     "Ensemble",
     "Povm",

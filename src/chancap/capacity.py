@@ -334,6 +334,7 @@ def verify_theorem2(
             "two_use_rate": rate,
             "restarts": cfg.restarts,
             "converged": one_use.converged and two_use.converged,
+            "duality_gap": one_use.duality_gap,
             "opt_seed": one_use.seed,
         },
         notes=_dimension_note(d),

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -259,32 +259,3 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
             terms.extend(np.sqrt(w) * k for k in c.kraus)
     return KrausChannel(tuple(terms))
 
-
-def channel_from_descriptor(desc: Mapping):
-    """Build a channel from the JSON descriptor used by the CLI config.
-
-    Supported forms:
-      {"type": "depolarizing", "d": 2, "lambda": 0.5}
-      {"type": "periodic", "branches": [<descriptor>, ...]}
-      {"type": "convex", "gammas": [...], "branches": [<descriptor>, ...]}
-    """
-    try:
-        kind = desc["type"]
-    except (KeyError, TypeError):
-        raise ValueError(f"channel descriptor needs a 'type' field: {desc!r}") from None
-    if kind == "depolarizing":
-        missing = {"d", "lambda"} - desc.keys()
-        if missing:
-            raise ValueError(f"depolarizing descriptor missing {sorted(missing)}")
-        return depolarizing(int(desc["d"]), float(desc["lambda"]))
-    if kind == "periodic":
-        branches = [channel_from_descriptor(b) for b in desc.get("branches", [])]
-        if not all(isinstance(b, KrausChannel) for b in branches):
-            raise ValueError("periodic branches must be memoryless channels")
-        return PeriodicChannel(tuple(branches))
-    if kind == "convex":
-        branches = [channel_from_descriptor(b) for b in desc.get("branches", [])]
-        if not all(isinstance(b, KrausChannel) for b in branches):
-            raise ValueError("convex branches must be memoryless channels")
-        return ConvexCombinationChannel(tuple(branches), np.asarray(desc.get("gammas", [])))
-    raise ValueError(f"unknown channel type {kind!r}")

@@ -30,6 +30,10 @@ from .errors import CapabilityError, CPViolationError, DimensionMismatchError
 from .optimize import OptimizerConfig
 
 _OPTIMIZER_KEYS = ("restarts", "iters", "m", "seed", "tol")
+# config keys that name no flag
+_BLOCK_KEYS = ("command", "channel", "optimizer")
+# flags whose key in the config channel block differs from their destination
+_CHANNEL_KEYS = {"lam": "lambda"}
 
 
 class _NonFinite(ArithmeticError):
@@ -70,8 +74,7 @@ def _add_optimizer(sp: argparse.ArgumentParser):
     sp.add_argument("--iters", type=int, default=None)
     sp.add_argument("--m", type=int, default=None, help="ensemble size (default: input dim squared)")
     sp.add_argument("--tol", type=float, default=None,
-                    help="duality-gap stop (bits) of the final probability step in "
-                    "mean mode (additivity, theorem1); theorem2 does not use it")
+                    help="duality-gap stop (bits) of the final probability step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,18 +139,14 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _pick(args, cfg_file: dict, name: str, channel_key: str | None = None):
+def _pick(args, cfg_file: dict, name: str):
     """Flag value if given, else config-file value, else None."""
     value = getattr(args, name, None)
     if value is not None:
         return value
     if name in cfg_file:
         return cfg_file[name]
-    channel = cfg_file.get("channel", {})
-    key = channel_key or name
-    if isinstance(channel, dict) and key in channel:
-        return channel[key]
-    return None
+    return cfg_file.get("channel", {}).get(_CHANNEL_KEYS.get(name, name))
 
 
 def _require(value, flag: str):
@@ -186,37 +185,52 @@ def _payload(command: str, inputs: dict, results: dict, checks=(), timing_ms=Non
     }
 
 
-def _check_config(cfg_file: dict, invoked: str):
+def _reject_unknown(block: dict, known, where: str):
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ValueError(
+            f"unknown config {where}key(s) {', '.join(unknown)}; known: {', '.join(sorted(known))}"
+        )
+
+
+def _check_config(cfg_file: dict, args: argparse.Namespace, invoked: str):
     """Reject config keys that would otherwise be ignored or contradict the
-    invoked command."""
+    invoked command.  The keys accepted are the invoked command's flags
+    (by destination): at the top level all of them, in the channel block
+    those that `_add_common` and `_add_optimizer` do not add, which
+    describe the channel."""
+    if not cfg_file:
+        return
     declared = cfg_file.get("command")
     if declared is not None and declared != invoked:
         raise ValueError(
             f"config file is for command {declared!r} but {invoked!r} was invoked"
         )
     channel = cfg_file.get("channel", {})
-    kind = channel.get("type") if isinstance(channel, dict) else None
+    optimizer = cfg_file.get("optimizer", {})
+    if not (isinstance(channel, dict) and isinstance(optimizer, dict)):
+        raise ValueError("config channel and optimizer blocks must be JSON objects")
+    kind = channel.get("type")
     if kind is not None and kind != _CHANNEL_TYPES[invoked]:
         raise ValueError(
             f"config channel.type is {kind!r} but {invoked!r} works on "
             f"{_CHANNEL_TYPES[invoked]!r} channels"
         )
-    optimizer = cfg_file.get("optimizer", {})
-    if not isinstance(optimizer, dict):
-        raise ValueError("config optimizer block must be a JSON object")
-    unknown = sorted(set(optimizer) - set(_OPTIMIZER_KEYS))
-    if unknown:
-        raise ValueError(
-            f"unknown config optimizer key(s) {', '.join(unknown)}; "
-            f"known: {', '.join(_OPTIMIZER_KEYS)}"
-        )
+    flags = set(vars(args)) - {"command", "family", "config"}
+    shared = argparse.ArgumentParser(add_help=False)
+    _add_common(shared)
+    _add_optimizer(shared)
+    params = flags - set(vars(shared.parse_args([])))
+    _reject_unknown(cfg_file, flags | set(_BLOCK_KEYS), "")
+    _reject_unknown(channel, {"type"} | {_CHANNEL_KEYS.get(p, p) for p in params}, "channel ")
+    _reject_unknown(optimizer, _OPTIMIZER_KEYS, "optimizer ")
 
 
 def _run_capacity(args, cfg_file: dict) -> tuple[dict, int]:
     family = args.family
     d = int(_require(_pick(args, cfg_file, "d"), "--d"))
     if family == "depolarizing":
-        lam = float(_require(_pick(args, cfg_file, "lam", "lambda"), "--lambda"))
+        lam = float(_require(_pick(args, cfg_file, "lam"), "--lambda"))
         report = capacity.report_depolarizing(d, lam)
         inputs = {"d": d, "lambda": lam}
     elif family == "periodic":
@@ -248,7 +262,7 @@ def _run_verify(args, cfg_file: dict) -> tuple[dict, int]:
         "tol": cfg.tol,
     }
     if family == "additivity":
-        lam = float(_require(_pick(args, cfg_file, "lam", "lambda"), "--lambda"))
+        lam = float(_require(_pick(args, cfg_file, "lam"), "--lambda"))
         inputs["lambda"] = lam
         report = capacity.verify_additivity(d, lam, m, cfg)
     elif family == "theorem1":
@@ -336,7 +350,7 @@ def main(argv=None) -> int:
         cfg_file = _load_config(args.config)
         family = getattr(args, "family", None)
         invoked = args.command if family is None else f"{args.command} {family}"
-        _check_config(cfg_file, invoked)
+        _check_config(cfg_file, args, invoked)
         if args.command == "capacity":
             payload, code = _run_capacity(args, cfg_file)
         elif args.command == "verify":

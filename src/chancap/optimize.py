@@ -4,15 +4,16 @@ Independent numerical maximization of Holevo-quantity objectives: the check
 against every closed form, and the probe for any gain from entangled inputs.
 States move by random local perturbations with a decaying step, accepting
 improvements only.  Between sweeps the probabilities take a step of their own
-(the objective is concave in them).  For the Holevo quantity and its branch
-average ("mean" mode) that step is the Blahut-Arimoto update of the
-classical-quantum channel j -> sigma_j: p_j <- p_j 2^{D(sigma_j || sigma_bar)},
-normalized.  One update per sweep, warm-started from the previous sweep; after
-the last sweep it repeats until the duality gap max_j D(sigma_j || sigma_bar)
-- chi, an upper bound on what any reweighting of the final states could add,
-falls below `tol` or `prob_iters` updates have run.  The branch minimum ("min"
-mode) is not of that form and keeps projected-gradient ascent on the simplex,
-one restart at a time.
+(the objective is concave in them): the Blahut-Arimoto update of the
+classical-quantum channel j -> sigma_j, p_j <- p_j 2^{D(sigma_j || sigma_bar)},
+normalized.  For the Holevo quantity and its branch average ("mean" mode) the
+divergence is averaged over the branches and every update is kept; for the
+branch minimum ("min" mode, maximin) it is the worst branch's, and a restart
+keeps an update only if its minimum strictly improves.  One update per sweep,
+warm-started from the previous sweep; after the last sweep it repeats until
+the duality gap max_j D(sigma_j || sigma_bar) - chi, an upper bound on what
+any reweighting of the final states could add, falls below `tol`, a min-mode
+update is rejected, or `prob_iters` updates have run.
 
 All restarts of one search run in lockstep as one numpy batch.  At the start
 of a sweep every live restart draws its m moves, and the candidate states,
@@ -41,13 +42,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import holevo
-from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
+from .channels import MAX_PRODUCT_DIM, ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .errors import CapabilityError
 from .holevo import Ensemble
 from .states import DensityMatrix
 
-_BACKTRACK_FLOOR = 1e-14
 _EIG_FLOOR = 1e-30  # keeps log2 of the average output finite in gradients
+# proposal step envelope at sweep t: max(_STEP_MIN, _STEP0 * _STEP_DECAY**t)
+_STEP0 = 0.5
+_STEP_DECAY = 0.9935
+_STEP_MIN = 1e-6
+_MIN_IMPROVEMENT = 1e-10  # a proposal gaining less counts toward patience
 _CHUNK = 1 << 20  # complex entries of Kraus images held at once (16 MB)
 
 
@@ -58,27 +63,19 @@ class OptimizerConfig:
 
     The `restarts` run in lockstep, one sweep of `m` proposals at a time, for
     at most `iters` sweeps; a restart freezes once `patience` proposals in a
-    row have gained less than `min_improvement`.
+    row have gained almost nothing.
 
     `tol` is the duality-gap stop (bits) of the Blahut-Arimoto probability
-    step run after the last sweep in mean mode; that step also stops after
-    `prob_iters` updates.  The min-mode objective (maximin) does not use
-    `tol`: its projected-gradient step stops on a gain below `prob_tol` or
-    after `prob_iters` gradient steps.
+    step run after the last sweep; that step also stops after `prob_iters`
+    updates.
     """
 
     restarts: int = 32
     iters: int = 2000
     seed: int | None = None
     tol: float = 1e-6
-    step0: float = 0.5
-    step_decay: float = 0.9935
-    step_min: float = 1e-6
     patience: int = 200
-    min_improvement: float = 1e-10
-    dim_cap: int = 16
     prob_iters: int = 200
-    prob_tol: float = 1e-13
 
     def __post_init__(self):
         if self.restarts < 1 or self.iters < 1:
@@ -92,8 +89,8 @@ class OptResult:
     """Best value found, the ensemble achieving it, and run diagnostics.
 
     `duality_gap` is the best restart's final Blahut-Arimoto gap in bits:
-    no reweighting of its states raises the value by more.  None in min
-    mode."""
+    no reweighting of its states raises the value by more.  In min mode it
+    is the worst branch's gap, which bounds the branch minimum as well."""
 
     value: float
     ensemble: Ensemble
@@ -101,7 +98,7 @@ class OptResult:
     iterations: int
     converged: bool
     seed: int
-    duality_gap: float | None = None
+    duality_gap: float
 
 
 @dataclass(frozen=True)
@@ -111,17 +108,7 @@ class _RestartOutcome:
     probs: np.ndarray
     iterations: int
     converged: bool
-    duality_gap: float | None
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum p = 1} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = idx[u + (1.0 - css) / idx > 0][-1]
-    theta = (1.0 - css[rho - 1]) / rho
-    return np.maximum(v + theta, 0.0)
+    duality_gap: float
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,22 +193,27 @@ class _Ascent:
         avg = probs[..., None, None, :] @ flat
         return avg.reshape(outs.shape[:-3] + outs.shape[-2:])
 
-    def _chis_at(self, r: int, probs: np.ndarray) -> np.ndarray:
-        """Branch Holevo quantities of restart r at other probabilities."""
-        s_avg = _entropies(self._averages(probs, self.outs[r]))
-        return s_avg - _dot(probs, self.entropies[r])
-
-    def _commit_probs(self, rows: np.ndarray, probs: np.ndarray):
-        self.probs[rows] = probs
-        self.rbar[rows] = self._averages(probs, self.outs[rows])
-        self.sum_p_s[rows] = _dot(probs[:, None, :], self.entropies[rows])
-        self.chis[rows] = _entropies(self.rbar[rows]) - self.sum_p_s[rows]
-        self.value[rows] = self._combine(self.chis[rows])
+    def _commit_probs(self, rows: np.ndarray, probs: np.ndarray, guard: bool = False) -> np.ndarray:
+        """Set the probabilities of `rows` to `probs`; with `guard`, only for
+        the restarts whose objective strictly improves.  Returns the mask of
+        `rows` committed."""
+        rbar = self._averages(probs, self.outs[rows])
+        sum_p_s = _dot(probs[:, None, :], self.entropies[rows])
+        chis = _entropies(rbar) - sum_p_s
+        value = self._combine(chis)
+        keep = value > self.value[rows] if guard else np.ones(rows.size, dtype=bool)
+        rows = rows[keep]
+        self.probs[rows] = probs[keep]
+        self.rbar[rows] = rbar[keep]
+        self.sum_p_s[rows] = sum_p_s[keep]
+        self.chis[rows] = chis[keep]
+        self.value[rows] = value[keep]
+        return keep
 
     def _gradient(self, rows: np.ndarray) -> np.ndarray:
         """Supergradient of each restart's objective in its probabilities
-        (up to the uniform component the simplex projection ignores), shape
-        (len(rows), m).  In mean mode entry j is the branch average of
+        (up to a uniform component, which the normalized update ignores),
+        shape (len(rows), m).  In mean mode entry j is the branch average of
         D(sigma_ij || sigma_bar_i), so value = probs @ gradient; in min mode
         it is that of the worst branch alone."""
         if self.mode == "min":
@@ -243,29 +235,24 @@ class _Ascent:
         return g * scale
 
     def prob_step(self, final: bool = False) -> np.ndarray | None:
-        """Reoptimize the probabilities of every restart for its current
-        states.
-
-        Mean mode: one Blahut-Arimoto update; with `final`, updates until
-        each restart's duality gap falls below tol or prob_iters updates have
-        run, returning the gaps at the committed probabilities.  Min mode:
-        projected gradient for each restart in turn (see
-        `_projected_gradient`) whether final or not; returns None."""
+        """One Blahut-Arimoto update of every restart's probabilities for its
+        current states.  With `final`, updates until each restart's duality
+        gap falls below tol, its min-mode update is rejected, or prob_iters
+        updates have run; returns the gaps at the committed probabilities."""
         rows = np.arange(self.value.size)
-        if self.mode == "min":
-            for r in rows:
-                self._projected_gradient(r)
-            return None
         g = self._gradient(rows)
         if not final:
             self._blahut_arimoto(rows, g)
             return None
         gaps = self._duality_gap(rows, g)
+        live = np.ones(rows.size, dtype=bool)
         for _ in range(self.cfg.prob_iters):
-            todo = np.flatnonzero(gaps >= self.cfg.tol)
+            todo = np.flatnonzero(live & (gaps >= self.cfg.tol))
             if not todo.size:
                 break
-            self._blahut_arimoto(todo, g[todo])
+            keep = self._blahut_arimoto(todo, g[todo])
+            live[todo[~keep]] = False
+            todo = todo[keep]
             g[todo] = self._gradient(todo)
             gaps[todo] = self._duality_gap(todo, g[todo])
         return gaps
@@ -275,32 +262,13 @@ class _Ascent:
         # only by round-off
         return np.maximum(0.0, np.max(g, axis=1) - _dot(self.probs[rows], g))
 
-    def _blahut_arimoto(self, rows: np.ndarray, g: np.ndarray):
-        """p_j <- p_j 2^(g_j) / Z for g = `_gradient(rows)`; never lowers
-        the mean-mode value (up to round-off)."""
+    def _blahut_arimoto(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """p_j <- p_j 2^(g_j) / Z for g = `_gradient(rows)`; returns the mask
+        of `rows` committed.  In mean mode the update never lowers the value
+        (up to round-off), so every row commits; in min mode the worst branch
+        can change, so a row commits only if its minimum strictly improves."""
         w = self.probs[rows] * np.exp2(g - np.max(g, axis=1, keepdims=True))
-        self._commit_probs(rows, w / w.sum(axis=1, keepdims=True))
-
-    def _projected_gradient(self, r: int):
-        """Projected-gradient ascent of restart r with backtracking until the
-        gain per gradient step falls below prob_tol.  Steps are accepted only
-        when the combined objective improves."""
-        one = np.array([r])
-        eta = 1.0
-        for _ in range(self.cfg.prob_iters):
-            g = self._gradient(one)[0]
-            gain = 0.0
-            while eta >= _BACKTRACK_FLOOR:
-                cand = _project_simplex(self.probs[r] + eta * g)
-                val = self._combine(self._chis_at(r, cand))
-                if val > self.value[r]:
-                    gain = val - self.value[r]
-                    self._commit_probs(one, cand[None])
-                    break
-                eta *= 0.5
-            if gain < self.cfg.prob_tol:
-                break
-            eta = min(eta * 2.0, 1e3)
+        return self._commit_probs(rows, w / w.sum(axis=1, keepdims=True), guard=self.mode == "min")
 
     def candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A sweep's proposals computed ahead in one batch: the states
@@ -380,11 +348,11 @@ def _ascend(
     for t in range(cfg.iters):
         # drawn a sweep ahead: a restart that freezes mid-sweep never draws
         # again, so the moves it leaves unused change nothing
-        moves = _moves(m, dim, max(cfg.step_min, cfg.step0 * cfg.step_decay**t), gens)
+        moves = _moves(m, dim, max(_STEP_MIN, _STEP0 * _STEP_DECAY**t), gens)
         sweep = ascent.candidates(moves)
         for j in range(m):
             gain = ascent.propose(j, *(x[:, j] for x in sweep))
-            quiet = np.where(gain < cfg.min_improvement, quiet + 1, 0)
+            quiet = np.where(gain < _MIN_IMPROVEMENT, quiet + 1, 0)
             leave = quiet >= cfg.patience
             if leave.any():
                 sweeps[ids[leave]] = t + 1
@@ -411,7 +379,7 @@ def _ascend(
             ascent.probs[n],
             int(sweeps[r]),
             bool(converged[r]),
-            None if gaps is None else float(gaps[n]),
+            float(gaps[n]),
         )
     return outcomes
 
@@ -429,9 +397,9 @@ def _maximize(
     cfg: OptimizerConfig,
     evaluate: Callable[[Ensemble], float],
 ) -> OptResult:
-    if dim > cfg.dim_cap:
+    if dim > MAX_PRODUCT_DIM:
         raise CapabilityError(
-            f"input dimension {dim} exceeds the optimizer cap {cfg.dim_cap}"
+            f"input dimension {dim} exceeds the optimizer cap {MAX_PRODUCT_DIM}"
         )
     if m is None:
         m = dim * dim

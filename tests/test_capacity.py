@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancap import (
     CPViolationError,
     capacity_convex_depolarizing,
     capacity_periodic_depolarizing,
+    chi,
     chi_periodic_average,
     chi_star_depolarizing,
     depolarizing,
@@ -99,15 +102,34 @@ def test_uniform_basis_achieves_periodic_capacity():
     assert val == pytest.approx(capacity_periodic_depolarizing(2, [0.9, 0.5]), abs=1e-9)
 
 
-def test_uniform_basis_is_optimal_across_cp_range():
-    from chancap import chi
+@st.composite
+def branch_sets(draw, max_branches=4):
+    """A dimension d in {2, 3, 4} and 1..max_branches parameters in its
+    completely positive range [-1/(d^2 - 1), 1]."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    lam = st.floats(-1.0 / (d * d - 1), 1.0)
+    return d, draw(st.lists(lam, min_size=1, max_size=max_branches))
 
-    for d in (2, 3):
-        ens = uniform_orthonormal_ensemble(d)
-        for lam in np.linspace(-1 / (d * d - 1), 1.0, 9):
-            assert chi(depolarizing(d, lam), ens) == pytest.approx(
-                chi_star_depolarizing(d, lam), abs=1e-9
-            )
+
+@settings(derandomize=True, deadline=None)
+@given(branch_sets(max_branches=1))
+def test_uniform_basis_is_optimal_across_cp_range(branches):
+    d, (lam,) = branches
+    value = chi(depolarizing(d, lam), uniform_orthonormal_ensemble(d))
+    assert value == pytest.approx(chi_star_depolarizing(d, lam), abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(branch_sets(), st.data())
+def test_memory_closed_forms_from_branch_capacities(branches, data):
+    # periodic: the mean of the branch capacities; convex: their minimum,
+    # whatever the mixing weights
+    d, lambdas = branches
+    stars = [chi_star_depolarizing(d, lam) for lam in lambdas]
+    assert capacity_periodic_depolarizing(d, lambdas) == pytest.approx(np.mean(stars), abs=1e-12)
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(lambdas), max_size=len(lambdas)))
+    gammas = np.array(weights) / sum(weights)
+    assert report_convex(d, lambdas, gammas).closed_form == min(stars)
 
 
 def test_report_gap_invariant():

@@ -12,7 +12,6 @@ from chancap import (
     apply_convex,
     apply_periodic,
     basis_state,
-    channel_from_descriptor,
     depolarizing,
     eigenvalues,
     identity_channel,
@@ -272,32 +271,3 @@ def test_depolarizing_output_spectrum_law(d):
             )[::-1]
             np.testing.assert_allclose(spec, expected, atol=1e-10)
 
-
-def test_channel_descriptors():
-    ch = channel_from_descriptor({"type": "depolarizing", "d": 2, "lambda": 0.5})
-    assert isinstance(ch, KrausChannel)
-    per = channel_from_descriptor(
-        {
-            "type": "periodic",
-            "branches": [
-                {"type": "depolarizing", "d": 2, "lambda": 0.9},
-                {"type": "depolarizing", "d": 2, "lambda": 0.5},
-            ],
-        }
-    )
-    assert isinstance(per, PeriodicChannel) and per.period == 2
-    cc = channel_from_descriptor(
-        {
-            "type": "convex",
-            "gammas": [0.3, 0.7],
-            "branches": [
-                {"type": "depolarizing", "d": 2, "lambda": 0.9},
-                {"type": "depolarizing", "d": 2, "lambda": 0.5},
-            ],
-        }
-    )
-    assert isinstance(cc, ConvexCombinationChannel)
-    with pytest.raises(ValueError, match="type"):
-        channel_from_descriptor({"d": 2})
-    with pytest.raises(ValueError, match="unknown"):
-        channel_from_descriptor({"type": "amplitude-damping"})

@@ -104,6 +104,7 @@ def test_verify_theorem2(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["results"]["closed_form"] == pytest.approx(CHI_HALF, abs=1e-9)
+    assert payload["results"]["duality_gap"] >= 0.0
 
 
 def test_sweep_endpoints(capsys):
@@ -280,6 +281,23 @@ def test_config_unknown_optimizer_key(tmp_path, capsys, key):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run(capsys, ["verify", "additivity", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "cfg,key",
+    [
+        ({"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5, "lamda": 0.9}}, "lamda"),
+        ({"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5}, "restart": 3}, "restart"),
+        ({"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5}, "fromat": "csv"}, "fromat"),
+    ],
+    ids=["lamda", "restart", "fromat"],
+)
+def test_config_unknown_key(tmp_path, capsys, cfg, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, ["capacity", "depolarizing", "--config", str(path)])
     assert code == 2 and out == ""
     assert key in err
 

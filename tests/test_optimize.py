@@ -6,8 +6,10 @@ import pytest
 from chancap import (
     CapabilityError,
     ConvexCombinationChannel,
+    KrausChannel,
     PeriodicChannel,
     additivity_gap,
+    capacity_convex_depolarizing,
     chi,
     chi_branch_min,
     chi_periodic_average,
@@ -159,10 +161,11 @@ def test_min_chi_single_branch_reduces():
     assert res.value == pytest.approx(chi_star_depolarizing(2, 0.5), abs=1e-3)
 
 
-def test_min_chi_two_branches():
-    cc = ConvexCombinationChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)), [0.5, 0.5])
+@pytest.mark.parametrize("lambdas", [(0.9, 0.5), (0.2, -0.1)], ids=["0.9,0.5", "0.2,-0.1"])
+def test_min_chi_two_branches(lambdas):
+    cc = ConvexCombinationChannel(tuple(depolarizing(2, lam) for lam in lambdas), [0.5, 0.5])
     res = maximize_min_chi(cc, 4, FAST)
-    assert res.value == pytest.approx(chi_star_depolarizing(2, 0.5), abs=1e-3)
+    assert res.value == pytest.approx(capacity_convex_depolarizing(2, lambdas), abs=1e-3)
 
 
 def test_min_chi_degenerate_branches():
@@ -196,60 +199,75 @@ def test_additivity_gap_mixed_product():
     assert res.value == pytest.approx(expected, abs=1e-2)
 
 
+def _damping(g, mirrored=False):
+    """Qubit amplitude damping toward |0> (toward |1> when mirrored)."""
+    k0 = np.array([[1, 0], [0, np.sqrt(1 - g)]])
+    k1 = np.array([[0, np.sqrt(g)], [0, 0]])
+    if mirrored:
+        k0, k1 = k0[::-1, ::-1], k1[::-1, ::-1]
+    return KrausChannel((k0, k1))
+
+
 def _random_psis(rng, m, dim):
     psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize(
-    "channels,dim,m",
+    "mode,channels,dim,m",
     [
-        ((tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ((depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        ("min", (depolarizing(2, 0.2), depolarizing(2, -0.1)), 2, 4),
+        # neither branch degrades the other, so the worst one changes and
+        # unguarded updates would lower the minimum
+        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
     ],
+    ids=["mean-two-use", "mean-periodic", "min-0.2,-0.1", "min-damping"],
 )
-def test_mean_prob_step_monotone(channels, dim, m):
+def test_prob_step_monotone(mode, channels, dim, m):
     cfg = OptimizerConfig()
     for seed in range(5):
         psis = _random_psis(np.random.default_rng(seed), m, dim)
-        ascent = _Ascent([ch.stack for ch in channels], "mean", psis[None], np.full((1, m), 1.0 / m), cfg)
+        ascent = _Ascent([ch.stack for ch in channels], mode, psis[None], np.full((1, m), 1.0 / m), cfg)
         for _ in range(100):
             before = ascent.value.copy()
             ascent.prob_step()
             assert ascent.value >= before - 1e-15
 
 
-@pytest.mark.parametrize("prob_iters", [1, 3, 200])
-def test_duality_gap_brackets_optimum(prob_iters):
-    # the computational basis is an optimal set of states for Delta_0.5, so
-    # over its probabilities value <= chi* <= value + gap
-    ch = depolarizing(2, 0.5)
+@pytest.mark.parametrize(
+    "mode,lambdas,prob_iters",
+    [pytest.param("mean", (0.5,), n, id=str(n)) for n in (1, 3, 200)]
+    + [pytest.param("min", (0.9, 0.5), n, id=f"min-{n}") for n in (1, 3, 200)],
+)
+def test_duality_gap_brackets_optimum(mode, lambdas, prob_iters):
+    # the computational basis is an optimal set of states for every
+    # depolarizing branch, so over its probabilities
+    # value <= closed form <= value + gap
+    stacks = [depolarizing(2, lam).stack for lam in lambdas]
     psis = np.eye(2, dtype=np.complex128)[[0, 1, 0, 1]]
     cfg = OptimizerConfig(prob_iters=prob_iters)
-    ascent = _Ascent([ch.stack], "mean", psis[None], np.array([[0.55, 0.3, 0.1, 0.05]]), cfg)
+    ascent = _Ascent(stacks, mode, psis[None], np.array([[0.55, 0.3, 0.1, 0.05]]), cfg)
     gap = ascent.prob_step(final=True)
-    chi_star = chi_star_depolarizing(2, 0.5)
-    assert ascent.value <= chi_star + 1e-12
-    assert chi_star <= ascent.value + gap + 1e-12
+    closed = capacity_convex_depolarizing(2, lambdas)
+    assert ascent.value <= closed + 1e-12
+    assert closed <= ascent.value + gap + 1e-12
     if prob_iters < 200:
         assert gap > cfg.tol
     else:
         assert gap < cfg.tol
 
 
-def test_tol_is_the_final_gap_stop():
-    stack = tensor_channels([depolarizing(2, 0.5)] * 2).stack
+@pytest.mark.parametrize("mode,lambdas", [("mean", (0.5,)), ("min", (0.9, 0.5))], ids=["mean", "min"])
+def test_tol_is_the_final_gap_stop(mode, lambdas):
+    stacks = [tensor_channels([depolarizing(2, lam)] * 2).stack for lam in lambdas]
     psis = _random_psis(np.random.default_rng(3), 8, 4)
     loose, tight = (
-        _Ascent([stack], "mean", psis[None], np.full((1, 8), 1 / 8), OptimizerConfig(tol=tol)).prob_step(final=True)
+        _Ascent(stacks, mode, psis[None], np.full((1, 8), 1 / 8), OptimizerConfig(tol=tol)).prob_step(final=True)
         for tol in (1e-1, OptimizerConfig().tol)
     )
     assert tight < loose < 1e-1
-
-
-def test_duality_gap_none_in_min_mode():
-    cc = ConvexCombinationChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)), [0.5, 0.5])
-    assert maximize_min_chi(cc, 4, OptimizerConfig(restarts=1, iters=20, seed=1)).duality_gap is None
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
