@@ -45,7 +45,6 @@ from .holevo import (
 from .optimize import (
     OptimizerConfig,
     OptResult,
-    additivity_check,
     additivity_gap,
     maximize_avg_chi,
     maximize_chi,
@@ -109,7 +108,6 @@ __all__ = [
     "maximize_avg_chi",
     "maximize_min_chi",
     "additivity_gap",
-    "additivity_check",
     # capacity
     "CapacityReport",
     "s_min_depolarizing",

@@ -57,8 +57,6 @@ class CapacityReport:
     closed_form: float
     optimizer_value: float | None = None
     gap: float | None = None
-    method: tuple[str, ...] = ()
-    tolerances: dict = field(default_factory=dict)
     checks: tuple[Check, ...] = ()
     extras: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
@@ -137,7 +135,6 @@ def report_depolarizing(d: int, lam: float) -> CapacityReport:
     return CapacityReport(
         channel={"type": "depolarizing", "d": d, "lambda": lam},
         closed_form=chi_star_depolarizing(d, lam),
-        method=("closed_form",),
         extras={"s_min": s_min_depolarizing(d, lam)},
     )
 
@@ -146,7 +143,6 @@ def report_periodic(d: int, lambdas: Sequence[float]) -> CapacityReport:
     return CapacityReport(
         channel={"type": "periodic", "d": d, "lambdas": list(lambdas)},
         closed_form=capacity_periodic_depolarizing(d, lambdas),
-        method=("closed_form",),
         extras={"branch_chi_star": [chi_star_depolarizing(d, l) for l in lambdas]},
         notes=_dimension_note(d),
     )
@@ -163,7 +159,6 @@ def report_convex(d: int, lambdas: Sequence[float], gammas: Sequence[float] | No
     return CapacityReport(
         channel=channel,
         closed_form=capacity_convex_depolarizing(d, lambdas),
-        method=("closed_form",),
         extras={"branch_chi_star": [chi_star_depolarizing(d, l) for l in lambdas]},
     )
 
@@ -178,7 +173,8 @@ def verify_additivity(
     twice the single-use closed form."""
     single = chi_star_depolarizing(d, lam)
     two_use = tensor_channels([depolarizing(d, lam)] * 2)
-    gap, result = optimize.additivity_check(two_use, single, m, cfg)
+    result = optimize.maximize_chi(two_use, m, cfg)
+    gap = result.value - 2.0 * single
     checks = (
         Check("no_excess_over_additivity", gap <= GAP_EXCESS_TOL, gap, 0.0, GAP_EXCESS_TOL),
         Check("optimizer_reaches_closed_form", gap >= -GAP_SHORTFALL_TOL, gap, 0.0, GAP_SHORTFALL_TOL),
@@ -187,9 +183,7 @@ def verify_additivity(
         channel={"type": "depolarizing", "d": d, "lambda": lam},
         closed_form=2.0 * single,
         optimizer_value=result.value,
-        gap=result.value - 2.0 * single,
-        method=("closed_form", "two_use_ascent"),
-        tolerances={"gap_excess": GAP_EXCESS_TOL, "gap_shortfall": GAP_SHORTFALL_TOL},
+        gap=gap,
         checks=checks,
         extras={
             "chi_star_single": single,
@@ -259,8 +253,6 @@ def verify_theorem1(
         closed_form=closed,
         optimizer_value=product_side.value,
         gap=product_side.value - closed,
-        method=("closed_form", "product_ascent", "two_use_ascent"),
-        tolerances={"product_match": PRODUCT_MATCH_TOL, "two_use_excess": TWO_USE_EXCESS_TOL},
         checks=checks,
         extras={
             "two_use_chi": two_use.value,
@@ -326,8 +318,6 @@ def verify_theorem2(
         closed_form=closed,
         optimizer_value=one_use.value,
         gap=one_use.value - closed,
-        method=("closed_form", "maximin_ascent", "two_use_maximin_ascent"),
-        tolerances={"product_match": PRODUCT_MATCH_TOL, "two_use_excess": TWO_USE_EXCESS_TOL},
         checks=checks,
         extras={
             "two_use_min_chi": two_use.value,

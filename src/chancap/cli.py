@@ -3,10 +3,18 @@
 Subcommands: `capacity {depolarizing|periodic|convex}`,
 `verify {additivity|theorem1|theorem2}`, and `sweep`.  Output is a JSON
 report (or CSV with --format csv); exit code 0 on success, 1 when a
-verification check fails, 2 on usage or validation errors (including a
-config key that is unknown or contradicts the command), 3 on a numerical
+verification check fails, 2 on usage or validation errors, 3 on a numerical
 failure (an eigensolver that did not converge, or a non-finite value in the
 report).
+
+Each command's flags are declared once, in `_COMMANDS` and the `_CHANNEL`,
+`_OPTIMIZER` and `_COMMON` sets; the parser, the config file and the
+report's `inputs` all follow them.  A `--config` JSON file fills the flags
+not given on the command line: a flag's destination may sit at the top
+level, a channel parameter (and `type`) in a `channel` block, and
+`restarts`, `iters`, `m`, `seed`, `tol` in an `optimizer` block.  Each value
+is converted as the flag's own text would be.  An unknown key, a key set
+twice, or a value the flag would reject exits 2 naming the key.
 
 Determinism contract: the same flags and seed produce byte-identical
 output.  Wall-clock timing is therefore reported only with --timings.
@@ -21,35 +29,17 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import capacity
+from .channels import DepolarizingParams
 from .errors import CapabilityError, CPViolationError, DimensionMismatchError
 from .optimize import OptimizerConfig
-
-_OPTIMIZER_KEYS = ("restarts", "iters", "m", "seed", "tol")
-# config keys that name no flag
-_BLOCK_KEYS = ("command", "channel", "optimizer")
-# flags whose key in the config channel block differs from their destination
-_CHANNEL_KEYS = {"lam": "lambda"}
 
 
 class _NonFinite(ArithmeticError):
     """A report value is NaN or infinite."""
-
-
-# the channel family each command works on, as a config's channel.type names it
-_CHANNEL_TYPES = {
-    "capacity depolarizing": "depolarizing",
-    "capacity periodic": "periodic",
-    "capacity convex": "convex",
-    "verify additivity": "depolarizing",
-    "verify theorem1": "periodic",
-    "verify theorem2": "convex",
-    "sweep": "depolarizing",
-}
 
 
 def _float_list(text: str) -> list[float]:
@@ -59,22 +49,64 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated decimals, got {text!r}")
 
 
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--format", choices=("json", "csv"), default=None)
-    sp.add_argument("--out", metavar="PATH", default=None)
-    sp.add_argument("--config", metavar="FILE", default=None,
-                    help="JSON run config; explicit flags override file values")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--timings", action="store_true",
-                    help="include wall-clock timing (breaks byte-identical output)")
+# add_argument keywords of each flag, by destination; `--lambda-from` is
+# the flag of `lambda_from`
+_CHANNEL = {
+    "d": {"type": int},
+    "lambda": {"type": float},
+    "lambdas": {"type": _float_list},
+    "gammas": {"type": _float_list},
+    "lambda_from": {"type": float},
+    "lambda_to": {"type": float},
+    "step": {"type": float},
+}
+_OPTIONAL = ("gammas",)
+_OPTIMIZER = {
+    "restarts": {"type": int},
+    "iters": {"type": int},
+    "m": {"type": int, "help": "ensemble size (default: input dim squared)"},
+    "tol": {"type": float, "help": "duality-gap stop (bits) of the final probability step"},
+}
+_COMMON = {
+    "format": {"choices": ("json", "csv")},
+    "out": {"metavar": "PATH"},
+    "config": {"metavar": "FILE", "help": "JSON run config; explicit flags override file values"},
+    "seed": {"type": int},
+    "timings": {"action": "store_true",
+                "help": "include wall-clock timing (breaks byte-identical output)"},
+}
+# keys a config file may also give in its optimizer block
+_OPTIMIZER_BLOCK = ("restarts", "iters", "m", "seed", "tol")
+
+# command -> (the channel.type it works on, its channel parameters in the
+# order the capacity function takes them, that function's name)
+_COMMANDS = {
+    "capacity depolarizing": ("depolarizing", ("d", "lambda"), "report_depolarizing"),
+    "capacity periodic": ("periodic", ("d", "lambdas"), "report_periodic"),
+    "capacity convex": ("convex", ("d", "lambdas", "gammas"), "report_convex"),
+    "verify additivity": ("depolarizing", ("d", "lambda"), "verify_additivity"),
+    "verify theorem1": ("periodic", ("d", "lambdas"), "verify_theorem1"),
+    "verify theorem2": ("convex", ("d", "lambdas", "gammas"), "verify_theorem2"),
+    "sweep": ("depolarizing", ("d", "lambda_from", "lambda_to", "step"), None),
+}
+_HELP = {
+    "capacity": "closed-form capacity of a channel",
+    "verify": "compare the optimizer against the closed forms",
+    "sweep": "tabulate S_min and chi* over a lambda grid",
+}
 
 
-def _add_optimizer(sp: argparse.ArgumentParser):
-    sp.add_argument("--restarts", type=int, default=None)
-    sp.add_argument("--iters", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None, help="ensemble size (default: input dim squared)")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="duality-gap stop (bits) of the final probability step")
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _flags(invoked: str) -> dict:
+    """The invoked command's flags: destination -> add_argument keywords."""
+    flags = {name: _CHANNEL[name] for name in _COMMANDS[invoked][1]}
+    if invoked.startswith("verify"):
+        flags.update(_OPTIMIZER)
+    flags.update(_COMMON)
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,207 +116,114 @@ def build_parser() -> argparse.ArgumentParser:
         "optimizer verification, parameter sweeps.",
     )
     top = parser.add_subparsers(dest="command", required=True)
-
-    cap = top.add_parser("capacity", help="closed-form capacity of a channel")
-    capsub = cap.add_subparsers(dest="family", required=True)
-    sp = capsub.add_parser("depolarizing")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    _add_common(sp)
-    sp = capsub.add_parser("periodic")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--lambdas", type=_float_list, default=None)
-    _add_common(sp)
-    sp = capsub.add_parser("convex")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--lambdas", type=_float_list, default=None)
-    sp.add_argument("--gammas", type=_float_list, default=None)
-    _add_common(sp)
-
-    ver = top.add_parser("verify", help="compare the optimizer against the closed forms")
-    versub = ver.add_subparsers(dest="family", required=True)
-    sp = versub.add_parser("additivity")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    _add_optimizer(sp)
-    _add_common(sp)
-    sp = versub.add_parser("theorem1")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--lambdas", type=_float_list, default=None)
-    _add_optimizer(sp)
-    _add_common(sp)
-    sp = versub.add_parser("theorem2")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--lambdas", type=_float_list, default=None)
-    sp.add_argument("--gammas", type=_float_list, default=None)
-    _add_optimizer(sp)
-    _add_common(sp)
-
-    sp = top.add_parser("sweep", help="tabulate S_min and chi* over a lambda grid")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--lambda-from", dest="lambda_from", type=float, default=None)
-    sp.add_argument("--lambda-to", dest="lambda_to", type=float, default=None)
-    sp.add_argument("--step", type=float, default=None)
-    _add_common(sp)
+    families = {}
+    for invoked in _COMMANDS:
+        command, _, family = invoked.partition(" ")
+        if not family:
+            sp = top.add_parser(command, help=_HELP[command])
+        else:
+            if command not in families:
+                group = top.add_parser(command, help=_HELP[command])
+                families[command] = group.add_subparsers(dest="family", required=True)
+            sp = families[command].add_parser(family)
+        sp.set_defaults(invoked=invoked)
+        for dest, spec in _flags(invoked).items():
+            sp.add_argument(_flag(dest), default=None, **spec)
     return parser
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
+def _config_value(key: str, spec: dict, value):
+    """A config value converted as the flag's text would be."""
+    if spec.get("action") == "store_true":
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key} must be a JSON boolean, got {json.dumps(value)}")
+        return value
+    if "type" not in spec and "choices" not in spec:
+        if not isinstance(value, str):
+            raise ValueError(f"config key {key} must be a JSON string, got {json.dumps(value)}")
+        return value
+    convert = spec.get("type", str)
+    if convert is _float_list and isinstance(value, list):
+        text = ",".join(map(str, value))
+    else:
+        text = str(value)
+    try:
+        converted = convert(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        converted = None
+    choices = spec.get("choices")
+    if converted is None or (choices is not None and converted not in choices):
+        flag = _flag(key.split(".")[-1])
+        raise ValueError(f"config key {key}: invalid value {json.dumps(value)} for {flag}")
+    return converted
+
+
+def _apply_config(args: argparse.Namespace):
+    """Fill the flags not given on the command line from the --config file."""
+    if args.config is None:
+        return
+    with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return cfg
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    declared = cfg.get("command", args.invoked)
+    if declared != args.invoked:
+        raise ValueError(
+            f"config file is for command {declared!r} but {args.invoked!r} was invoked"
+        )
+    kind, params, _ = _COMMANDS[args.invoked]
+    flags = _flags(args.invoked)
+    del flags["config"]
+    blocks = {
+        "": {k: v for k, v in cfg.items() if k not in ("command", "channel", "optimizer")},
+        "channel": cfg.get("channel", {}),
+        "optimizer": cfg.get("optimizer", {}),
+    }
+    known = {
+        "": set(flags),
+        "channel": set(params) | {"type"},
+        "optimizer": set(_OPTIMIZER_BLOCK) & set(flags),
+    }
+    seen = {}
+    for where, block in blocks.items():
+        if not isinstance(block, dict):
+            raise ValueError(f"config key {where} must hold a JSON object")
+        unknown = sorted(set(block) - known[where])
+        if unknown:
+            raise ValueError(
+                f"unknown config {where + ' ' if where else ''}key(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(known[where]))}"
+            )
+        for key, value in block.items():
+            path = f"{where}.{key}" if where else key
+            if key == "type":
+                if value != kind:
+                    raise ValueError(
+                        f"config channel.type is {value!r} but {args.invoked!r} works on "
+                        f"{kind!r} channels"
+                    )
+                continue
+            if key in seen:
+                raise ValueError(f"config key {key} is set twice, as {seen[key]} and {path}")
+            seen[key] = path
+            value = _config_value(path, flags[key], value)
+            if getattr(args, key) is None:
+                setattr(args, key, value)
 
 
-def _pick(args, cfg_file: dict, name: str):
-    """Flag value if given, else config-file value, else None."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg_file:
-        return cfg_file[name]
-    return cfg_file.get("channel", {}).get(_CHANNEL_KEYS.get(name, name))
-
-
-def _require(value, flag: str):
-    if value is None:
-        raise ValueError(f"missing required value: {flag} (flag or config file)")
-    return value
-
-
-def _optimizer_config(args, cfg_file: dict) -> tuple[OptimizerConfig, int | None, int]:
-    """Resolved optimizer settings, requested ensemble size, and the seed
-    (generated and reported when absent)."""
-    file_opt = cfg_file.get("optimizer", {})
-    merged = {}
-    for key in _OPTIMIZER_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_opt.get(key, cfg_file.get(key))
-        merged[key] = value
-    m = merged.pop("m")
-    seed = merged.pop("seed")
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy)
-    merged = {k: v for k, v in merged.items() if v is not None}
-    cfg = replace(OptimizerConfig(), seed=int(seed), **merged)
-    return cfg, m, int(seed)
-
-
-def _payload(command: str, inputs: dict, results: dict, checks=(), timing_ms=None, seed=None) -> dict:
+def _payload(command: str, inputs: dict, results: dict, checks=(), seed=None) -> dict:
     return {
         "command": command,
         "inputs": inputs,
         "results": results,
         "checks": [c.as_dict() for c in checks],
-        "timing_ms": timing_ms,
+        "timing_ms": None,
         "seed": seed,
     }
 
 
-def _reject_unknown(block: dict, known, where: str):
-    unknown = sorted(set(block) - set(known))
-    if unknown:
-        raise ValueError(
-            f"unknown config {where}key(s) {', '.join(unknown)}; known: {', '.join(sorted(known))}"
-        )
-
-
-def _check_config(cfg_file: dict, args: argparse.Namespace, invoked: str):
-    """Reject config keys that would otherwise be ignored or contradict the
-    invoked command.  The keys accepted are the invoked command's flags
-    (by destination): at the top level all of them, in the channel block
-    those that `_add_common` and `_add_optimizer` do not add, which
-    describe the channel."""
-    if not cfg_file:
-        return
-    declared = cfg_file.get("command")
-    if declared is not None and declared != invoked:
-        raise ValueError(
-            f"config file is for command {declared!r} but {invoked!r} was invoked"
-        )
-    channel = cfg_file.get("channel", {})
-    optimizer = cfg_file.get("optimizer", {})
-    if not (isinstance(channel, dict) and isinstance(optimizer, dict)):
-        raise ValueError("config channel and optimizer blocks must be JSON objects")
-    kind = channel.get("type")
-    if kind is not None and kind != _CHANNEL_TYPES[invoked]:
-        raise ValueError(
-            f"config channel.type is {kind!r} but {invoked!r} works on "
-            f"{_CHANNEL_TYPES[invoked]!r} channels"
-        )
-    flags = set(vars(args)) - {"command", "family", "config"}
-    shared = argparse.ArgumentParser(add_help=False)
-    _add_common(shared)
-    _add_optimizer(shared)
-    params = flags - set(vars(shared.parse_args([])))
-    _reject_unknown(cfg_file, flags | set(_BLOCK_KEYS), "")
-    _reject_unknown(channel, {"type"} | {_CHANNEL_KEYS.get(p, p) for p in params}, "channel ")
-    _reject_unknown(optimizer, _OPTIMIZER_KEYS, "optimizer ")
-
-
-def _run_capacity(args, cfg_file: dict) -> tuple[dict, int]:
-    family = args.family
-    d = int(_require(_pick(args, cfg_file, "d"), "--d"))
-    if family == "depolarizing":
-        lam = float(_require(_pick(args, cfg_file, "lam"), "--lambda"))
-        report = capacity.report_depolarizing(d, lam)
-        inputs = {"d": d, "lambda": lam}
-    elif family == "periodic":
-        lambdas = _require(_pick(args, cfg_file, "lambdas"), "--lambdas")
-        report = capacity.report_periodic(d, lambdas)
-        inputs = {"d": d, "lambdas": list(lambdas)}
-    else:
-        lambdas = _require(_pick(args, cfg_file, "lambdas"), "--lambdas")
-        gammas = _pick(args, cfg_file, "gammas")
-        report = capacity.report_convex(d, lambdas, gammas)
-        inputs = {"d": d, "lambdas": list(lambdas)}
-        if gammas is not None:
-            inputs["gammas"] = list(gammas)
-    seed = _pick(args, cfg_file, "seed")
-    payload = _payload(f"capacity {family}", inputs, report.results_dict(),
-                       seed=None if seed is None else int(seed))
-    return payload, 0
-
-
-def _run_verify(args, cfg_file: dict) -> tuple[dict, int]:
-    family = args.family
-    d = int(_require(_pick(args, cfg_file, "d"), "--d"))
-    cfg, m, seed = _optimizer_config(args, cfg_file)
-    inputs = {
-        "d": d,
-        "m": m,
-        "restarts": cfg.restarts,
-        "iters": cfg.iters,
-        "tol": cfg.tol,
-    }
-    if family == "additivity":
-        lam = float(_require(_pick(args, cfg_file, "lam"), "--lambda"))
-        inputs["lambda"] = lam
-        report = capacity.verify_additivity(d, lam, m, cfg)
-    elif family == "theorem1":
-        lambdas = _require(_pick(args, cfg_file, "lambdas"), "--lambdas")
-        inputs["lambdas"] = list(lambdas)
-        report = capacity.verify_theorem1(d, lambdas, m, cfg)
-    else:
-        lambdas = _require(_pick(args, cfg_file, "lambdas"), "--lambdas")
-        gammas = _pick(args, cfg_file, "gammas")
-        inputs["lambdas"] = list(lambdas)
-        if gammas is not None:
-            inputs["gammas"] = list(gammas)
-        report = capacity.verify_theorem2(d, lambdas, gammas, m, cfg)
-    payload = _payload(f"verify {family}", inputs, report.results_dict(), report.checks, seed=seed)
-    return payload, 0 if report.passed else 1
-
-
-def _run_sweep(args, cfg_file: dict) -> tuple[dict, int]:
-    d = int(_require(_pick(args, cfg_file, "d"), "--d"))
-    lo = float(_require(_pick(args, cfg_file, "lambda_from"), "--lambda-from"))
-    hi = float(_require(_pick(args, cfg_file, "lambda_to"), "--lambda-to"))
-    step = float(_require(_pick(args, cfg_file, "step"), "--step"))
+def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
+    DepolarizingParams(d, 1.0)  # rejects d < 2 before the grid bounds divide by d*d - 1
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if lo > hi:
@@ -303,11 +242,32 @@ def _run_sweep(args, cfg_file: dict) -> tuple[dict, int]:
                 "chi_star": capacity.chi_star_depolarizing(d, lam),
             }
         )
-    inputs = {"d": d, "lambda_from": lo, "lambda_to": hi, "step": step}
-    seed = _pick(args, cfg_file, "seed")
-    payload = _payload("sweep", inputs, {"rows": rows},
-                       seed=None if seed is None else int(seed))
-    return payload, 0
+    return {"rows": rows}
+
+
+def _run(args: argparse.Namespace) -> tuple[dict, int]:
+    _, names, function = _COMMANDS[args.invoked]
+    params = [getattr(args, name) for name in names]
+    for name, value in zip(names, params):
+        if value is None and name not in _OPTIONAL:
+            raise ValueError(f"missing required value: {_flag(name)} (flag or config file)")
+    inputs = {name: value for name, value in zip(names, params) if value is not None}
+    if args.command == "sweep":
+        return _payload(args.invoked, inputs, _sweep(*params), seed=args.seed), 0
+    if args.command == "capacity":
+        report = getattr(capacity, function)(*params)
+        return _payload(args.invoked, inputs, report.results_dict(), seed=args.seed), 0
+    seed = args.seed
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy)
+    budget = {key: getattr(args, key) for key in ("restarts", "iters", "tol")}
+    cfg = OptimizerConfig(seed=seed, **{k: v for k, v in budget.items() if v is not None})
+    # "d" keeps its first place; the other channel parameters follow the budget
+    inputs = {"d": args.d, "m": args.m, "restarts": cfg.restarts, "iters": cfg.iters,
+              "tol": cfg.tol, **inputs}
+    report = getattr(capacity, function)(*params, args.m, cfg)
+    payload = _payload(args.invoked, inputs, report.results_dict(), report.checks, seed=seed)
+    return payload, 0 if report.passed else 1
 
 
 def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
@@ -343,24 +303,19 @@ def _render(payload: dict, fmt: str, command: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        cfg_file = _load_config(args.config)
-        family = getattr(args, "family", None)
-        invoked = args.command if family is None else f"{args.command} {family}"
-        _check_config(cfg_file, args, invoked)
-        if args.command == "capacity":
-            payload, code = _run_capacity(args, cfg_file)
-        elif args.command == "verify":
-            payload, code = _run_verify(args, cfg_file)
-        else:
-            payload, code = _run_sweep(args, cfg_file)
-        if args.timings or cfg_file.get("timings"):
+        _apply_config(args)
+        payload, code = _run(args)
+        if args.timings:
             payload["timing_ms"] = (time.perf_counter() - started) * 1e3
-        fmt = args.format or cfg_file.get("format") or "json"
-        text = _render(payload, fmt, args.command)
+        text = _render(payload, args.format or "json", args.command)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (np.linalg.LinAlgError, _NonFinite) as err:
         # LinAlgError is a ValueError subclass, so it must be caught first
         print(f"error: numerical failure: {err}", file=sys.stderr)
@@ -368,12 +323,6 @@ def main(argv=None) -> int:
     except (CPViolationError, CapabilityError, DimensionMismatchError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    out = args.out or cfg_file.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

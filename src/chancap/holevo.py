@@ -43,10 +43,6 @@ class Ensemble:
     def dim(self) -> int:
         return self.states[0].dim
 
-    def average_state(self) -> DensityMatrix:
-        avg = sum(p * s.mat for p, s in zip(self.probs, self.states))
-        return DensityMatrix(avg)
-
 
 @dataclass(frozen=True)
 class Povm:

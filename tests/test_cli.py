@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,14 @@ def test_sweep_rejects_bad_grid(capsys):
     assert code == 2 and "completely positive" in err
 
 
+@pytest.mark.parametrize("d", ["1", "0"])
+def test_sweep_rejects_small_dimension(capsys, d):
+    argv = ["sweep", "--d", d, "--lambda-from", "0", "--lambda-to", "1", "--step", "0.5"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: dimension must be at least 2, got {d}\n"
+
+
 def test_missing_dimension_is_usage_error(capsys):
     code, _, err = run(capsys, ["capacity", "depolarizing", "--lambda", "0.5"])
     assert code == 2
@@ -241,6 +250,16 @@ def test_out_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["results"]["closed_form"] == pytest.approx(
         CHI_HALF, abs=1e-9
     )
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys,
+        ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5", "--out", str(target)],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_timings_flag_adds_measurement(capsys):
@@ -336,3 +355,97 @@ def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, fmt):
     code, out, err = run(capsys, argv)
     assert code == 3 and out == ""
     assert err == "error: numerical failure: results.closed_form is nan\n"
+
+
+@pytest.mark.parametrize(
+    "argv,cfg,key",
+    [
+        (["capacity", "depolarizing", "--d", "2"], {"lam": 0.5, "channel": {"lambda": 0.9}}, "lam"),
+        (["capacity", "depolarizing", "--lambda", "0.5"], {"d": 3, "channel": {"d": 2}}, "d"),
+        (["verify", "additivity", "--d", "2", "--lambda", "0.5", "--iters", "5", "--seed", "7"],
+         {"restarts": 3, "optimizer": {"restarts": 1}}, "restarts"),
+        (["capacity", "depolarizing", "--lambda", "0.5"], {"d": 2.7}, "d"),
+        (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"seed": 1.5}, "seed"),
+        (["capacity", "periodic", "--d", "2"], {"lambdas": [0.9, "x"]}, "lambdas"),
+        (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"format": "xml"}, "format"),
+        (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"timings": "no"}, "timings"),
+        (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"out": 5}, "out"),
+    ],
+    ids=["lam", "d-twice", "restarts-twice", "d-float", "seed-float", "lambdas-text",
+         "format", "timings", "out"],
+)
+def test_config_rejects_bad_value(tmp_path, capsys, argv, cfg, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, argv + ["--config", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{key}\b", err)
+
+
+_COMMAND_IDS = ["capacity-depolarizing", "capacity-periodic", "capacity-convex",
+                "verify-additivity", "verify-theorem1", "verify-theorem2", "sweep"]
+_VERIFY_BUDGET = {"restarts": 2, "iters": 60, "seed": 3}
+
+
+@pytest.mark.parametrize(
+    "command,flags,cfg",
+    [
+        (["capacity", "depolarizing"], ["--d", "2", "--lambda", "0.5"],
+         {"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5}}),
+        (["capacity", "periodic"], ["--d", "2", "--lambdas", "1,0", "--seed", "4"],
+         {"command": "capacity periodic", "channel": {"d": 2, "lambdas": [1, 0]},
+          "optimizer": {"seed": 4}}),
+        (["capacity", "convex"],
+         ["--d", "3", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7", "--format", "csv"],
+         {"d": 3, "lambdas": [0.9, 0.5], "gammas": [0.3, 0.7], "format": "csv"}),
+        (["verify", "additivity"],
+         ["--d", "2", "--lambda", "0.5", "--restarts", "2", "--iters", "60", "--m", "4", "--seed", "3"],
+         {"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5},
+          "optimizer": {**_VERIFY_BUDGET, "m": 4}}),
+        (["verify", "theorem1"],
+         ["--d", "2", "--lambdas", "0.9,0.5", "--restarts", "2", "--iters", "60", "--seed", "3",
+          "--tol", "1e-4"],
+         {"d": 2, "lambdas": [0.9, 0.5], "optimizer": {**_VERIFY_BUDGET, "tol": 1e-4}}),
+        (["verify", "theorem2"],
+         ["--d", "2", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7", "--restarts", "2",
+          "--iters", "60", "--seed", "3", "--format", "csv"],
+         {"channel": {"type": "convex", "d": 2, "lambdas": [0.9, 0.5], "gammas": [0.3, 0.7]},
+          **_VERIFY_BUDGET, "format": "csv"}),
+        (["sweep"], ["--d", "2", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.25"],
+         {"channel": {"d": 2, "lambda_from": 0, "lambda_to": 1, "step": 0.25}}),
+    ],
+    ids=_COMMAND_IDS,
+)
+def test_config_matches_flags(tmp_path, capsys, command, flags, cfg):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    by_flags = run(capsys, command + flags)
+    by_config = run(capsys, command + ["--config", str(path)])
+    assert by_flags[0] == 0 and by_flags[1] != ""
+    assert by_config == by_flags
+
+
+_COMMON_FLAGS = {"--help", "--format", "--out", "--config", "--seed", "--timings"}
+_OPTIMIZER_FLAGS = {"--restarts", "--iters", "--m", "--tol"}
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        (["capacity", "depolarizing"], {"--d", "--lambda"}),
+        (["capacity", "periodic"], {"--d", "--lambdas"}),
+        (["capacity", "convex"], {"--d", "--lambdas", "--gammas"}),
+        (["verify", "additivity"], {"--d", "--lambda"} | _OPTIMIZER_FLAGS),
+        (["verify", "theorem1"], {"--d", "--lambdas"} | _OPTIMIZER_FLAGS),
+        (["verify", "theorem2"], {"--d", "--lambdas", "--gammas"} | _OPTIMIZER_FLAGS),
+        (["sweep"], {"--d", "--lambda-from", "--lambda-to", "--step"}),
+    ],
+    ids=_COMMAND_IDS,
+)
+def test_help_lists_declared_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) == flags | _COMMON_FLAGS
