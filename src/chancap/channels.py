@@ -1,12 +1,15 @@
 """CPT maps in operator-sum form: depolarizing channels, tensor products,
 and the two memory-channel wrappers (periodic, convex combination).
+
+A channel also carries its transfer matrix, the same map on vectorized
+density matrices, which the optimizer uses; `apply` keeps the Kraus sum.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -15,8 +18,6 @@ from .errors import CapabilityError, CPViolationError, DimensionMismatchError
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
-# Kraus terms lighter than this are dropped after tensor products.
-PRUNE_TOL = 1e-14
 # Product channels are materialized on demand; this caps their total dimension.
 MAX_PRODUCT_DIM = 16
 GAMMA_SUM_TOL = 1e-12
@@ -59,6 +60,15 @@ class KrausChannel:
     def stack(self) -> np.ndarray:
         """(terms, dout, din) array of the Kraus terms."""
         s = np.stack(self.kraus)
+        s.setflags(write=False)
+        return s
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """(dout^2, din^2) matrix S = sum_k K_k (x) conj(K_k), so that
+        vec(Phi(rho)) = S vec(rho) for row-major vec."""
+        k = self.stack
+        s = np.einsum("kia,kjb->ijab", k, k.conj()).reshape(self.dout**2, self.din**2)
         s.setflags(write=False)
         return s
 
@@ -163,14 +173,11 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
     """
     params = DepolarizingParams(d, lam)
     d, lam = params.d, params.lam
-    w_id = lam + (1.0 - lam) / d**2
+    # at lam = -1/(d^2-1) round-off can leave w_id just below 0 (e.g. d = 6)
+    w_id = max(0.0, lam + (1.0 - lam) / d**2)
     w_other = (1.0 - lam) / d**2
-    terms = []
-    for idx, w_op in enumerate(_weyl_operators(d)):
-        w = w_id if idx == 0 else w_other
-        if w > PRUNE_TOL:
-            terms.append(np.sqrt(w) * w_op)
-    return KrausChannel(tuple(terms))
+    ops = _weyl_operators(d)
+    return KrausChannel(tuple(np.sqrt(w_id if idx == 0 else w_other) * op for idx, op in enumerate(ops)))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -185,20 +192,12 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
     """Tensor product channel; Kraus terms are all Kronecker products of
-    the factors' terms, with terms below the pruning weight dropped."""
+    the factors' terms."""
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one channel")
-    din = int(np.prod([c.din for c in channels]))
-    terms = []
-    for combo in itertools.product(*(c.kraus for c in channels)):
-        k = combo[0]
-        for factor in combo[1:]:
-            k = np.kron(k, factor)
-        weight = float(np.real(np.trace(k.conj().T @ k))) / din
-        if weight > PRUNE_TOL:
-            terms.append(k)
-    return KrausChannel(tuple(terms))
+    combos = itertools.product(*(c.kraus for c in channels))
+    return KrausChannel(tuple(reduce(np.kron, combo) for combo in combos))
 
 
 def _check_product_size(d: int, n: int):
@@ -253,9 +252,6 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     channels = list(channels)
     weights = np.asarray(weights, dtype=np.float64)
     check_weights(weights, len(channels), "weight")
-    terms = []
-    for w, c in zip(weights, channels):
-        if w > PRUNE_TOL:
-            terms.extend(np.sqrt(w) * k for k in c.kraus)
+    terms = [np.sqrt(w) * k for w, c in zip(weights, channels) for k in c.kraus]
     return KrausChannel(tuple(terms))
 

@@ -44,7 +44,7 @@ class _NonFinite(ArithmeticError):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated decimals, got {text!r}")
 

@@ -108,12 +108,6 @@ def test_tensor_channels_term_count():
     assert len(tensor_channels([a, b]).kraus) == 16
 
 
-def test_tensor_channels_prunes_zero_weight_terms():
-    noiseless = depolarizing(2, 1.0)
-    assert len(noiseless.kraus) == 1
-    assert len(tensor_channels([noiseless, noiseless]).kraus) == 1
-
-
 def test_tensor_channels_product_action():
     rng = np.random.default_rng(6)
     a, b = depolarizing(2, 0.7), depolarizing(2, 0.3)

@@ -291,6 +291,15 @@ def test_threads_flag_is_gone(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lambdas", ["0.9,,0.5", "0.9,0.5,", ",0.9", ""])
+def test_empty_list_entry_is_usage_error(capsys, lambdas):
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "periodic", "--d", "2", f"--lambdas={lambdas}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--lambdas" in captured.err
+
+
 @pytest.mark.parametrize("key", ["threadz", "threads"])
 def test_config_unknown_optimizer_key(tmp_path, capsys, key):
     cfg = {
@@ -370,9 +379,11 @@ def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, fmt):
         (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"format": "xml"}, "format"),
         (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"timings": "no"}, "timings"),
         (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"out": 5}, "out"),
+        (["capacity", "periodic", "--d", "2"], {"lambdas": "0.9,,0.5,"}, "lambdas"),
+        (["capacity", "periodic", "--d", "2"], {"lambdas": [0.9, "", 0.5]}, "lambdas"),
     ],
     ids=["lam", "d-twice", "restarts-twice", "d-float", "seed-float", "lambdas-text",
-         "format", "timings", "out"],
+         "format", "timings", "out", "lambdas-empty-entry", "lambdas-empty-item"],
 )
 def test_config_rejects_bad_value(tmp_path, capsys, argv, cfg, key):
     path = tmp_path / "run.json"

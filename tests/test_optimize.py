@@ -6,9 +6,11 @@ import pytest
 from chancap import (
     CapabilityError,
     ConvexCombinationChannel,
+    DensityMatrix,
     KrausChannel,
     PeriodicChannel,
     additivity_gap,
+    apply,
     capacity_convex_depolarizing,
     chi,
     chi_branch_min,
@@ -19,9 +21,10 @@ from chancap import (
     maximize_avg_chi,
     maximize_chi,
     maximize_min_chi,
+    mix_channels,
     tensor_channels,
 )
-from chancap.optimize import OptimizerConfig, _Ascent, _ascend, _initial_states
+from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend, _initial_states
 
 # small budgets keep the unit tests quick; the acceptance suite runs the
 # spec budgets
@@ -73,6 +76,11 @@ def test_determinism_same_seed():
         np.testing.assert_array_equal(sa.mat, sb.mat)
 
 
+def _transfers(channels):
+    """The (branches, dout^2, din^2) array the optimizer takes."""
+    return np.stack([ch.transfer for ch in channels])
+
+
 def _restart_streams(seed, restarts, dim, m):
     """Per-restart generators and start states, drawn as _maximize does."""
     children = np.random.SeedSequence(seed).spawn(restarts)
@@ -90,18 +98,22 @@ def _restart_streams(seed, restarts, dim, m):
          OptimizerConfig(restarts=5, iters=300, seed=3)),
         ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
          OptimizerConfig(restarts=5, iters=300, seed=7)),
+        # output dimension 9: the gradient's trace sums take numpy's pairwise
+        # path, which sums in blocks of 8
+        ("mean", (tensor_channels([depolarizing(3, 0.5)] * 2),), 9, 4,
+         OptimizerConfig(restarts=5, iters=80, seed=7, patience=20)),
     ],
 )
 def test_batching_independence(mode, channels, dim, m, cfg):
     # each restart run inside the batch must end exactly where it ends alone
-    stacks = [ch.stack for ch in channels]
+    transfer = _transfers(channels)
     rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
-    batched = _ascend(stacks, mode, psis, cfg, rngs)
+    batched = _ascend(transfer, mode, psis, cfg, rngs)
     sweeps = {out.iterations for out in batched}
     assert len(sweeps) > 1, "restarts should freeze at different sweeps"
     for r, together in enumerate(batched):
         rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
-        (alone,) = _ascend(stacks, mode, psis[r : r + 1], cfg, rngs[r : r + 1])
+        (alone,) = _ascend(transfer, mode, psis[r : r + 1], cfg, rngs[r : r + 1])
         assert together.value == alone.value
         assert together.iterations == alone.iterations
         assert together.converged == alone.converged
@@ -178,6 +190,7 @@ def test_dimension_cap():
     big = identity_channel(32)
     with pytest.raises(CapabilityError):
         maximize_chi(big, 2, FAST)
+    assert "transfer" not in vars(big), "the cap is checked before the transfer matrix is built"
 
 
 def test_single_member_ensemble_gives_zero():
@@ -213,6 +226,34 @@ def _random_psis(rng, m, dim):
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
+def _partial_trace():
+    """Trace over the second qubit of two, as Kraus terms I (x) <k|."""
+    return KrausChannel(tuple(np.kron(np.eye(2), np.eye(2)[[k]]) for k in range(2)))
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        depolarizing(2, 0.5),
+        depolarizing(3, -0.1),
+        tensor_channels([depolarizing(2, 0.9), depolarizing(2, 0.5)]),
+        mix_channels([depolarizing(2, 0.3), _damping(0.6)], [0.25, 0.75]),
+        _damping(0.6),
+        _partial_trace(),
+    ],
+    ids=["depolarizing-2", "depolarizing-3", "two-use", "mixture", "damping", "partial-trace"],
+)
+def test_transfer_matches_kraus_apply(channel):
+    psis = _random_psis(np.random.default_rng(4), 6, channel.din)
+    outs = _apply_pure(channel.transfer[None], psis)
+    assert outs.shape == (6, 1, channel.dout, channel.dout)
+    for psi, out in zip(psis, outs[:, 0]):
+        expected = apply(channel, DensityMatrix(np.outer(psi, psi.conj()))).mat
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        channel.transfer[0, 0] = 0
+
+
 @pytest.mark.parametrize(
     "mode,channels,dim,m",
     [
@@ -229,7 +270,7 @@ def test_prob_step_monotone(mode, channels, dim, m):
     cfg = OptimizerConfig()
     for seed in range(5):
         psis = _random_psis(np.random.default_rng(seed), m, dim)
-        ascent = _Ascent([ch.stack for ch in channels], mode, psis[None], np.full((1, m), 1.0 / m), cfg)
+        ascent = _Ascent(_transfers(channels), mode, psis[None], np.full((1, m), 1.0 / m), cfg)
         for _ in range(100):
             before = ascent.value.copy()
             ascent.prob_step()
@@ -245,10 +286,10 @@ def test_duality_gap_brackets_optimum(mode, lambdas, prob_iters):
     # the computational basis is an optimal set of states for every
     # depolarizing branch, so over its probabilities
     # value <= closed form <= value + gap
-    stacks = [depolarizing(2, lam).stack for lam in lambdas]
+    transfer = _transfers([depolarizing(2, lam) for lam in lambdas])
     psis = np.eye(2, dtype=np.complex128)[[0, 1, 0, 1]]
     cfg = OptimizerConfig(prob_iters=prob_iters)
-    ascent = _Ascent(stacks, mode, psis[None], np.array([[0.55, 0.3, 0.1, 0.05]]), cfg)
+    ascent = _Ascent(transfer, mode, psis[None], np.array([[0.55, 0.3, 0.1, 0.05]]), cfg)
     gap = ascent.prob_step(final=True)
     closed = capacity_convex_depolarizing(2, lambdas)
     assert ascent.value <= closed + 1e-12
@@ -261,10 +302,10 @@ def test_duality_gap_brackets_optimum(mode, lambdas, prob_iters):
 
 @pytest.mark.parametrize("mode,lambdas", [("mean", (0.5,)), ("min", (0.9, 0.5))], ids=["mean", "min"])
 def test_tol_is_the_final_gap_stop(mode, lambdas):
-    stacks = [tensor_channels([depolarizing(2, lam)] * 2).stack for lam in lambdas]
+    transfer = _transfers([tensor_channels([depolarizing(2, lam)] * 2) for lam in lambdas])
     psis = _random_psis(np.random.default_rng(3), 8, 4)
     loose, tight = (
-        _Ascent(stacks, mode, psis[None], np.full((1, 8), 1 / 8), OptimizerConfig(tol=tol)).prob_step(final=True)
+        _Ascent(transfer, mode, psis[None], np.full((1, 8), 1 / 8), OptimizerConfig(tol=tol)).prob_step(final=True)
         for tol in (1e-1, OptimizerConfig().tol)
     )
     assert tight < loose < 1e-1
