@@ -16,16 +16,16 @@ any reweighting of the final states could add, falls below `tol`, a min-mode
 update is rejected, or `prob_iters` updates have run.
 
 All restarts of one search run in lockstep as one numpy batch.  At the start
-of a sweep every live restart draws its m moves, and the candidate states,
-their channel outputs and output entropies are computed for all of them in
-one batch (member j changes only at its own proposal, so computing ahead
-changes nothing), every branch's outputs by one product of the branches'
-transfer matrices with the vectorized states.  Each proposal then needs one
-batched eigensolve of the updated average outputs, and each restart accepts
-its move only if its own objective improves.  A restart whose patience runs
-out is frozen: it leaves the batch, leaves unused the moves it drew for the
-rest of that sweep, draws nothing more, and rejoins the others only for the
-final probability step.
+of a sweep every live restart draws its m moves, and their candidate states,
+channel outputs (one product with the branches' transfer matrices), output
+entropies and weighted entropy increments p_j (S(out') - S(out_j)) are
+computed in one batch: member j's state, output and probability change only
+at its own proposal or between sweeps, so computing ahead changes nothing.
+Each proposal then needs one batched eigensolve of the updated average
+outputs, and each restart accepts its move, by masked in-place copies, only
+if its own objective improves.  A restart freezes once `patience` proposals
+in a row have each gained less than 1e-10: it leaves the batch and its unused
+moves, and rejoins the others only for the final probability step.
 
 The pseudo-random source is numpy's PCG64; restart r draws from the r-th
 child of SeedSequence(seed), in the same order whatever else is in the batch,
@@ -79,8 +79,10 @@ class OptimizerConfig:
     prob_iters: int = 200
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iters < 1:
-            raise ValueError("restarts and iters must be positive")
+        if self.restarts < 1 or self.iters < 1 or self.patience < 1:
+            raise ValueError("restarts, iters and patience must be positive")
+        if self.prob_iters < 0:
+            raise ValueError(f"prob_iters must be non-negative, got {self.prob_iters}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
@@ -145,9 +147,9 @@ class _Ascent:
     matrices, and arrays carry a leading restart axis.  Per restart, branch
     i and member j it caches the channel output outs[:, i, j] and its
     entropy, and per branch the probability-weighted average output and the
-    weighted member entropies, so a single-state proposal costs two
-    eigensolves per branch instead of m+1.  The helpers taking `rows` act
-    on those restarts only.
+    weighted member entropies, which a proposal moves by its increments, so
+    it costs one eigensolve per branch instead of m+1.  The helpers taking
+    `rows` act on those restarts only.
     """
 
     _PER_RESTART = ("psis", "outs", "entropies", "probs", "rbar", "sum_p_s", "chis", "value")
@@ -271,37 +273,44 @@ class _Ascent:
         w = self.probs[rows] * np.exp2(g - np.max(g, axis=1, keepdims=True))
         return self._commit_probs(rows, w / w.sum(axis=1, keepdims=True), guard=self.mode == "min")
 
-    def candidates(self, moves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def candidates(self, moves: np.ndarray) -> tuple[np.ndarray, ...]:
         """A sweep's proposals computed ahead in one batch: the states
-        psis + moves normalized (R, m, din), their channel outputs
-        (R, m, nb, dout, dout) and output entropies (R, m, nb).  Ahead is
-        soon enough, since member j changes only at its own proposal."""
+        psis + moves normalized (R, m, din), their channel outputs (R, m, nb,
+        dout, dout), output entropies and weighted entropy increments
+        p_j (S(out') - S(out_j)), both (R, m, nb).  Ahead is soon enough:
+        member j's state, output and probability change only at its own
+        proposal or between sweeps."""
         v = self.psis + moves
         # the bits of np.linalg.norm, row by row
         cands = v / np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))[..., None]
         outs = _apply_pure(self.transfer, cands)
-        return cands, outs, _entropies(outs)
+        ents = _entropies(outs)
+        return cands, outs, ents, self.probs[..., None] * (ents - self.entropies.swapaxes(1, 2))
 
-    def propose(self, j: int, cand: np.ndarray, out: np.ndarray, ent: np.ndarray) -> np.ndarray:
-        """Offer each restart member j's candidate from `candidates` (its
-        row of cand, out and ent); a restart keeps the move only if its
-        objective improves.  Returns the improvements (0 on rejection)."""
-        p = self.probs[:, j, None]
-        rbar = self.rbar + p[..., None, None] * (out - self.outs[:, :, j])
-        sum_p_s = self.sum_p_s + p * (ent - self.entropies[:, :, j])
+    def propose(self, j: int, sweep: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Offer each restart member j's candidate from the `sweep` that
+        `candidates` returned; a restart keeps the move only if its objective
+        improves, written in place by masked copies.  The increment
+        p_j (out' - out_j) is formed here: a sweep's worth would be as large
+        as the outputs.  Returns the mask of gains >= _MIN_IMPROVEMENT."""
+        cands, outs, ents, dents = sweep
+        out = outs[:, j]
+        rbar = self.rbar + self.probs[:, j, None, None, None] * (out - self.outs[:, :, j])
+        sum_p_s = self.sum_p_s + dents[:, j]
         chis = _entropies(rbar) - sum_p_s
         value = self._combine(chis)
         gain = value - self.value
         keep = gain > 0
         if keep.any():
-            self.psis[keep, j] = cand[keep]
-            self.outs[keep, :, j] = out[keep]
-            self.entropies[keep, :, j] = ent[keep]
-            self.rbar[keep] = rbar[keep]
-            self.sum_p_s[keep] = sum_p_s[keep]
-            self.chis[keep] = chis[keep]
-            self.value[keep] = value[keep]
-        return np.where(keep, gain, 0.0)
+            rows, mats = keep[:, None], keep[:, None, None, None]
+            np.copyto(self.psis[:, j], cands[:, j], where=rows)
+            np.copyto(self.outs[:, :, j], out, where=mats)
+            np.copyto(self.entropies[:, :, j], ents[:, j], where=rows)
+            np.copyto(self.rbar, rbar, where=mats)
+            np.copyto(self.sum_p_s, sum_p_s, where=rows)
+            np.copyto(self.chis, chis, where=rows)
+            np.copyto(self.value, value, where=keep)
+        return gain >= _MIN_IMPROVEMENT
 
 
 def _initial_states(dim: int, m: int, rng: np.random.Generator, structured: bool) -> np.ndarray:
@@ -335,17 +344,19 @@ def _ascend(
 ) -> list[_RestartOutcome]:
     """Run one restart per row of `psis` (R, m, din) in lockstep from
     uniform probabilities on the branches' (branches, dout^2, din^2)
-    transfer matrices, restart r drawing from rngs[r].  A restart whose
-    patience runs out leaves the batch, so the proposals of the others cost
-    nothing for it; all take the final probability step together."""
+    transfer matrices, restart r drawing from rngs[r].  A restart freezes
+    after `patience` proposals in a row below _MIN_IMPROVEMENT and leaves
+    the batch, so the proposals of the others cost nothing for it; all take
+    the final probability step together."""
     restarts, m, dim = psis.shape
     ascent = _Ascent(transfer, mode, psis, np.full((restarts, m), 1.0 / m), cfg)
     ascent.prob_step()
     ids = np.arange(restarts)  # the restart of each row of `ascent`
     gens = list(rngs)  # and its generator
-    quiet = np.zeros(restarts, dtype=int)
-    sweeps = np.full(restarts, cfg.iters)
-    converged = np.zeros(restarts, dtype=bool)
+    # proposal k = t m + j freezes a restart whose latest gain >= _MIN_IMPROVEMENT
+    # came at proposal last <= k - patience: none before due = min(last) + patience
+    last, due = np.full(restarts, -1), cfg.patience - 1
+    frozen_at = np.zeros(restarts, dtype=int)  # the sweep, 0 if never
     frozen = []  # (ids, batch) of the restarts that have left `ascent`
     for t in range(cfg.iters):
         # drawn a sweep ahead: a restart that freezes mid-sweep never draws
@@ -353,18 +364,20 @@ def _ascend(
         moves = _moves(m, dim, max(_STEP_MIN, _STEP0 * _STEP_DECAY**t), gens)
         sweep = ascent.candidates(moves)
         for j in range(m):
-            gain = ascent.propose(j, *(x[:, j] for x in sweep))
-            quiet = np.where(gain < _MIN_IMPROVEMENT, quiet + 1, 0)
-            leave = quiet >= cfg.patience
+            k = t * m + j
+            last[ascent.propose(j, sweep)] = k
+            if k < due:
+                continue
+            leave = k - last >= cfg.patience
             if leave.any():
-                sweeps[ids[leave]] = t + 1
-                converged[ids[leave]] = True
+                frozen_at[ids[leave]] = t + 1
                 frozen.append((ids[leave], ascent.split(leave)))
-                ids, quiet = ids[~leave], quiet[~leave]
-                sweep = [x[~leave] for x in sweep]
+                ids, last = ids[~leave], last[~leave]
+                sweep = tuple(x[~leave] for x in sweep)
                 gens = [rngs[r] for r in ids]
                 if not ids.size:
                     break
+            due = last.min() + cfg.patience
         if not ids.size:
             break
         ascent.prob_step()
@@ -372,23 +385,13 @@ def _ascend(
         ids = np.concatenate([ids, members])
         ascent.join(batch)
     gaps = ascent.prob_step(final=True)
-
     outcomes = [None] * restarts
     for n, r in enumerate(ids):
         outcomes[r] = _RestartOutcome(
-            float(ascent.value[n]),
-            ascent.psis[n],
-            ascent.probs[n],
-            int(sweeps[r]),
-            bool(converged[r]),
-            float(gaps[n]),
+            float(ascent.value[n]), ascent.psis[n], ascent.probs[n],
+            int(frozen_at[r] or cfg.iters), bool(frozen_at[r]), float(gaps[n]),
         )
     return outcomes
-
-
-def _decode(psis: np.ndarray, probs: np.ndarray) -> Ensemble:
-    states = tuple(DensityMatrix(np.outer(psi, psi.conj())) for psi in psis)
-    return Ensemble(probs, states)
 
 
 def _maximize(
@@ -416,11 +419,8 @@ def _maximize(
     transfer = np.stack([b.transfer for b in branches])
     outcomes = _ascend(transfer, mode, psis, cfg, rngs)
 
-    best = outcomes[0]
-    for outcome in outcomes[1:]:
-        if outcome.value > best.value:
-            best = outcome
-    ensemble = _decode(best.psis, best.probs)
+    best = max(outcomes, key=lambda outcome: outcome.value)  # the first of ties
+    ensemble = Ensemble(best.probs, tuple(DensityMatrix(np.outer(psi, psi.conj())) for psi in best.psis))
     # Report the value re-evaluated through the library path (the Kraus sum,
     # not the transfer matrix) so it is exactly reproducible from the
     # returned ensemble.

@@ -24,7 +24,7 @@ from chancap import (
     mix_channels,
     tensor_channels,
 )
-from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend, _initial_states
+from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend, _initial_states, _moves
 
 # small budgets keep the unit tests quick; the acceptance suite runs the
 # spec budgets
@@ -102,6 +102,10 @@ def _restart_streams(seed, restarts, dim, m):
         # path, which sums in blocks of 8
         ("mean", (tensor_channels([depolarizing(3, 0.5)] * 2),), 9, 4,
          OptimizerConfig(restarts=5, iters=80, seed=7, patience=20)),
+        # patience < m: restarts 2 and 4 freeze inside sweep 3, 3 and 5
+        # inside sweep 10
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16,
+         OptimizerConfig(restarts=6, iters=100, seed=7, patience=6)),
     ],
 )
 def test_batching_independence(mode, channels, dim, m, cfg):
@@ -120,6 +124,75 @@ def test_batching_independence(mode, channels, dim, m, cfg):
         assert together.duality_gap == alone.duality_gap
         np.testing.assert_array_equal(together.psis, alone.psis)
         np.testing.assert_array_equal(together.probs, alone.probs)
+
+
+@pytest.mark.parametrize(
+    "mode,channels,dim,m,cfg",
+    [
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16,
+         OptimizerConfig(restarts=3, iters=100, seed=7, patience=6)),
+        ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
+         OptimizerConfig(restarts=3, iters=300, seed=3, patience=1)),
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 8,
+         OptimizerConfig(restarts=3, iters=100, seed=7, patience=5)),
+        # patience beyond the budget: the sweep cap ends the run
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
+         OptimizerConfig(restarts=3, iters=30, seed=7, patience=500)),
+    ],
+)
+def test_freeze_schedule_matches_consecutive_count(monkeypatch, mode, channels, dim, m, cfg):
+    # record each proposal's significance mask on a one-restart run and
+    # recount it with a plain run-length counter
+    masks = []
+    propose = _Ascent.propose
+
+    def recording(self, *args):
+        significant = propose(self, *args)
+        masks.append(bool(significant[0]))
+        return significant
+
+    monkeypatch.setattr(_Ascent, "propose", recording)
+    for r in range(cfg.restarts):
+        masks.clear()
+        rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
+        (out,) = _ascend(_transfers(channels), mode, psis[r : r + 1], cfg, rngs[r : r + 1])
+        quiet, frozen_at = 0, None
+        for k, significant in enumerate(masks):
+            quiet = 0 if significant else quiet + 1
+            if quiet >= cfg.patience:
+                frozen_at = k
+                break
+        if frozen_at is None:
+            assert len(masks) == cfg.iters * m
+            assert (out.iterations, out.converged) == (cfg.iters, False)
+        else:
+            assert len(masks) == frozen_at + 1, "no proposal after the freeze"
+            assert (out.iterations, out.converged) == (frozen_at // m + 1, True)
+
+
+def test_incremental_caches_match_rebuild():
+    # masked commits and per-sweep increments keep the caches equal to a
+    # fresh evaluation of the same states and probabilities
+    for mode, channels, dim, m in [
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
+    ]:
+        transfer, cfg = _transfers(channels), OptimizerConfig()
+        rngs, psis = _restart_streams(5, 4, dim, m)
+        ascent = _Ascent(transfer, mode, psis, np.full((4, m), 1.0 / m), cfg)
+        accepted = 0
+        for t in range(6):
+            sweep = ascent.candidates(_moves(m, dim, 0.3 * 0.8**t, rngs))
+            for j in range(m):
+                before = ascent.psis[:, j].copy()
+                ascent.propose(j, sweep)
+                accepted += np.count_nonzero((ascent.psis[:, j] != before).any(axis=1))
+            ascent.prob_step()
+        assert accepted > 10
+        fresh = _Ascent(transfer, mode, ascent.psis, ascent.probs, cfg)
+        for name in ("outs", "entropies", "rbar", "sum_p_s", "chis", "value"):
+            kept, rebuilt = getattr(ascent, name), getattr(fresh, name)
+            np.testing.assert_allclose(kept, rebuilt, rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_monotone_in_restarts():
@@ -309,6 +382,14 @@ def test_tol_is_the_final_gap_stop(mode, lambdas):
         for tol in (1e-1, OptimizerConfig().tol)
     )
     assert tight < loose < 1e-1
+
+
+@pytest.mark.parametrize(
+    "field,value", [("patience", 0), ("patience", -3), ("prob_iters", -1), ("restarts", 0), ("iters", 0)]
+)
+def test_out_of_range_budget_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
