@@ -51,20 +51,22 @@ class Check:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Closed form vs optimizer comparison for one channel."""
+    """Closed form vs optimizer comparison for one channel: the optimizer
+    value (None for a closed form alone), the checks that decide a pass,
+    further results in `extras`, and remarks in `notes`."""
 
-    channel: dict
     closed_form: float
     optimizer_value: float | None = None
-    gap: float | None = None
     checks: tuple[Check, ...] = ()
     extras: dict = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.optimizer_value is not None and self.gap is not None:
-            if abs(self.gap - (self.optimizer_value - self.closed_form)) > 1e-12:
-                raise ValueError("gap must equal optimizer_value - closed_form")
+    @property
+    def gap(self) -> float | None:
+        """optimizer_value - closed_form, None without an optimizer value."""
+        if self.optimizer_value is None:
+            return None
+        return self.optimizer_value - self.closed_form
 
     @property
     def passed(self) -> bool:
@@ -74,7 +76,6 @@ class CapacityReport:
         out = {"closed_form": self.closed_form}
         if self.optimizer_value is not None:
             out["optimizer_value"] = self.optimizer_value
-        if self.gap is not None:
             out["gap"] = self.gap
         out.update(self.extras)
         if self.notes:
@@ -133,7 +134,6 @@ def _dimension_note(d: int) -> tuple[str, ...]:
 
 def report_depolarizing(d: int, lam: float) -> CapacityReport:
     return CapacityReport(
-        channel={"type": "depolarizing", "d": d, "lambda": lam},
         closed_form=chi_star_depolarizing(d, lam),
         extras={"s_min": s_min_depolarizing(d, lam)},
     )
@@ -141,7 +141,6 @@ def report_depolarizing(d: int, lam: float) -> CapacityReport:
 
 def report_periodic(d: int, lambdas: Sequence[float]) -> CapacityReport:
     return CapacityReport(
-        channel={"type": "periodic", "d": d, "lambdas": list(lambdas)},
         closed_form=capacity_periodic_depolarizing(d, lambdas),
         extras={"branch_chi_star": [chi_star_depolarizing(d, l) for l in lambdas]},
         notes=_dimension_note(d),
@@ -152,12 +151,9 @@ def report_convex(d: int, lambdas: Sequence[float], gammas: Sequence[float] | No
     """The mixing weights, when given, must be a probability vector with one
     entry per branch, as for ConvexCombinationChannel; they do not enter the
     closed form."""
-    channel = {"type": "convex", "d": d, "lambdas": list(lambdas)}
     if gammas is not None:
         channels.check_weights(np.asarray(gammas, dtype=np.float64), len(lambdas), "gamma")
-        channel["gammas"] = list(gammas)
     return CapacityReport(
-        channel=channel,
         closed_form=capacity_convex_depolarizing(d, lambdas),
         extras={"branch_chi_star": [chi_star_depolarizing(d, l) for l in lambdas]},
     )
@@ -180,14 +176,12 @@ def verify_additivity(
         Check("optimizer_reaches_closed_form", gap >= -GAP_SHORTFALL_TOL, gap, 0.0, GAP_SHORTFALL_TOL),
     )
     return CapacityReport(
-        channel={"type": "depolarizing", "d": d, "lambda": lam},
         closed_form=2.0 * single,
         optimizer_value=result.value,
-        gap=gap,
         checks=checks,
         extras={
             "chi_star_single": single,
-            "restarts": result.restarts_used,
+            "restarts": cfg.restarts,
             "converged": result.converged,
             "duality_gap": result.duality_gap,
             "opt_seed": result.seed,
@@ -200,7 +194,6 @@ def verify_theorem1(
     lambdas: Sequence[float],
     m: int | None = None,
     cfg: OptimizerConfig = OptimizerConfig(),
-    two_use_m: int | None = None,
 ) -> CapacityReport:
     """Periodic-channel verification: the ascent over shared product
     ensembles must match the closed form, and an entangled search over the
@@ -217,7 +210,7 @@ def verify_theorem1(
         channels.periodic_branch(periodic, i, 2) for i in range(period)
     ]
     mixture = mix_channels(two_fold, np.full(period, 1.0 / period))
-    two_use = optimize.maximize_chi(mixture, two_use_m, cfg)
+    two_use = optimize.maximize_chi(mixture, None, cfg)
     rate = two_use.value / 2.0
     # Convexity cross-check at the best entangled ensemble: the mixture's
     # Holevo quantity is bounded by the branch average.
@@ -249,10 +242,8 @@ def verify_theorem1(
         ),
     )
     return CapacityReport(
-        channel={"type": "periodic", "d": d, "lambdas": list(lambdas)},
         closed_form=closed,
         optimizer_value=product_side.value,
-        gap=product_side.value - closed,
         checks=checks,
         extras={
             "two_use_chi": two_use.value,
@@ -273,7 +264,6 @@ def verify_theorem2(
     gammas: Sequence[float] | None = None,
     m: int | None = None,
     cfg: OptimizerConfig = OptimizerConfig(),
-    two_use_m: int | None = None,
 ) -> CapacityReport:
     """Convex-combination verification: the one-use maximin ascent must
     match the worst-branch closed form, and the two-use maximin over the
@@ -283,13 +273,13 @@ def verify_theorem2(
     if gammas is None:
         gammas = np.full(n_branches, 1.0 / n_branches)
     branches = tuple(depolarizing(d, lam) for lam in lambdas)
-    convex = ConvexCombinationChannel(branches, np.asarray(gammas, dtype=np.float64))
+    convex = ConvexCombinationChannel(branches, gammas)
 
     one_use = optimize.maximize_min_chi(convex, m, cfg)
 
     doubled = tuple(tensor_channels([b] * 2) for b in branches)
-    convex2 = ConvexCombinationChannel(doubled, np.asarray(gammas, dtype=np.float64))
-    two_use = optimize.maximize_min_chi(convex2, two_use_m, cfg)
+    convex2 = ConvexCombinationChannel(doubled, convex.gammas)
+    two_use = optimize.maximize_min_chi(convex2, None, cfg)
     rate = two_use.value / 2.0
 
     checks = (
@@ -309,15 +299,8 @@ def verify_theorem2(
         ),
     )
     return CapacityReport(
-        channel={
-            "type": "convex",
-            "d": d,
-            "lambdas": list(lambdas),
-            "gammas": list(np.asarray(gammas, dtype=np.float64)),
-        },
         closed_form=closed,
         optimizer_value=one_use.value,
-        gap=one_use.value - closed,
         checks=checks,
         extras={
             "two_use_min_chi": two_use.value,

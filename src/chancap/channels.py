@@ -25,12 +25,15 @@ GAMMA_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """CPT map given by operator-sum terms (dout x din matrices)."""
+    """CPT map given by operator-sum terms.
 
-    kraus: tuple[np.ndarray, ...]
+    Built from any sequence of dout x din matrices, which it keeps as one
+    read-only (terms, dout, din) complex array `kraus`."""
+
+    kraus: np.ndarray
 
     def __post_init__(self):
-        terms = tuple(np.array(k, dtype=np.complex128, order="C") for k in self.kraus)
+        terms = [np.asarray(k, dtype=np.complex128) for k in self.kraus]
         if not terms:
             raise ValueError("channel needs at least one Kraus term")
         shape = terms[0].shape
@@ -38,10 +41,10 @@ class KrausChannel:
             raise ValueError(f"Kraus terms must be matrices, got shape {shape}")
         if any(k.shape != shape for k in terms):
             raise ValueError("all Kraus terms must share one shape")
-        for k in terms:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", terms)
-        gram = sum(k.conj().T @ k for k in terms)
+        kraus = np.stack(terms)
+        kraus.setflags(write=False)
+        object.__setattr__(self, "kraus", kraus)
+        gram = sum(k.conj().T @ k for k in kraus)
         defect = np.max(np.abs(gram - np.eye(self.din)))
         if defect > COMPLETENESS_TOL:
             raise ValueError(
@@ -50,24 +53,17 @@ class KrausChannel:
 
     @property
     def din(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dout(self) -> int:
-        return self.kraus[0].shape[0]
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """(terms, dout, din) array of the Kraus terms."""
-        s = np.stack(self.kraus)
-        s.setflags(write=False)
-        return s
+        return self.kraus.shape[1]
 
     @cached_property
     def transfer(self) -> np.ndarray:
         """(dout^2, din^2) matrix S = sum_k K_k (x) conj(K_k), so that
         vec(Phi(rho)) = S vec(rho) for row-major vec."""
-        k = self.stack
+        k = self.kraus
         s = np.einsum("kia,kjb->ijab", k, k.conj()).reshape(self.dout**2, self.din**2)
         s.setflags(write=False)
         return s
@@ -186,7 +182,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
         raise DimensionMismatchError(
             f"state dim {rho.dim} does not match channel input dim {ch.din}"
         )
-    k = ch.stack
+    k = ch.kraus
     return DensityMatrix(np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=True))
 
 

@@ -14,7 +14,8 @@ not given on the command line: a flag's destination may sit at the top
 level, a channel parameter (and `type`) in a `channel` block, and
 `restarts`, `iters`, `m`, `seed`, `tol` in an `optimizer` block.  Each value
 is converted as the flag's own text would be.  An unknown key, a key set
-twice, or a value the flag would reject exits 2 naming the key.
+twice (in one JSON object or in two blocks), or a value the flag would reject
+exits 2 naming the key.
 
 Determinism contract: the same flags and seed produce byte-identical
 output.  Wall-clock timing is therefore reported only with --timings.
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import capacity
 from .channels import DepolarizingParams
-from .errors import CapabilityError, CPViolationError, DimensionMismatchError
+from .errors import CPViolationError
 from .optimize import OptimizerConfig
 
 
@@ -158,12 +159,22 @@ def _config_value(key: str, spec: dict, value):
     return converted
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, rejecting a key it repeats."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"config key {key} is set twice in one JSON object")
+        out[key] = value
+    return out
+
+
 def _apply_config(args: argparse.Namespace):
     """Fill the flags not given on the command line from the --config file."""
     if args.config is None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
     declared = cfg.get("command", args.invoked)
@@ -320,7 +331,7 @@ def main(argv=None) -> int:
         # LinAlgError is a ValueError subclass, so it must be caught first
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return 3
-    except (CPViolationError, CapabilityError, DimensionMismatchError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # chancap's own errors are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2
     return code

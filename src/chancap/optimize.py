@@ -13,7 +13,7 @@ keeps an update only if its minimum strictly improves.  One update per sweep,
 warm-started from the previous sweep; after the last sweep it repeats until
 the duality gap max_j D(sigma_j || sigma_bar) - chi, an upper bound on what
 any reweighting of the final states could add, falls below `tol`, a min-mode
-update is rejected, or `prob_iters` updates have run.
+update is rejected, or 200 updates have run.
 
 All restarts of one search run in lockstep as one numpy batch.  At the start
 of a sweep every live restart draws its m moves, and their candidate states,
@@ -23,8 +23,8 @@ computed in one batch: member j's state, output and probability change only
 at its own proposal or between sweeps, so computing ahead changes nothing.
 Each proposal then needs one batched eigensolve of the updated average
 outputs, and each restart accepts its move, by masked in-place copies, only
-if its own objective improves.  A restart freezes once `patience` proposals
-in a row have each gained less than 1e-10: it leaves the batch and its unused
+if its own objective improves.  A restart freezes once 200 proposals in a
+row have each gained less than 1e-10: it leaves the batch and its unused
 moves, and rejoins the others only for the final probability step.
 
 The pseudo-random source is numpy's PCG64; restart r draws from the r-th
@@ -54,20 +54,23 @@ _EIG_FLOOR = 1e-30  # keeps log2 of the average output finite in gradients
 _STEP0 = 0.5
 _STEP_DECAY = 0.9935
 _STEP_MIN = 1e-6
-_MIN_IMPROVEMENT = 1e-10  # a proposal gaining less counts toward patience
+_MIN_IMPROVEMENT = 1e-10  # a proposal gaining less counts toward a freeze
+_PATIENCE = 200  # proposals in a row below _MIN_IMPROVEMENT that freeze a restart
+_PROB_ITERS = 200  # cap on the final Blahut-Arimoto updates
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Budgets and knobs for the ascent; defaults hit the package's
-    verification tolerances in minutes at desk scale.
+    """The search budget, one field per `verify` flag; defaults hit the
+    package's verification tolerances in minutes at desk scale.
 
     The `restarts` run in lockstep, one sweep of `m` proposals at a time, for
-    at most `iters` sweeps; a restart freezes once `patience` proposals in a
-    row have gained almost nothing.
+    at most `iters` sweeps; a restart freezes once _PATIENCE proposals in a
+    row have gained almost nothing.  `seed` picks the pseudo-random streams
+    (None draws one).
 
     `tol` is the duality-gap stop (bits) of the Blahut-Arimoto probability
-    step run after the last sweep; that step also stops after `prob_iters`
+    step run after the last sweep; that step also stops after _PROB_ITERS
     updates.
     """
 
@@ -75,30 +78,27 @@ class OptimizerConfig:
     iters: int = 2000
     seed: int | None = None
     tol: float = 1e-6
-    patience: int = 200
-    prob_iters: int = 200
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iters < 1 or self.patience < 1:
-            raise ValueError("restarts, iters and patience must be positive")
-        if self.prob_iters < 0:
-            raise ValueError(f"prob_iters must be non-negative, got {self.prob_iters}")
+        if self.restarts < 1 or self.iters < 1:
+            raise ValueError("restarts and iters must be positive")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best value found, the ensemble achieving it, and run diagnostics.
+    """Best value found over all restarts, the ensemble achieving it, and
+    the best restart's diagnostics.
 
-    `duality_gap` is the best restart's final Blahut-Arimoto gap in bits:
-    no reweighting of its states raises the value by more.  In min mode it
-    is the worst branch's gap, which bounds the branch minimum as well."""
+    `converged` says whether that restart froze before the sweep cap, and
+    `seed` is the seed the run drew from (the generated one when the config
+    gave none).  `duality_gap` is its final Blahut-Arimoto gap in bits: no
+    reweighting of its states raises the value by more.  In min mode it is
+    the worst branch's gap, which bounds the branch minimum as well."""
 
     value: float
     ensemble: Ensemble
-    restarts_used: int
-    iterations: int
     converged: bool
     seed: int
     duality_gap: float
@@ -240,7 +240,7 @@ class _Ascent:
     def prob_step(self, final: bool = False) -> np.ndarray | None:
         """One Blahut-Arimoto update of every restart's probabilities for its
         current states.  With `final`, updates until each restart's duality
-        gap falls below tol, its min-mode update is rejected, or prob_iters
+        gap falls below tol, its min-mode update is rejected, or _PROB_ITERS
         updates have run; returns the gaps at the committed probabilities."""
         rows = np.arange(self.value.size)
         g = self._gradient(rows)
@@ -249,7 +249,7 @@ class _Ascent:
             return None
         gaps = self._duality_gap(rows, g)
         live = np.ones(rows.size, dtype=bool)
-        for _ in range(self.cfg.prob_iters):
+        for _ in range(_PROB_ITERS):
             todo = np.flatnonzero(live & (gaps >= self.cfg.tol))
             if not todo.size:
                 break
@@ -345,7 +345,7 @@ def _ascend(
     """Run one restart per row of `psis` (R, m, din) in lockstep from
     uniform probabilities on the branches' (branches, dout^2, din^2)
     transfer matrices, restart r drawing from rngs[r].  A restart freezes
-    after `patience` proposals in a row below _MIN_IMPROVEMENT and leaves
+    after _PATIENCE proposals in a row below _MIN_IMPROVEMENT and leaves
     the batch, so the proposals of the others cost nothing for it; all take
     the final probability step together."""
     restarts, m, dim = psis.shape
@@ -354,8 +354,8 @@ def _ascend(
     ids = np.arange(restarts)  # the restart of each row of `ascent`
     gens = list(rngs)  # and its generator
     # proposal k = t m + j freezes a restart whose latest gain >= _MIN_IMPROVEMENT
-    # came at proposal last <= k - patience: none before due = min(last) + patience
-    last, due = np.full(restarts, -1), cfg.patience - 1
+    # came at proposal last <= k - _PATIENCE: none before due = min(last) + _PATIENCE
+    last, due = np.full(restarts, -1), _PATIENCE - 1
     frozen_at = np.zeros(restarts, dtype=int)  # the sweep, 0 if never
     frozen = []  # (ids, batch) of the restarts that have left `ascent`
     for t in range(cfg.iters):
@@ -368,7 +368,7 @@ def _ascend(
             last[ascent.propose(j, sweep)] = k
             if k < due:
                 continue
-            leave = k - last >= cfg.patience
+            leave = k - last >= _PATIENCE
             if leave.any():
                 frozen_at[ids[leave]] = t + 1
                 frozen.append((ids[leave], ascent.split(leave)))
@@ -377,7 +377,7 @@ def _ascend(
                 gens = [rngs[r] for r in ids]
                 if not ids.size:
                     break
-            due = last.min() + cfg.patience
+            due = last.min() + _PATIENCE
         if not ids.size:
             break
         ascent.prob_step()
@@ -427,8 +427,6 @@ def _maximize(
     return OptResult(
         value=evaluate(ensemble),
         ensemble=ensemble,
-        restarts_used=cfg.restarts,
-        iterations=best.iterations,
         converged=best.converged,
         seed=int(seed),
         duality_gap=best.duality_gap,

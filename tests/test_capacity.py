@@ -132,16 +132,6 @@ def test_memory_closed_forms_from_branch_capacities(branches, data):
     assert report_convex(d, lambdas, gammas).closed_form == min(stars)
 
 
-def test_report_gap_invariant():
-    with pytest.raises(ValueError, match="gap"):
-        CapacityReport(
-            channel={"type": "depolarizing", "d": 2, "lambda": 0.5},
-            closed_form=0.2,
-            optimizer_value=0.19,
-            gap=0.5,
-        )
-
-
 def test_capacity_reports():
     rep = report_depolarizing(2, 0.5)
     assert rep.closed_form == pytest.approx(CHI_HALF, abs=1e-12)
@@ -195,7 +185,6 @@ def test_check_failure_fails_report():
     # the structured restart still reaches the closed form, so this passes;
     # flipping a check by hand exercises the aggregation
     bad = CapacityReport(
-        channel=rep.channel,
         closed_form=rep.closed_form,
         checks=(type(rep.checks[0])("forced", False, 1.0, 0.0, 0.1),),
     )

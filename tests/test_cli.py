@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -6,6 +7,7 @@ import pytest
 
 from chancap import capacity
 from chancap.cli import main
+from chancap.optimize import OptimizerConfig
 
 CHI_HALF = 0.18872187554086717
 PERIODIC_09_05 = 0.45116245921245546
@@ -357,7 +359,7 @@ def test_capacity_convex_rejects_bad_gammas(capsys, gammas):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, fmt):
     def report(d, lam):
-        return capacity.CapacityReport(channel={}, closed_form=float("nan"))
+        return capacity.CapacityReport(closed_form=float("nan"))
 
     monkeypatch.setattr(capacity, "report_depolarizing", report)
     argv = ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5", "--format", fmt]
@@ -381,13 +383,17 @@ def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, fmt):
         (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"out": 5}, "out"),
         (["capacity", "periodic", "--d", "2"], {"lambdas": "0.9,,0.5,"}, "lambdas"),
         (["capacity", "periodic", "--d", "2"], {"lambdas": [0.9, "", 0.5]}, "lambdas"),
+        # a key repeated inside one object, given as raw JSON text
+        (["capacity", "depolarizing"], '{"d": 2, "lambda": 0.5, "lambda": 0.9}', "lambda"),
+        (["capacity", "depolarizing"], '{"channel": {"d": 2, "lambda": 0.5, "lambda": 0.9}}', "lambda"),
     ],
     ids=["lam", "d-twice", "restarts-twice", "d-float", "seed-float", "lambdas-text",
-         "format", "timings", "out", "lambdas-empty-entry", "lambdas-empty-item"],
+         "format", "timings", "out", "lambdas-empty-entry", "lambdas-empty-item",
+         "lambda-repeated", "channel-lambda-repeated"],
 )
 def test_config_rejects_bad_value(tmp_path, capsys, argv, cfg, key):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     code, out, err = run(capsys, argv + ["--config", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -460,3 +466,29 @@ def test_help_lists_declared_flags(capsys, command, flags):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text)) == flags | _COMMON_FLAGS
+
+
+# a value other than the default for every OptimizerConfig field
+_BUDGET_VALUES = {"restarts": 3, "iters": 7, "seed": 11, "tol": 1e-3}
+
+
+@pytest.mark.parametrize("family", ["additivity", "theorem1", "theorem2"])
+def test_every_optimizer_setting_has_a_flag_and_config_key(tmp_path, capsys, monkeypatch, family):
+    # each search setting reaches the search from its flag and from the
+    # optimizer config block, so none is settable only from code
+    names = [f.name for f in dataclasses.fields(OptimizerConfig)]
+    budget = {name: _BUDGET_VALUES[name] for name in names}
+    seen = []
+
+    def verify(*args):
+        seen.append(args[-1])
+        return capacity.CapacityReport(closed_form=0.0)
+
+    monkeypatch.setattr(capacity, f"verify_{family}", verify)
+    channel = ["--d", "2"] + (["--lambda", "0.5"] if family == "additivity" else ["--lambdas", "0.9,0.5"])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"optimizer": budget}))
+    flags = [arg for name, value in budget.items() for arg in (f"--{name}", str(value))]
+    for argv in (flags, ["--config", str(path)]):
+        assert run(capsys, ["verify", family] + channel + argv)[0] == 0
+    assert seen == [OptimizerConfig(**budget)] * 2
