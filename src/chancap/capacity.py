@@ -198,8 +198,10 @@ def verify_theorem1(
     """Periodic-channel verification: the ascent over shared product
     ensembles must match the closed form, and an entangled search over the
     two-use channel (the uniform mixture of the two-fold branch products)
-    must not beat it per use."""
+    must not beat it per use.  Both searches use one seed, drawn once when
+    `cfg` gives none."""
     closed = capacity_periodic_depolarizing(d, lambdas)
+    cfg = cfg.seeded()
     branches = [depolarizing(d, lam) for lam in lambdas]
     periodic = PeriodicChannel(tuple(branches))
 
@@ -267,8 +269,10 @@ def verify_theorem2(
 ) -> CapacityReport:
     """Convex-combination verification: the one-use maximin ascent must
     match the worst-branch closed form, and the two-use maximin over the
-    doubled branches must not beat it per use."""
+    doubled branches must not beat it per use.  Both searches use one seed,
+    drawn once when `cfg` gives none."""
     closed = capacity_convex_depolarizing(d, lambdas)
+    cfg = cfg.seeded()
     n_branches = len(lambdas)
     if gammas is None:
         gammas = np.full(n_branches, 1.0 / n_branches)

@@ -20,10 +20,10 @@ from .states import DensityMatrix
 COMPLETENESS_TOL = 1e-9
 # Product channels are materialized on demand; this caps their total dimension.
 MAX_PRODUCT_DIM = 16
-GAMMA_SUM_TOL = 1e-12
+WEIGHT_SUM_TOL = 1e-12  # every probability vector: weights, gammas, ensembles
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPT map given by operator-sum terms.
 
@@ -46,7 +46,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus", kraus)
         gram = sum(k.conj().T @ k for k in kraus)
         defect = np.max(np.abs(gram - np.eye(self.din)))
-        if defect > COMPLETENESS_TOL:
+        if not defect <= COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus terms are not trace preserving (sum K^dag K defect {defect:.3e})"
             )
@@ -84,7 +84,7 @@ class DepolarizingParams:
             raise CPViolationError(self.d, self.lam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicChannel:
     """Cycles through `branches` with a uniformly random starting phase."""
 
@@ -110,14 +110,14 @@ class PeriodicChannel:
 
 def check_weights(weights: np.ndarray, count: int, name: str):
     """Raise ValueError unless `weights` holds `count` nonnegative numbers
-    summing to 1 within GAMMA_SUM_TOL (NaN fails both tests)."""
+    summing to 1 within WEIGHT_SUM_TOL (NaN fails both tests)."""
     if weights.ndim != 1 or weights.size != count:
-        raise ValueError(f"need one {name} per branch, got {weights.size} for {count}")
-    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= GAMMA_SUM_TOL):
+        raise ValueError(f"need {count} {name}s, got {weights.size}")
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
         raise ValueError(f"{name}s must be a probability vector, got {weights.tolist()}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexCombinationChannel:
     """Applies one memoryless branch to the whole codeword, drawn once
     with the given probabilities."""

@@ -65,7 +65,9 @@ _OPTIONAL = ("gammas",)
 _OPTIMIZER = {
     "restarts": {"type": int},
     "iters": {"type": int},
-    "m": {"type": int, "help": "ensemble size (default: input dim squared)"},
+    "m": {"type": int, "help": "ensemble size (default: input dim squared) of the two-use "
+          "search in additivity and of the one-use search in theorem1/theorem2, whose "
+          "two-use searches always use input dim squared"},
     "tol": {"type": float, "help": "duality-gap stop (bits) of the final probability step"},
 }
 _COMMON = {
@@ -268,16 +270,13 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "capacity":
         report = getattr(capacity, function)(*params)
         return _payload(args.invoked, inputs, report.results_dict(), seed=args.seed), 0
-    seed = args.seed
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy)
-    budget = {key: getattr(args, key) for key in ("restarts", "iters", "tol")}
-    cfg = OptimizerConfig(seed=seed, **{k: v for k, v in budget.items() if v is not None})
+    budget = {key: getattr(args, key) for key in ("restarts", "iters", "seed", "tol")}
+    cfg = OptimizerConfig(**{k: v for k, v in budget.items() if v is not None}).seeded()
     # "d" keeps its first place; the other channel parameters follow the budget
     inputs = {"d": args.d, "m": args.m, "restarts": cfg.restarts, "iters": cfg.iters,
               "tol": cfg.tol, **inputs}
     report = getattr(capacity, function)(*params, args.m, cfg)
-    payload = _payload(args.invoked, inputs, report.results_dict(), report.checks, seed=seed)
+    payload = _payload(args.invoked, inputs, report.results_dict(), report.checks, seed=cfg.seed)
     return payload, 0 if report.passed else 1
 
 

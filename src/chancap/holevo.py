@@ -12,12 +12,11 @@ from .entropy import shannon_entropy, von_neumann_entropy, relative_entropy
 from .errors import DimensionMismatchError
 from .states import DensityMatrix
 
-PROB_SUM_TOL = 1e-12
 POVM_COMPLETENESS_TOL = 1e-9
 POVM_EIGENVALUE_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """States with probabilities {p_j, rho_j}."""
 
@@ -32,10 +31,7 @@ class Ensemble:
         object.__setattr__(self, "states", states)
         if not states:
             raise ValueError("ensemble needs at least one state")
-        if probs.ndim != 1 or probs.size != len(states):
-            raise ValueError("need one probability per state")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probs must be a probability vector, got {probs.tolist()}")
+        channels.check_weights(probs, len(states), "prob")
         if any(s.dim != states[0].dim for s in states):
             raise DimensionMismatchError("all ensemble states must share one dimension")
 
@@ -44,7 +40,7 @@ class Ensemble:
         return self.states[0].dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Positive operators summing to the identity."""
 
@@ -60,12 +56,12 @@ class Povm:
         d = elems[0].shape[0]
         if any(e.shape != (d, d) for e in elems):
             raise ValueError("POVM elements must be square matrices of equal dimension")
-        for e in elems:
-            if np.linalg.eigvalsh(e)[0] < POVM_EIGENVALUE_FLOOR:
-                raise ValueError("POVM element has a negative eigenvalue")
         defect = np.max(np.abs(sum(elems) - np.eye(d)))
-        if defect > POVM_COMPLETENESS_TOL:
+        if not defect <= POVM_COMPLETENESS_TOL:
             raise ValueError(f"POVM elements do not sum to identity (defect {defect:.3e})")
+        for e in elems:
+            if not np.linalg.eigvalsh(e)[0] >= POVM_EIGENVALUE_FLOOR:
+                raise ValueError("POVM element has a negative eigenvalue")
 
     @property
     def dim(self) -> int:

@@ -28,17 +28,18 @@ row have each gained less than 1e-10: it leaves the batch and its unused
 moves, and rejoins the others only for the final probability step.
 
 The pseudo-random source is numpy's PCG64; restart r draws from the r-th
-child of SeedSequence(seed), in the same order whatever else is in the batch,
-so runs are reproducible and each restart's outcome depends neither on the
-restart count nor on batching.  Restart 0 starts from the uniform
-computational-basis ensemble, the rest from random pure states.
+child of SeedSequence(seed) alone, so runs are reproducible and each
+restart's outcome depends neither on the restart count nor on batching.
+Every restart starts from m random pure states, none at a known optimum;
+then, at the start of each sweep, it draws its m step sizes in one call and
+their Gaussian noise in one more.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +68,7 @@ class OptimizerConfig:
     The `restarts` run in lockstep, one sweep of `m` proposals at a time, for
     at most `iters` sweeps; a restart freezes once _PATIENCE proposals in a
     row have gained almost nothing.  `seed` picks the pseudo-random streams
-    (None draws one).
+    (None draws one per run, see `seeded`).
 
     `tol` is the duality-gap stop (bits) of the Blahut-Arimoto probability
     step run after the last sweep; that step also stops after _PROB_ITERS
@@ -84,6 +85,12 @@ class OptimizerConfig:
             raise ValueError("restarts and iters must be positive")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
+
+    def seeded(self) -> OptimizerConfig:
+        """This budget with a seed: its own, or a freshly drawn one."""
+        if self.seed is not None:
+            return self
+        return replace(self, seed=int(np.random.SeedSequence().entropy))
 
 
 @dataclass(frozen=True)
@@ -313,26 +320,19 @@ class _Ascent:
         return gain >= _MIN_IMPROVEMENT
 
 
-def _initial_states(dim: int, m: int, rng: np.random.Generator, structured: bool) -> np.ndarray:
-    if structured:
-        return np.eye(dim, dtype=np.complex128)[np.arange(m) % dim]
+def _initial_states(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
     psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
 def _moves(m: int, dim: int, envelope: float, rngs) -> np.ndarray:
-    """A sweep's random moves, shape (len(rngs), m, dim): restart n draws a
-    step and then its noise from rngs[n] for each member in turn."""
-    steps, noise = [], []
-    for rng in rngs:
-        for _ in range(m):
-            # spread proposals over two decades below the decaying envelope
-            # so fine refinements are tried long before the envelope shrinks
-            steps.append(envelope * 10.0 ** (-2.0 * rng.random()))
-            noise.append(rng.normal(size=2 * dim))
-    steps = np.reshape(steps, (len(rngs), m, 1))
-    noise = np.reshape(noise, (len(rngs), m, 2 * dim))
-    return steps * (noise[..., :dim] + 1j * noise[..., dim:])
+    """A sweep's random moves, shape (len(rngs), m, dim): restart n draws
+    its m steps in one call to rngs[n] and their noise in one more."""
+    # spread proposals over two decades below the decaying envelope so fine
+    # refinements are tried long before the envelope shrinks
+    steps = np.stack([envelope * 10.0 ** (-2.0 * rng.random(m)) for rng in rngs])
+    noise = np.stack([rng.normal(size=(m, 2 * dim)) for rng in rngs])
+    return steps[..., None] * (noise[..., :dim] + 1j * noise[..., dim:])
 
 
 def _ascend(
@@ -412,10 +412,10 @@ def _maximize(
         m = dim * dim
     if m < 1:
         raise ValueError(f"ensemble size must be positive, got {m}")
-    seed = cfg.seed if cfg.seed is not None else np.random.SeedSequence().entropy
-    children = np.random.SeedSequence(seed).spawn(cfg.restarts)
+    cfg = cfg.seeded()
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
-    psis = np.stack([_initial_states(dim, m, rng, r == 0) for r, rng in enumerate(rngs)])
+    psis = np.stack([_initial_states(dim, m, rng) for rng in rngs])
     transfer = np.stack([b.transfer for b in branches])
     outcomes = _ascend(transfer, mode, psis, cfg, rngs)
 
@@ -428,7 +428,7 @@ def _maximize(
         value=evaluate(ensemble),
         ensemble=ensemble,
         converged=best.converged,
-        seed=int(seed),
+        seed=cfg.seed,
         duality_gap=best.duality_gap,
     )
 

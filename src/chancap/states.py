@@ -21,7 +21,7 @@ def _as_complex(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace positive semidefinite operator.
 
@@ -37,13 +37,13 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
         herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if herm_defect > HERMITICITY_TOL:
+        if not herm_defect <= HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
         tr = mat.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
         w = np.linalg.eigvalsh(mat)
-        if w[0] < EIGENVALUE_FLOOR:
+        if not w[0] >= EIGENVALUE_FLOOR:
             raise ValueError(f"negative eigenvalue {w[0]:.3e} below tolerance")
 
     @property
@@ -51,7 +51,7 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm state vector."""
 
@@ -63,7 +63,7 @@ class PureState:
         if amps.ndim != 1 or amps.size < 1:
             raise ValueError(f"amplitudes must be a nonempty vector, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm must be 1, got {norm}")
 
     @property
@@ -74,7 +74,7 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Real eigenvalues in descending order."""
 
@@ -84,8 +84,8 @@ class Spectrum:
         vals = np.array(self.values, dtype=np.float64)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if np.any(np.diff(vals) > 0):
-            raise ValueError("spectrum values must be in descending order")
+        if np.isnan(vals).any() or np.any(np.diff(vals) > 0):
+            raise ValueError("spectrum values must be numbers in descending order")
 
 
 def basis_state(dim: int, k: int) -> PureState:

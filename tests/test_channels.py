@@ -5,9 +5,14 @@ from chancap import (
     CapabilityError,
     ConvexCombinationChannel,
     CPViolationError,
+    DensityMatrix,
     DimensionMismatchError,
+    Ensemble,
     KrausChannel,
     PeriodicChannel,
+    Povm,
+    PureState,
+    Spectrum,
     apply,
     apply_convex,
     apply_periodic,
@@ -249,6 +254,48 @@ def test_weights_reject_nan():
         ConvexCombinationChannel(branches, [float("nan"), float("nan")])
     with pytest.raises(ValueError, match="probability"):
         mix_channels(branches, [float("nan"), 1.0])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Ensemble([NAN, NAN], (maximally_mixed(2), maximally_mixed(2))),
+        lambda: DensityMatrix(np.full((2, 2), NAN)),
+        lambda: KrausChannel((np.eye(2), np.full((2, 2), NAN))),
+        lambda: Povm((np.eye(2) / 2, np.full((2, 2), NAN))),
+        lambda: PureState([NAN, NAN]),
+        lambda: Spectrum([NAN]),
+    ],
+    ids=["Ensemble", "DensityMatrix", "KrausChannel", "Povm", "PureState", "Spectrum"],
+)
+def test_constructors_reject_nan(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: maximally_mixed(2),
+        lambda: basis_state(2, 0),
+        lambda: eigenvalues(maximally_mixed(2)),
+        lambda: depolarizing(2, 0.5),
+        lambda: PeriodicChannel((depolarizing(2, 0.9), depolarizing(2, 0.5))),
+        lambda: ConvexCombinationChannel((depolarizing(2, 0.9),), [1.0]),
+        lambda: Ensemble([1.0], (maximally_mixed(2),)),
+        lambda: Povm((np.eye(2),)),
+    ],
+    ids=["DensityMatrix", "PureState", "Spectrum", "KrausChannel", "PeriodicChannel",
+         "ConvexCombinationChannel", "Ensemble", "Povm"],
+)
+def test_array_holders_compare_by_identity(build):
+    # comparing or hashing the arrays inside would raise
+    a, b = build(), build()
+    assert not a == b and a != b
+    assert {a: 1, b: 2}[a] == 1
 
 
 @pytest.mark.parametrize("d", [2, 3])

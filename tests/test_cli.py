@@ -78,11 +78,31 @@ def test_verify_byte_identical_output(capsys):
 def test_verify_generates_and_reports_seed(capsys):
     argv = [
         "verify", "additivity", "--d", "2", "--lambda", "1.0",
-        "--restarts", "1", "--iters", "30", "--m", "4",
+        "--restarts", "1", "--iters", "300", "--m", "4",
     ]
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert isinstance(json.loads(out)["seed"], int)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [
+        ["additivity", "--lambda", "0.5"],
+        ["theorem1", "--lambdas", "0.9,0.5"],
+        ["theorem2", "--lambdas", "0.9,0.5"],
+    ],
+)
+def test_crippled_budget_fails_low(capsys, channel):
+    # no restart starts at the known optimum, so one restart of five sweeps
+    # falls short of the closed form and the run fails
+    argv = ["verify", channel[0], "--d", "2", *channel[1:],
+            "--restarts", "1", "--iters", "5", "--seed", "7"]
+    code, out, _ = run(capsys, argv)
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert code == 1 and failed
+    for check in failed:
+        assert check["value"] < check["bound"] - check["tol"]
 
 
 def test_verify_theorem1(capsys):

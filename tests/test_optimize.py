@@ -77,6 +77,21 @@ def test_determinism_same_seed():
         np.testing.assert_array_equal(sa.mat, sb.mat)
 
 
+def test_no_restart_starts_at_the_computational_basis(monkeypatch):
+    starts = []
+
+    def ascend(transfer, mode, psis, cfg, rngs):
+        starts.append(psis)
+        return _ascend(transfer, mode, psis, cfg, rngs)
+
+    monkeypatch.setattr(optimize, "_ascend", ascend)
+    maximize_chi(depolarizing(2, 0.5), 4, OptimizerConfig(restarts=4, iters=1, seed=0))
+    (psis,) = starts
+    assert psis.shape == (4, 4, 2)
+    # a basis vector, up to phase, has one amplitude of modulus 1
+    assert np.abs(psis).max() < 1 - 1e-6
+
+
 def _transfers(channels):
     """The (branches, dout^2, din^2) array the optimizer takes."""
     return np.stack([ch.transfer for ch in channels])
@@ -86,7 +101,7 @@ def _restart_streams(seed, restarts, dim, m):
     """Per-restart generators and start states, drawn as _maximize does."""
     children = np.random.SeedSequence(seed).spawn(restarts)
     rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
-    psis = np.stack([_initial_states(dim, m, rng, r == 0) for r, rng in enumerate(rngs)])
+    psis = np.stack([_initial_states(dim, m, rng) for rng in rngs])
     return rngs, psis
 
 
