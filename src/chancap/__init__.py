@@ -45,7 +45,6 @@ from .holevo import (
 from .optimize import (
     OptimizerConfig,
     OptResult,
-    additivity_gap,
     maximize_avg_chi,
     maximize_chi,
     maximize_min_chi,
@@ -107,7 +106,6 @@ __all__ = [
     "maximize_chi",
     "maximize_avg_chi",
     "maximize_min_chi",
-    "additivity_gap",
     # capacity
     "CapacityReport",
     "s_min_depolarizing",

@@ -39,6 +39,9 @@ from .errors import CPViolationError
 from .optimize import OptimizerConfig
 
 
+MAX_SWEEP_POINTS = 100_000  # most rows one sweep tabulates
+
+
 class _NonFinite(ArithmeticError):
     """A report value is NaN or infinite."""
 
@@ -236,6 +239,9 @@ def _payload(command: str, inputs: dict, results: dict, checks=(), seed=None) ->
 
 
 def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
+    for name, value in (("lambda_from", lo), ("lambda_to", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{_flag(name)} must be finite, got {value}")
     DepolarizingParams(d, 1.0)  # rejects d < 2 before the grid bounds divide by d*d - 1
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -244,7 +250,13 @@ def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
     cp_lo = -1.0 / (d * d - 1)
     if lo < cp_lo - 1e-12 or hi > 1.0 + 1e-12:
         raise CPViolationError(d, lo if lo < cp_lo - 1e-12 else hi)
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    # the grid has floor(steps) + 1 points; steps is infinite for a tiny step
+    steps = (hi - lo) / step + 1e-9
+    if steps >= MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"grid of more than {MAX_SWEEP_POINTS} points; raise --step or narrow the range"
+        )
+    count = int(np.floor(steps)) + 1
     rows = []
     for k in range(count):
         lam = min(lo + k * step, 1.0)

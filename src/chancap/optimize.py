@@ -457,13 +457,3 @@ def maximize_min_chi(
     lowest branch index."""
     return _maximize(ch.branches, "min", m, cfg, lambda ens: holevo.chi_branch_min(ch, ens))
 
-
-def additivity_gap(
-    ch: KrausChannel,
-    chi_star_single: float,
-    m: int | None = None,
-    cfg: OptimizerConfig = OptimizerConfig(),
-) -> float:
-    """Best entangled two-use value found, minus 2 * chi_star_single; a
-    positive gap beyond optimizer noise would contradict additivity."""
-    return maximize_chi(ch, m, cfg).value - 2.0 * chi_star_single

@@ -6,15 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chancap import (
+    ConvexCombinationChannel,
     CPViolationError,
     capacity_convex_depolarizing,
     capacity_periodic_depolarizing,
     chi,
+    chi_branch_min,
     chi_periodic_average,
     chi_star_depolarizing,
     depolarizing,
     PeriodicChannel,
+    periodic_branch,
     s_min_depolarizing,
+    tensor_channels,
     uniform_orthonormal_ensemble,
     verify_additivity,
     verify_theorem1,
@@ -31,6 +35,13 @@ CHI_HALF = 0.18872187554086717
 CHI_09 = 0.7136030428840438
 PERIODIC_09_05 = 0.45116245921245546
 CHI_BOUNDARY = 0.08170416594551044
+
+TWO_SEARCH_CHECKS = [
+    "one_use_no_excess",
+    "one_use_reaches_closed_form",
+    "two_use_no_excess",
+    "two_use_reaches_closed_form",
+]
 
 
 def test_s_min_examples():
@@ -103,10 +114,10 @@ def test_uniform_basis_achieves_periodic_capacity():
 
 
 @st.composite
-def branch_sets(draw, max_branches=4):
-    """A dimension d in {2, 3, 4} and 1..max_branches parameters in its
+def branch_sets(draw, max_branches=4, dims=(2, 3, 4)):
+    """A dimension d from `dims` and 1..max_branches parameters in its
     completely positive range [-1/(d^2 - 1), 1]."""
-    d = draw(st.sampled_from([2, 3, 4]))
+    d = draw(st.sampled_from(dims))
     lam = st.floats(-1.0 / (d * d - 1), 1.0)
     return d, draw(st.lists(lam, min_size=1, max_size=max_branches))
 
@@ -132,6 +143,25 @@ def test_memory_closed_forms_from_branch_capacities(branches, data):
     assert report_convex(d, lambdas, gammas).closed_form == min(stars)
 
 
+@settings(derandomize=True, deadline=None)
+@given(branch_sets(dims=(2, 3)))
+def test_two_use_targets_reached_by_product_basis(branches):
+    # the verify drivers' two-use targets 2C are attained: the product of two
+    # uniform computational-basis ensembles is the basis of the two-use input
+    d, lambdas = branches
+    product = uniform_orthonormal_ensemble(d * d)
+    periodic = PeriodicChannel(tuple(depolarizing(d, lam) for lam in lambdas))
+    pairs = PeriodicChannel(tuple(periodic_branch(periodic, i, 2) for i in range(periodic.period)))
+    assert chi_periodic_average(pairs, product) == pytest.approx(
+        2 * capacity_periodic_depolarizing(d, lambdas), abs=1e-12
+    )
+    doubled = tuple(tensor_channels([b] * 2) for b in periodic.branches)
+    convex = ConvexCombinationChannel(doubled, np.full(len(doubled), 1.0 / len(doubled)))
+    assert chi_branch_min(convex, product) == pytest.approx(
+        2 * capacity_convex_depolarizing(d, lambdas), abs=1e-12
+    )
+
+
 def test_capacity_reports():
     rep = report_depolarizing(2, 0.5)
     assert rep.closed_form == pytest.approx(CHI_HALF, abs=1e-12)
@@ -150,10 +180,8 @@ def test_verify_additivity_small_budget():
     assert rep.passed
     assert rep.closed_form == pytest.approx(2 * CHI_HALF, abs=1e-12)
     assert rep.gap == pytest.approx(rep.optimizer_value - rep.closed_form, abs=1e-15)
-    assert {c.name for c in rep.checks} == {
-        "no_excess_over_additivity",
-        "optimizer_reaches_closed_form",
-    }
+    assert [c.name for c in rep.checks] == ["two_use_no_excess", "two_use_reaches_closed_form"]
+    assert all(c.value == rep.optimizer_value and c.bound == rep.closed_form for c in rep.checks)
 
 
 def test_verify_theorem1_small_budget():
@@ -161,9 +189,9 @@ def test_verify_theorem1_small_budget():
     assert rep.passed
     assert rep.closed_form == pytest.approx(PERIODIC_09_05, abs=1e-12)
     assert rep.optimizer_value == pytest.approx(PERIODIC_09_05, abs=1e-3)
-    assert rep.extras["two_use_rate"] <= rep.closed_form + 1e-2
-    # convexity cross-check is part of the report
-    assert rep.extras["two_use_chi"] <= rep.extras["two_use_branch_avg_chi"] + 1e-9
+    assert [c.name for c in rep.checks] == TWO_SEARCH_CHECKS
+    # the two-use search runs on the cyclic branch products, against 2C
+    assert all(c.bound == 2 * rep.closed_form for c in rep.checks[2:])
 
 
 def test_verify_theorem2_small_budget():
@@ -171,7 +199,8 @@ def test_verify_theorem2_small_budget():
     assert rep.passed
     assert rep.closed_form == pytest.approx(CHI_HALF, abs=1e-12)
     assert rep.optimizer_value == pytest.approx(CHI_HALF, abs=1e-3)
-    assert rep.extras["two_use_rate"] <= rep.closed_form + 1e-2
+    assert [c.name for c in rep.checks] == TWO_SEARCH_CHECKS
+    assert all(c.bound == 2 * rep.closed_form for c in rep.checks[2:])
 
 
 @pytest.mark.parametrize(
@@ -201,9 +230,9 @@ def test_check_failure_fails_report():
     # one random restart of 30 sweeps falls short of the closed form, and
     # only the lower-side check says so
     failed = {c.name: c for c in rep.checks if not c.passed}
-    assert not rep.passed and set(failed) == {"optimizer_reaches_closed_form"}
-    short = failed["optimizer_reaches_closed_form"]
-    assert short.value < -short.tol
+    assert not rep.passed and set(failed) == {"two_use_reaches_closed_form"}
+    short = failed["two_use_reaches_closed_form"]
+    assert short.value < short.bound - short.tol
     # flipping a check by hand exercises the aggregation
     bad = CapacityReport(
         closed_form=rep.closed_form,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chancap import capacity
-from chancap.cli import main
+from chancap.cli import MAX_SWEEP_POINTS, main
 from chancap.optimize import OptimizerConfig
 
 CHI_HALF = 0.18872187554086717
@@ -88,21 +88,26 @@ def test_verify_generates_and_reports_seed(capsys):
 @pytest.mark.parametrize(
     "channel",
     [
-        ["additivity", "--lambda", "0.5"],
-        ["theorem1", "--lambdas", "0.9,0.5"],
-        ["theorem2", "--lambdas", "0.9,0.5"],
+        ["additivity", "--lambda", "0.5", "--restarts", "1", "--iters", "5", "--seed", "7"],
+        ["theorem1", "--lambdas", "0.9,0.5", "--restarts", "1", "--iters", "5", "--seed", "7"],
+        ["theorem2", "--lambdas", "0.9,0.5", "--restarts", "1", "--iters", "5", "--seed", "7"],
+        ["theorem1", "--lambdas", "0.9,0.5", "--iters", "1", "--seed", "7"],
+        ["theorem2", "--lambdas", "0.9,0.5", "--iters", "1", "--seed", "7"],
+        ["theorem1", "--lambdas", "0.9,0.5", "--restarts", "1", "--iters", "5", "--seed", "0"],
+        ["theorem2", "--lambdas", "0.9,0.5", "--restarts", "1", "--iters", "5", "--seed", "0"],
     ],
 )
 def test_crippled_budget_fails_low(capsys, channel):
-    # no restart starts at the known optimum, so one restart of five sweeps
-    # falls short of the closed form and the run fails
-    argv = ["verify", channel[0], "--d", "2", *channel[1:],
-            "--restarts", "1", "--iters", "5", "--seed", "7"]
+    # no restart starts at the known optimum, so one restart of five sweeps,
+    # or 32 restarts of one sweep, fall short of a closed form and the run fails
+    argv = ["verify", channel[0], "--d", "2", *channel[1:]]
     code, out, _ = run(capsys, argv)
-    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    failed = {c["name"]: c for c in json.loads(out)["checks"] if not c["pass"]}
     assert code == 1 and failed
-    for check in failed:
+    for check in failed.values():
         assert check["value"] < check["bound"] - check["tol"]
+    if channel[channel.index("--iters") + 1] == "1":
+        assert "two_use_reaches_closed_form" in failed
 
 
 def test_verify_theorem1(capsys):
@@ -180,6 +185,23 @@ def test_sweep_rejects_bad_grid(capsys):
         ["sweep", "--d", "2", "--lambda-from", "-0.9", "--lambda-to", "1", "--step", "0.5"],
     )
     assert code == 2 and "completely positive" in err
+
+
+@pytest.mark.parametrize("flag", ["--lambda-from", "--lambda-to", "--step"])
+def test_sweep_rejects_nan(capsys, flag):
+    argv = ["sweep", "--d", "2", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.5"]
+    argv[argv.index(flag) + 1] = "nan"
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be finite, got nan\n"
+
+
+def test_sweep_rejects_grid_over_cap(capsys):
+    # 111,112 points, just over the cap; rejected before any row is built
+    argv = ["sweep", "--d", "2", "--lambda-from", "0", "--lambda-to", "1", "--step", "9e-6"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"more than {MAX_SWEEP_POINTS} points" in err
 
 
 @pytest.mark.parametrize("d", ["1", "0"])
