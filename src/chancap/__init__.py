@@ -3,120 +3,76 @@
 Closed-form Holevo capacities for depolarizing, periodic and
 convex-combination channels, plus an independent ensemble optimizer used to
 verify the closed forms and the additivity of the capacity at desk scale.
+
+`import chancap` loads no submodule and no numpy.  The first access of an
+exported name imports every submodule and binds every export, as an eager
+import would; a submodule attribute such as `chancap.capacity` imports that
+submodule alone.  `chancap.capacity` (the closed forms and the reports),
+`chancap.params` and `chancap.errors` need the standard library alone, which
+is what lets the CLI's `capacity` and `sweep` commands run without numpy;
+the other submodules and the `verify_*` drivers need numpy.
 """
 
-from .capacity import (
-    CapacityReport,
-    capacity_convex_depolarizing,
-    capacity_periodic_depolarizing,
-    chi_star_depolarizing,
-    s_min_depolarizing,
-    verify_additivity,
-    verify_theorem1,
-    verify_theorem2,
-)
-from .channels import (
-    ConvexCombinationChannel,
-    DepolarizingParams,
-    KrausChannel,
-    PeriodicChannel,
-    apply,
-    apply_convex,
-    apply_periodic,
-    depolarizing,
-    identity_channel,
-    mix_channels,
-    periodic_branch,
-    tensor_channels,
-)
-from .entropy import relative_entropy, shannon_entropy, von_neumann_entropy
-from .errors import CapabilityError, CPViolationError, DimensionMismatchError
-from .holevo import (
-    Ensemble,
-    Povm,
-    chi,
-    chi_branch_min,
-    chi_periodic_average,
-    chi_via_relative_entropy,
-    mutual_information,
-    random_povm,
-    uniform_orthonormal_ensemble,
-)
-from .optimize import (
-    OptimizerConfig,
-    OptResult,
-    maximize_avg_chi,
-    maximize_chi,
-    maximize_min_chi,
-)
-from .states import (
-    DensityMatrix,
-    PureState,
-    Spectrum,
-    basis_state,
-    eigenvalues,
-    maximally_mixed,
-    partial_trace,
-    tensor,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
+# exported name -> the submodule that defines it
+_EXPORTS = {
     # states
-    "DensityMatrix",
-    "PureState",
-    "Spectrum",
-    "basis_state",
-    "maximally_mixed",
-    "tensor",
-    "partial_trace",
-    "eigenvalues",
+    **dict.fromkeys(
+        ("DensityMatrix", "PureState", "Spectrum", "basis_state", "maximally_mixed",
+         "tensor", "partial_trace", "eigenvalues"),
+        "states",
+    ),
     # entropy
-    "von_neumann_entropy",
-    "relative_entropy",
-    "shannon_entropy",
+    **dict.fromkeys(("von_neumann_entropy", "relative_entropy", "shannon_entropy"), "entropy"),
     # channels
-    "KrausChannel",
-    "DepolarizingParams",
-    "PeriodicChannel",
-    "ConvexCombinationChannel",
-    "depolarizing",
-    "identity_channel",
-    "apply",
-    "tensor_channels",
-    "periodic_branch",
-    "apply_periodic",
-    "apply_convex",
-    "mix_channels",
+    "KrausChannel": "channels",
+    "DepolarizingParams": "params",
+    **dict.fromkeys(
+        ("PeriodicChannel", "ConvexCombinationChannel", "depolarizing", "identity_channel",
+         "apply", "tensor_channels", "periodic_branch", "apply_periodic", "apply_convex",
+         "mix_channels"),
+        "channels",
+    ),
     # holevo
-    "Ensemble",
-    "Povm",
-    "chi",
-    "chi_via_relative_entropy",
-    "mutual_information",
-    "chi_periodic_average",
-    "chi_branch_min",
-    "random_povm",
-    "uniform_orthonormal_ensemble",
+    **dict.fromkeys(
+        ("Ensemble", "Povm", "chi", "chi_via_relative_entropy", "mutual_information",
+         "chi_periodic_average", "chi_branch_min", "random_povm", "uniform_orthonormal_ensemble"),
+        "holevo",
+    ),
     # optimize
-    "OptimizerConfig",
-    "OptResult",
-    "maximize_chi",
-    "maximize_avg_chi",
-    "maximize_min_chi",
+    **dict.fromkeys(
+        ("OptimizerConfig", "OptResult", "maximize_chi", "maximize_avg_chi", "maximize_min_chi"),
+        "optimize",
+    ),
     # capacity
-    "CapacityReport",
-    "s_min_depolarizing",
-    "chi_star_depolarizing",
-    "capacity_periodic_depolarizing",
-    "capacity_convex_depolarizing",
-    "verify_additivity",
-    "verify_theorem1",
-    "verify_theorem2",
+    **dict.fromkeys(
+        ("CapacityReport", "s_min_depolarizing", "chi_star_depolarizing",
+         "capacity_periodic_depolarizing", "capacity_convex_depolarizing",
+         "verify_additivity", "verify_theorem1", "verify_theorem2"),
+        "capacity",
+    ),
     # errors
-    "DimensionMismatchError",
-    "CPViolationError",
-    "CapabilityError",
-]
+    **dict.fromkeys(("DimensionMismatchError", "CPViolationError", "CapabilityError"), "errors"),
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    """Resolve a submodule or an export not yet bound (PEP 562)."""
+    if name in _EXPORTS.values():
+        # `from . import <submodule>` inside the package also lands here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module in _EXPORTS.values():
+        importlib.import_module(f"{__name__}.{module}")
+    globals().update((export, getattr(globals()[module], export)) for export, module in _EXPORTS.items())
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS.values()))

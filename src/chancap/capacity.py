@@ -7,25 +7,21 @@ fails if the search beats the target by more than MATCH_TOL, and
 `<search>_reaches_closed_form` if it falls short by more than MATCH_TOL (a
 `one_use` search) or TWO_USE_SHORTFALL_TOL (a `two_use` search).  The
 targets are 2 chi* for `verify_additivity`, and the closed form C and 2C for
-`verify_theorem1` and `verify_theorem2`."""
+`verify_theorem1` and `verify_theorem2`.
+
+The closed forms and reports need the standard library alone; the `verify_*`
+drivers import numpy, `channels` and `optimize` when called."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+from .params import DepolarizingParams, check_weights
 
-from . import channels, optimize
-from .channels import (
-    ConvexCombinationChannel,
-    DepolarizingParams,
-    PeriodicChannel,
-    depolarizing,
-    tensor_channels,
-)
-from .optimize import OptimizerConfig
+if TYPE_CHECKING:
+    from .optimize import OptimizerConfig
 
 # Check tolerances in bits: how far any search may rise above its closed-form
 # target, and how far a one-use search may fall below it; a two-use search,
@@ -117,7 +113,8 @@ def capacity_periodic_depolarizing(d: int, lambdas: Sequence[float]) -> float:
     """Product-state capacity of the periodic channel with depolarizing
     branches: log2(d) minus the period-averaged minimum output entropy."""
     _validate_lambdas(d, lambdas)
-    return math.log2(d) - float(np.mean([s_min_depolarizing(d, lam) for lam in lambdas]))
+    s_mins = [s_min_depolarizing(d, lam) for lam in lambdas]
+    return math.log2(d) - sum(s_mins) / len(s_mins)
 
 
 def capacity_convex_depolarizing(d: int, lambdas: Sequence[float]) -> float:
@@ -125,7 +122,7 @@ def capacity_convex_depolarizing(d: int, lambdas: Sequence[float]) -> float:
     channels: the worst branch's Holevo capacity.  The mixing weights do
     not enter."""
     _validate_lambdas(d, lambdas)
-    return float(np.min([chi_star_depolarizing(d, lam) for lam in lambdas]))
+    return min(chi_star_depolarizing(d, lam) for lam in lambdas)
 
 
 def _dimension_note(d: int) -> tuple[str, ...]:
@@ -157,17 +154,22 @@ def report_convex(d: int, lambdas: Sequence[float], gammas: Sequence[float] | No
     entry per branch, as for ConvexCombinationChannel; they do not enter the
     closed form."""
     if gammas is not None:
-        channels.check_weights(np.asarray(gammas, dtype=np.float64), len(lambdas), "gamma")
+        check_weights(gammas, len(lambdas), "gamma")
     return CapacityReport(
         closed_form=capacity_convex_depolarizing(d, lambdas),
         extras={"branch_chi_star": [chi_star_depolarizing(d, l) for l in lambdas]},
     )
 
 
-def _verify(searches, cfg: OptimizerConfig, notes: tuple[str, ...] = ()) -> CapacityReport:
+def _verify(searches, cfg: OptimizerConfig | None, notes: tuple[str, ...] = ()) -> CapacityReport:
     """Run each (name, maximize, channel, m, target) search under one seeded
-    `cfg` and give it the two checks of the module docstring.  The first
-    search gives the report's closed form, optimizer value and duality gap."""
+    `cfg` (default: OptimizerConfig()) and give it the two checks of the
+    module docstring.  The first search gives the report's closed form,
+    optimizer value and duality gap."""
+    if cfg is None:
+        from .optimize import OptimizerConfig
+
+        cfg = OptimizerConfig()
     cfg = cfg.seeded()
     checks, results = [], []
     for name, maximize, channel, m, target in searches:
@@ -199,12 +201,14 @@ def verify_additivity(
     d: int,
     lam: float,
     m: int | None = None,
-    cfg: OptimizerConfig = OptimizerConfig(),
+    cfg: OptimizerConfig | None = None,
 ) -> CapacityReport:
     """One `two_use` search: entangled size-m ensembles on the doubled
     depolarizing channel against twice its single-use capacity, 2 chi*."""
+    from . import channels, optimize
+
     target = 2.0 * chi_star_depolarizing(d, lam)
-    two_use = tensor_channels([depolarizing(d, lam)] * 2)
+    two_use = channels.tensor_channels([channels.depolarizing(d, lam)] * 2)
     return _verify([("two_use", optimize.maximize_chi, two_use, m, target)], cfg)
 
 
@@ -212,7 +216,7 @@ def verify_theorem1(
     d: int,
     lambdas: Sequence[float],
     m: int | None = None,
-    cfg: OptimizerConfig = OptimizerConfig(),
+    cfg: OptimizerConfig | None = None,
 ) -> CapacityReport:
     """Periodic-channel verification against the closed form C: a `one_use`
     search over shared size-m ensembles on the branch average, and a
@@ -220,9 +224,11 @@ def verify_theorem1(
     cyclic two-fold branch products phi_i (x) phi_{i+1}, against 2C.  By
     convexity of chi in the channel that average bounds the two-use channel,
     and by the additivity of each depolarizing product its optimum is 2C."""
+    from . import channels, optimize
+
     closed = capacity_periodic_depolarizing(d, lambdas)
-    periodic = PeriodicChannel(tuple(depolarizing(d, lam) for lam in lambdas))
-    pairs = PeriodicChannel(
+    periodic = channels.PeriodicChannel(tuple(channels.depolarizing(d, lam) for lam in lambdas))
+    pairs = channels.PeriodicChannel(
         tuple(channels.periodic_branch(periodic, i, 2) for i in range(periodic.period))
     )
     searches = [
@@ -237,19 +243,21 @@ def verify_theorem2(
     lambdas: Sequence[float],
     gammas: Sequence[float] | None = None,
     m: int | None = None,
-    cfg: OptimizerConfig = OptimizerConfig(),
+    cfg: OptimizerConfig | None = None,
 ) -> CapacityReport:
     """Convex-combination verification against the worst-branch closed form
     C: a `one_use` maximin search over size-m ensembles, and a `two_use`
     maximin search over entangled ensembles on the doubled branches, against
     2C.  The mixing weights do not enter either target."""
+    from . import channels, optimize
+
     closed = capacity_convex_depolarizing(d, lambdas)
     if gammas is None:
-        gammas = np.full(len(lambdas), 1.0 / len(lambdas))
-    branches = tuple(depolarizing(d, lam) for lam in lambdas)
-    convex = ConvexCombinationChannel(branches, gammas)
-    doubled = ConvexCombinationChannel(
-        tuple(tensor_channels([b] * 2) for b in branches), convex.gammas
+        gammas = [1.0 / len(lambdas)] * len(lambdas)
+    branches = tuple(channels.depolarizing(d, lam) for lam in lambdas)
+    convex = channels.ConvexCombinationChannel(branches, gammas)
+    doubled = channels.ConvexCombinationChannel(
+        tuple(channels.tensor_channels([b] * 2) for b in branches), convex.gammas
     )
     searches = [
         ("one_use", optimize.maximize_min_chi, convex, m, closed),

@@ -14,13 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, CPViolationError, DimensionMismatchError
+from .errors import CapabilityError, DimensionMismatchError
+from .params import DepolarizingParams, check_weights
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
 # Product channels are materialized on demand; this caps their total dimension.
 MAX_PRODUCT_DIM = 16
-WEIGHT_SUM_TOL = 1e-12  # every probability vector: weights, gammas, ensembles
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,21 +69,6 @@ class KrausChannel:
         return s
 
 
-@dataclass(frozen=True)
-class DepolarizingParams:
-    """Dimension and mixing parameter of rho -> lam*rho + (1-lam)*I/d."""
-
-    d: int
-    lam: float
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-        lo = -1.0 / (self.d**2 - 1)
-        if not lo <= self.lam <= 1.0:
-            raise CPViolationError(self.d, self.lam)
-
-
 @dataclass(frozen=True, eq=False)
 class PeriodicChannel:
     """Cycles through `branches` with a uniformly random starting phase."""
@@ -106,15 +91,6 @@ class PeriodicChannel:
     @property
     def d(self) -> int:
         return self.branches[0].din
-
-
-def check_weights(weights: np.ndarray, count: int, name: str):
-    """Raise ValueError unless `weights` holds `count` nonnegative numbers
-    summing to 1 within WEIGHT_SUM_TOL (NaN fails both tests)."""
-    if weights.ndim != 1 or weights.size != count:
-        raise ValueError(f"need {count} {name}s, got {weights.size}")
-    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= WEIGHT_SUM_TOL):
-        raise ValueError(f"{name}s must be a probability vector, got {weights.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)

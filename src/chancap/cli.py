@@ -19,6 +19,9 @@ exits 2 naming the key.
 
 Determinism contract: the same flags and seed produce byte-identical
 output.  Wall-clock timing is therefore reported only with --timings.
+
+`capacity` and `sweep` evaluate closed forms and run on the standard library
+alone; only `verify` imports numpy and the optimizer, when it runs.
 """
 
 from __future__ import annotations
@@ -31,19 +34,16 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from . import capacity
-from .channels import DepolarizingParams
 from .errors import CPViolationError
-from .optimize import OptimizerConfig
+from .params import DepolarizingParams
 
 
 MAX_SWEEP_POINTS = 100_000  # most rows one sweep tabulates
 
 
-class _NonFinite(ArithmeticError):
-    """A report value is NaN or infinite."""
+class _NumericalFailure(ArithmeticError):
+    """An eigensolver did not converge, or a report value is NaN or infinite."""
 
 
 def _float_list(text: str) -> list[float]:
@@ -256,7 +256,7 @@ def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
         raise ValueError(
             f"grid of more than {MAX_SWEEP_POINTS} points; raise --step or narrow the range"
         )
-    count = int(np.floor(steps)) + 1
+    count = math.floor(steps) + 1
     rows = []
     for k in range(count):
         lam = min(lo + k * step, 1.0)
@@ -282,12 +282,19 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
     if args.command == "capacity":
         report = getattr(capacity, function)(*params)
         return _payload(args.invoked, inputs, report.results_dict(), seed=args.seed), 0
+    import numpy as np
+
+    from .optimize import OptimizerConfig
+
     budget = {key: getattr(args, key) for key in ("restarts", "iters", "seed", "tol")}
     cfg = OptimizerConfig(**{k: v for k, v in budget.items() if v is not None}).seeded()
     # "d" keeps its first place; the other channel parameters follow the budget
     inputs = {"d": args.d, "m": args.m, "restarts": cfg.restarts, "iters": cfg.iters,
               "tol": cfg.tol, **inputs}
-    report = getattr(capacity, function)(*params, args.m, cfg)
+    try:
+        report = getattr(capacity, function)(*params, args.m, cfg)
+    except np.linalg.LinAlgError as err:  # a ValueError, which would exit 2
+        raise _NumericalFailure(err) from err
     payload = _payload(args.invoked, inputs, report.results_dict(), report.checks, seed=cfg.seed)
     return payload, 0 if report.passed else 1
 
@@ -308,7 +315,7 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
 def _render(payload: dict, fmt: str, command: str) -> str:
     for key, value in _flatten(payload):
         if isinstance(value, float) and not math.isfinite(value):
-            raise _NonFinite(f"{key} is {value}")
+            raise _NumericalFailure(f"{key} is {value}")
     if fmt == "json":
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
@@ -338,8 +345,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (np.linalg.LinAlgError, _NonFinite) as err:
-        # LinAlgError is a ValueError subclass, so it must be caught first
+    except _NumericalFailure as err:
         print(f"error: numerical failure: {err}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:  # chancap's own errors are ValueErrors

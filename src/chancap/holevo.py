@@ -10,6 +10,7 @@ from . import channels
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .entropy import shannon_entropy, von_neumann_entropy, relative_entropy
 from .errors import DimensionMismatchError
+from .params import check_weights
 from .states import DensityMatrix
 
 POVM_COMPLETENESS_TOL = 1e-9
@@ -31,7 +32,7 @@ class Ensemble:
         object.__setattr__(self, "states", states)
         if not states:
             raise ValueError("ensemble needs at least one state")
-        channels.check_weights(probs, len(states), "prob")
+        check_weights(probs, len(states), "prob")
         if any(s.dim != states[0].dim for s in states):
             raise DimensionMismatchError("all ensemble states must share one dimension")
 

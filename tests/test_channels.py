@@ -246,6 +246,8 @@ def test_apply_convex_weighted_example():
 def test_convex_gamma_validation():
     with pytest.raises(ValueError, match="probability"):
         ConvexCombinationChannel((depolarizing(2, 0.5),), [0.9])
+    with pytest.raises(ValueError, match="flat sequence"):
+        ConvexCombinationChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)), [[0.5], [0.5]])
 
 
 def test_weights_reject_nan():

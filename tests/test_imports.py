@@ -1,0 +1,97 @@
+"""What importing chancap loads: the lazy export table, and the closed-form
+CLI commands running without numpy."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import chancap
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(chancap.__file__)))
+
+# runs chancap.cli.main on its arguments in a fresh interpreter, then prints
+# the exit code and whether numpy was loaded
+_CLI = """
+import io, sys
+from contextlib import redirect_stdout
+from chancap.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def _fresh(code: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+_SWEEP = ["sweep", "--d", "3", "--lambda-from", "0", "--lambda-to", "0.999", "--step", "0.001"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "depolarizing", "--d", "3", "--lambda", "0.37"],
+        ["capacity", "periodic", "--d", "2", "--lambdas", "0.9,0.5,-0.2"],
+        ["capacity", "convex", "--d", "2", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7"],
+        _SWEEP + ["--format", "json"],
+        _SWEEP + ["--format", "csv"],
+    ],
+)
+def test_closed_form_commands_load_no_numpy(argv):
+    assert _fresh(_CLI, *argv) == "0 False"
+
+
+def test_verify_loads_numpy():
+    argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--iters", "2", "--restarts", "1"]
+    code, loaded = _fresh(_CLI, *argv).split()
+    assert loaded == "True" and code in ("0", "1")
+
+
+def test_bare_import_loads_no_numpy_and_resolves_submodules_on_access():
+    code = (
+        "import sys, chancap\n"
+        "print('numpy' in sys.modules, 'chancap.holevo' in sys.modules)\n"
+        "print(chancap.holevo.__name__, chancap.optimize.__name__, chancap.capacity.__name__)\n"
+    )
+    assert _fresh(code).splitlines() == [
+        "False False",
+        "chancap.holevo chancap.optimize chancap.capacity",
+    ]
+
+
+def test_first_export_access_loads_every_submodule():
+    # a tool that patches loaded chancap modules, as perfbench's tracer does,
+    # finds the same modules after any export's first use as after an eager import
+    code = (
+        "import sys, chancap\n"
+        "chancap.chi_star_depolarizing\n"
+        "print(sorted(set(chancap._EXPORTS.values()) - {m[8:] for m in sys.modules if m.startswith('chancap.')}))\n"
+    )
+    assert _fresh(code) == "[]"
+
+
+def test_every_export_is_its_defining_module_object():
+    for name in chancap.__all__:
+        value = getattr(chancap, name)
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    assert set(chancap.__all__) <= set(dir(chancap))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from chancap import *", namespace)
+    assert all(namespace[name] is getattr(chancap, name) for name in chancap.__all__)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chancap.no_such_name
+    assert getattr(chancap, "KERNEL_BACKEND", None) is None
