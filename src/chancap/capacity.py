@@ -7,7 +7,8 @@ fails if the search beats the target by more than MATCH_TOL, and
 `<search>_reaches_closed_form` if it falls short by more than MATCH_TOL (a
 `one_use` search) or TWO_USE_SHORTFALL_TOL (a `two_use` search).  The
 targets are 2 chi* for `verify_additivity`, and the closed form C and 2C for
-`verify_theorem1` and `verify_theorem2`.
+`verify_theorem1` and `verify_theorem2`.  Every driver runs a two-use
+search, so it refuses d * d > MAX_PRODUCT_DIM before it builds any channel.
 
 The closed forms and reports need the standard library alone; the `verify_*`
 drivers import numpy, `channels` and `optimize` when called."""
@@ -208,6 +209,7 @@ def verify_additivity(
     from . import channels, optimize
 
     target = 2.0 * chi_star_depolarizing(d, lam)
+    channels.check_product_size(d, 2)
     two_use = channels.tensor_channels([channels.depolarizing(d, lam)] * 2)
     return _verify([("two_use", optimize.maximize_chi, two_use, m, target)], cfg)
 
@@ -227,6 +229,7 @@ def verify_theorem1(
     from . import channels, optimize
 
     closed = capacity_periodic_depolarizing(d, lambdas)
+    channels.check_product_size(d, 2)
     periodic = channels.PeriodicChannel(tuple(channels.depolarizing(d, lam) for lam in lambdas))
     pairs = channels.PeriodicChannel(
         tuple(channels.periodic_branch(periodic, i, 2) for i in range(periodic.period))
@@ -252,6 +255,7 @@ def verify_theorem2(
     from . import channels, optimize
 
     closed = capacity_convex_depolarizing(d, lambdas)
+    channels.check_product_size(d, 2)
     if gammas is None:
         gammas = [1.0 / len(lambdas)] * len(lambdas)
     branches = tuple(channels.depolarizing(d, lam) for lam in lambdas)

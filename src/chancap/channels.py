@@ -8,6 +8,7 @@ density matrices, which the optimizer uses; `apply` keeps the Kraus sum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -19,7 +20,8 @@ from .params import DepolarizingParams, check_weights
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
-# Product channels are materialized on demand; this caps their total dimension.
+# Product channels are materialized on demand; this caps their total input
+# dimension, checked before any Kronecker product is formed.
 MAX_PRODUCT_DIM = 16
 
 
@@ -168,17 +170,24 @@ def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one channel")
+    dim = math.prod(c.din for c in channels)
+    if dim > MAX_PRODUCT_DIM:
+        raise CapabilityError(
+            f"product channel of input dimension {dim} exceeds the desk-scale cap "
+            f"{MAX_PRODUCT_DIM}"
+        )
     combos = itertools.product(*(c.kraus for c in channels))
     return KrausChannel(tuple(reduce(np.kron, combo) for combo in combos))
 
 
-def _check_product_size(d: int, n: int):
+def check_product_size(d: int, n: int):
+    """Refuse n uses of dimension d unless d^n <= MAX_PRODUCT_DIM."""
     if n < 1:
         raise ValueError(f"number of uses must be positive, got {n}")
-    if n > 2 and d**n > MAX_PRODUCT_DIM:
+    if d**n > MAX_PRODUCT_DIM:
         raise CapabilityError(
             f"{n}-fold product on dimension {d} exceeds the desk-scale cap "
-            f"(need n <= 2 or d^n <= {MAX_PRODUCT_DIM})"
+            f"(need d^n <= {MAX_PRODUCT_DIM})"
         )
 
 
@@ -186,13 +195,13 @@ def periodic_branch(ch: PeriodicChannel, i: int, n: int) -> KrausChannel:
     """Product of n consecutive branches starting at index i (cyclic)."""
     if not 0 <= i < ch.period:
         raise IndexError(f"branch index {i} out of range for period {ch.period}")
-    _check_product_size(ch.d, n)
+    check_product_size(ch.d, n)
     return tensor_channels([ch.branches[(i + k) % ch.period] for k in range(n)])
 
 
 def apply_periodic(ch: PeriodicChannel, rho_n: DensityMatrix, n: int) -> DensityMatrix:
     """Uniform average over the starting phase of the n-fold branch products."""
-    _check_product_size(ch.d, n)
+    check_product_size(ch.d, n)
     if rho_n.dim != ch.d**n:
         raise DimensionMismatchError(
             f"state dim {rho_n.dim} does not match {n} uses of dimension {ch.d}"
@@ -207,7 +216,7 @@ def apply_convex(
     ch: ConvexCombinationChannel, rho_n: DensityMatrix, n: int
 ) -> DensityMatrix:
     """Gamma-weighted average of the n-fold memoryless branch outputs."""
-    _check_product_size(ch.d, n)
+    check_product_size(ch.d, n)
     if rho_n.dim != ch.d**n:
         raise DimensionMismatchError(
             f"state dim {rho_n.dim} does not match {n} uses of dimension {ch.d}"

@@ -9,13 +9,12 @@ report).
 
 Each command's flags are declared once, in `_COMMANDS` and the `_CHANNEL`,
 `_OPTIMIZER` and `_COMMON` sets; the parser, the config file and the
-report's `inputs` all follow them.  A `--config` JSON file fills the flags
-not given on the command line: a flag's destination may sit at the top
-level, a channel parameter (and `type`) in a `channel` block, and
-`restarts`, `iters`, `m`, `seed`, `tol` in an `optimizer` block.  Each value
-is converted as the flag's own text would be.  An unknown key, a key set
-twice (in one JSON object or in two blocks), or a value the flag would reject
-exits 2 naming the key.
+report's `inputs` all follow them.  A `--config` file holds one flat JSON
+object that fills the flags not given on the command line; its keys are the
+invoked command's flag destinations, the names the report's `inputs` uses, so
+a report's `inputs` plus its `seed` (when set) is a valid config.  Each value is
+converted as the flag's own text would be.  An unknown key, a key repeated
+in the object, or a value the flag would reject exits 2 naming the key.
 
 Determinism contract: the same flags and seed produce byte-identical
 output.  Wall-clock timing is therefore reported only with --timings.
@@ -81,19 +80,17 @@ _COMMON = {
     "timings": {"action": "store_true",
                 "help": "include wall-clock timing (breaks byte-identical output)"},
 }
-# keys a config file may also give in its optimizer block
-_OPTIMIZER_BLOCK = ("restarts", "iters", "m", "seed", "tol")
 
-# command -> (the channel.type it works on, its channel parameters in the
-# order the capacity function takes them, that function's name)
+# command -> (its channel parameters in the order the capacity function
+# takes them, that function's name)
 _COMMANDS = {
-    "capacity depolarizing": ("depolarizing", ("d", "lambda"), "report_depolarizing"),
-    "capacity periodic": ("periodic", ("d", "lambdas"), "report_periodic"),
-    "capacity convex": ("convex", ("d", "lambdas", "gammas"), "report_convex"),
-    "verify additivity": ("depolarizing", ("d", "lambda"), "verify_additivity"),
-    "verify theorem1": ("periodic", ("d", "lambdas"), "verify_theorem1"),
-    "verify theorem2": ("convex", ("d", "lambdas", "gammas"), "verify_theorem2"),
-    "sweep": ("depolarizing", ("d", "lambda_from", "lambda_to", "step"), None),
+    "capacity depolarizing": (("d", "lambda"), "report_depolarizing"),
+    "capacity periodic": (("d", "lambdas"), "report_periodic"),
+    "capacity convex": (("d", "lambdas", "gammas"), "report_convex"),
+    "verify additivity": (("d", "lambda"), "verify_additivity"),
+    "verify theorem1": (("d", "lambdas"), "verify_theorem1"),
+    "verify theorem2": (("d", "lambdas", "gammas"), "verify_theorem2"),
+    "sweep": (("d", "lambda_from", "lambda_to", "step"), None),
 }
 _HELP = {
     "capacity": "closed-form capacity of a channel",
@@ -108,7 +105,7 @@ def _flag(dest: str) -> str:
 
 def _flags(invoked: str) -> dict:
     """The invoked command's flags: destination -> add_argument keywords."""
-    flags = {name: _CHANNEL[name] for name in _COMMANDS[invoked][1]}
+    flags = {name: _CHANNEL[name] for name in _COMMANDS[invoked][0]}
     if invoked.startswith("verify"):
         flags.update(_OPTIMIZER)
     flags.update(_COMMON)
@@ -159,8 +156,7 @@ def _config_value(key: str, spec: dict, value):
         converted = None
     choices = spec.get("choices")
     if converted is None or (choices is not None and converted not in choices):
-        flag = _flag(key.split(".")[-1])
-        raise ValueError(f"config key {key}: invalid value {json.dumps(value)} for {flag}")
+        raise ValueError(f"config key {key}: invalid value {json.dumps(value)} for {_flag(key)}")
     return converted
 
 
@@ -182,55 +178,24 @@ def _apply_config(args: argparse.Namespace):
         cfg = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
-    declared = cfg.get("command", args.invoked)
-    if declared != args.invoked:
-        raise ValueError(
-            f"config file is for command {declared!r} but {args.invoked!r} was invoked"
-        )
-    kind, params, _ = _COMMANDS[args.invoked]
     flags = _flags(args.invoked)
     del flags["config"]
-    blocks = {
-        "": {k: v for k, v in cfg.items() if k not in ("command", "channel", "optimizer")},
-        "channel": cfg.get("channel", {}),
-        "optimizer": cfg.get("optimizer", {}),
-    }
-    known = {
-        "": set(flags),
-        "channel": set(params) | {"type"},
-        "optimizer": set(_OPTIMIZER_BLOCK) & set(flags),
-    }
-    seen = {}
-    for where, block in blocks.items():
-        if not isinstance(block, dict):
-            raise ValueError(f"config key {where} must hold a JSON object")
-        unknown = sorted(set(block) - known[where])
-        if unknown:
-            raise ValueError(
-                f"unknown config {where + ' ' if where else ''}key(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(known[where]))}"
-            )
-        for key, value in block.items():
-            path = f"{where}.{key}" if where else key
-            if key == "type":
-                if value != kind:
-                    raise ValueError(
-                        f"config channel.type is {value!r} but {args.invoked!r} works on "
-                        f"{kind!r} channels"
-                    )
-                continue
-            if key in seen:
-                raise ValueError(f"config key {key} is set twice, as {seen[key]} and {path}")
-            seen[key] = path
-            value = _config_value(path, flags[key], value)
-            if getattr(args, key) is None:
-                setattr(args, key, value)
+    unknown = sorted(set(cfg) - set(flags))
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(unknown)}; known: {', '.join(sorted(flags))}"
+        )
+    for key, value in cfg.items():
+        value = _config_value(key, flags[key], value)
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _payload(command: str, inputs: dict, results: dict, checks=(), seed=None) -> dict:
+    """The report; `inputs` lists the values that were set or resolved."""
     return {
         "command": command,
-        "inputs": inputs,
+        "inputs": {key: value for key, value in inputs.items() if value is not None},
         "results": results,
         "checks": [c.as_dict() for c in checks],
         "timing_ms": None,
@@ -271,12 +236,12 @@ def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
 
 
 def _run(args: argparse.Namespace) -> tuple[dict, int]:
-    _, names, function = _COMMANDS[args.invoked]
+    names, function = _COMMANDS[args.invoked]
     params = [getattr(args, name) for name in names]
     for name, value in zip(names, params):
         if value is None and name not in _OPTIONAL:
             raise ValueError(f"missing required value: {_flag(name)} (flag or config file)")
-    inputs = {name: value for name, value in zip(names, params) if value is not None}
+    inputs = dict(zip(names, params))
     if args.command == "sweep":
         return _payload(args.invoked, inputs, _sweep(*params), seed=args.seed), 0
     if args.command == "capacity":

@@ -182,6 +182,28 @@ def test_product_size_cap():
         periodic_branch(per, 0, 3)  # 3^3 = 27 > 16
 
 
+def test_two_use_product_size_cap():
+    # two uses count against the cap like any other number: 5^2 = 25 > 16
+    per = PeriodicChannel((depolarizing(5, 0.5),))
+    with pytest.raises(CapabilityError, match=r"need d\^n <= 16"):
+        periodic_branch(per, 0, 2)
+    rho = maximally_mixed(25)
+    with pytest.raises(CapabilityError):
+        apply_periodic(per, rho, 2)
+    with pytest.raises(CapabilityError):
+        apply_convex(ConvexCombinationChannel(per.branches, [1.0]), rho, 2)
+
+
+def test_tensor_channels_size_cap(monkeypatch):
+    # refused before any Kronecker product of the 625 pairs of 5x5 terms is formed
+    def kron(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", kron)
+    with pytest.raises(CapabilityError, match="input dimension 25"):
+        tensor_channels([depolarizing(5, 0.5)] * 2)
+
+
 def test_apply_periodic_single_branch():
     per = PeriodicChannel((depolarizing(2, 0.5),))
     rng = np.random.default_rng(11)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from chancap import capacity
+from chancap import capacity, channels, optimize
 from chancap.cli import MAX_SWEEP_POINTS, main
 from chancap.optimize import OptimizerConfig
 
@@ -227,6 +227,24 @@ def test_bad_tol_is_usage_error(capsys, tol):
     assert "tol" in err
 
 
+@pytest.mark.parametrize(
+    "channel",
+    [["additivity", "--lambda", "0.5"], ["theorem1", "--lambdas", "0.9,0.5"],
+     ["theorem2", "--lambdas", "0.9,0.5"]],
+)
+def test_verify_refuses_two_use_over_cap_before_any_work(capsys, monkeypatch, channel):
+    # two uses at d = 5 have input dimension 25 > 16: no channel is built and
+    # no search runs
+    def fail(*args, **kwargs):
+        raise AssertionError("work done before the size check")
+
+    monkeypatch.setattr(channels, "depolarizing", fail)
+    monkeypatch.setattr(optimize, "_ascend", fail)
+    code, out, err = run(capsys, ["verify", channel[0], "--d", "5", *channel[1:], "--seed", "7"])
+    assert code == 2 and out == ""
+    assert err == "error: 2-fold product on dimension 5 exceeds the desk-scale cap (need d^n <= 16)\n"
+
+
 def test_numerical_failure_exit_code(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -239,21 +257,16 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
 
 
 def test_config_file_provides_defaults(tmp_path, capsys):
-    cfg = {
-        "command": "capacity depolarizing",
-        "channel": {"type": "depolarizing", "d": 2, "lambda": 0.5},
-    }
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({"d": 2, "lambda": 0.5}))
     code, out, _ = run(capsys, ["capacity", "depolarizing", "--config", str(path)])
     assert code == 0
     assert json.loads(out)["results"]["closed_form"] == pytest.approx(CHI_HALF, abs=1e-9)
 
 
 def test_flags_override_config(tmp_path, capsys):
-    cfg = {"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5}}
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({"d": 2, "lambda": 0.5}))
     code, out, _ = run(
         capsys, ["capacity", "depolarizing", "--config", str(path), "--lambda", "1.0"]
     )
@@ -261,19 +274,8 @@ def test_flags_override_config(tmp_path, capsys):
     assert json.loads(out)["results"]["closed_form"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_config_command_mismatch(tmp_path, capsys):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"command": "sweep"}))
-    code, _, err = run(capsys, ["capacity", "depolarizing", "--config", str(path),
-                                "--d", "2", "--lambda", "0.5"])
-    assert code == 2 and "sweep" in err
-
-
 def test_config_optimizer_settings(tmp_path, capsys):
-    cfg = {
-        "channel": {"type": "depolarizing", "d": 2, "lambda": 0.5},
-        "optimizer": {"restarts": 2, "iters": 60, "seed": 7, "m": 4, "tol": 1e-6},
-    }
+    cfg = {"d": 2, "lambda": 0.5, "restarts": 2, "iters": 60, "seed": 7, "m": 4, "tol": 1e-6}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     code, out, _ = run(capsys, ["verify", "additivity", "--config", str(path)])
@@ -346,10 +348,7 @@ def test_empty_list_entry_is_usage_error(capsys, lambdas):
 
 @pytest.mark.parametrize("key", ["threadz", "threads"])
 def test_config_unknown_optimizer_key(tmp_path, capsys, key):
-    cfg = {
-        "channel": {"type": "depolarizing", "d": 2, "lambda": 0.5},
-        "optimizer": {"restarts": 1, "iters": 5, "seed": 7, key: 2},
-    }
+    cfg = {"d": 2, "lambda": 0.5, "restarts": 1, "iters": 5, "seed": 7, key: 2}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run(capsys, ["verify", "additivity", "--config", str(path)])
@@ -357,37 +356,27 @@ def test_config_unknown_optimizer_key(tmp_path, capsys, key):
     assert key in err
 
 
+# a config is one flat object of flag destinations, so a misspelt key, a
+# nested block, and a key naming the command or the channel family are unknown
 @pytest.mark.parametrize(
     "cfg,key",
     [
-        ({"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5, "lamda": 0.9}}, "lamda"),
-        ({"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5}, "restart": 3}, "restart"),
-        ({"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5}, "fromat": "csv"}, "fromat"),
+        ({"d": 2, "lambda": 0.5, "lamda": 0.9}, "lamda"),
+        ({"d": 2, "lambda": 0.5, "restart": 3}, "restart"),
+        ({"d": 2, "lambda": 0.5, "fromat": "csv"}, "fromat"),
+        ({"channel": {"d": 2, "lambda": 0.5}}, "channel"),
+        ({"d": 2, "lambda": 0.5, "optimizer": {"seed": 7}}, "optimizer"),
+        ({"d": 2, "lambda": 0.5, "command": "capacity depolarizing"}, "command"),
+        ({"d": 2, "lambda": 0.5, "type": "depolarizing"}, "type"),
     ],
-    ids=["lamda", "restart", "fromat"],
+    ids=["lamda", "restart", "fromat", "channel", "optimizer", "command", "type"],
 )
 def test_config_unknown_key(tmp_path, capsys, cfg, key):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     code, out, err = run(capsys, ["capacity", "depolarizing", "--config", str(path)])
     assert code == 2 and out == ""
-    assert key in err
-
-
-def test_config_channel_type_mismatch(tmp_path, capsys):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"channel": {"type": "convex", "d": 2, "lambda": 0.5}}))
-    code, out, err = run(capsys, ["capacity", "depolarizing", "--config", str(path)])
-    assert code == 2 and out == ""
-    assert "channel.type" in err and "convex" in err
-
-
-def test_config_channel_type_matching_family(tmp_path, capsys):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"channel": {"type": "periodic", "d": 2, "lambdas": [0.9, 0.5]}}))
-    code, out, _ = run(capsys, ["capacity", "periodic", "--config", str(path)])
-    assert code == 0
-    assert json.loads(out)["results"]["closed_form"] == pytest.approx(PERIODIC_09_05, abs=1e-9)
+    assert re.search(rf"^error: unknown config key\(s\) {key};", err)
 
 
 @pytest.mark.parametrize("gammas", ["nan,nan", "1.0", "0.3,0.3,0.4", "-0.5,1.5", "0.3,0.6"])
@@ -413,10 +402,7 @@ def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, fmt):
 @pytest.mark.parametrize(
     "argv,cfg,key",
     [
-        (["capacity", "depolarizing", "--d", "2"], {"lam": 0.5, "channel": {"lambda": 0.9}}, "lam"),
-        (["capacity", "depolarizing", "--lambda", "0.5"], {"d": 3, "channel": {"d": 2}}, "d"),
-        (["verify", "additivity", "--d", "2", "--lambda", "0.5", "--iters", "5", "--seed", "7"],
-         {"restarts": 3, "optimizer": {"restarts": 1}}, "restarts"),
+        (["capacity", "depolarizing", "--d", "2"], {"lam": 0.5, "lambda": 0.9}, "lam"),
         (["capacity", "depolarizing", "--lambda", "0.5"], {"d": 2.7}, "d"),
         (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"seed": 1.5}, "seed"),
         (["capacity", "periodic", "--d", "2"], {"lambdas": [0.9, "x"]}, "lambdas"),
@@ -427,11 +413,9 @@ def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, fmt):
         (["capacity", "periodic", "--d", "2"], {"lambdas": [0.9, "", 0.5]}, "lambdas"),
         # a key repeated inside one object, given as raw JSON text
         (["capacity", "depolarizing"], '{"d": 2, "lambda": 0.5, "lambda": 0.9}', "lambda"),
-        (["capacity", "depolarizing"], '{"channel": {"d": 2, "lambda": 0.5, "lambda": 0.9}}', "lambda"),
     ],
-    ids=["lam", "d-twice", "restarts-twice", "d-float", "seed-float", "lambdas-text",
-         "format", "timings", "out", "lambdas-empty-entry", "lambdas-empty-item",
-         "lambda-repeated", "channel-lambda-repeated"],
+    ids=["lam", "d-float", "seed-float", "lambdas-text", "format", "timings", "out",
+         "lambdas-empty-entry", "lambdas-empty-item", "lambda-repeated"],
 )
 def test_config_rejects_bad_value(tmp_path, capsys, argv, cfg, key):
     path = tmp_path / "run.json"
@@ -444,45 +428,43 @@ def test_config_rejects_bad_value(tmp_path, capsys, argv, cfg, key):
 
 _COMMAND_IDS = ["capacity-depolarizing", "capacity-periodic", "capacity-convex",
                 "verify-additivity", "verify-theorem1", "verify-theorem2", "sweep"]
-_VERIFY_BUDGET = {"restarts": 2, "iters": 60, "seed": 3}
+_VERIFY_BUDGET = ["--restarts", "2", "--iters", "60", "--seed", "3"]
 
 
 @pytest.mark.parametrize(
-    "command,flags,cfg",
+    "command,flags,fmt",
     [
-        (["capacity", "depolarizing"], ["--d", "2", "--lambda", "0.5"],
-         {"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5}}),
-        (["capacity", "periodic"], ["--d", "2", "--lambdas", "1,0", "--seed", "4"],
-         {"command": "capacity periodic", "channel": {"d": 2, "lambdas": [1, 0]},
-          "optimizer": {"seed": 4}}),
-        (["capacity", "convex"],
-         ["--d", "3", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7", "--format", "csv"],
-         {"d": 3, "lambdas": [0.9, 0.5], "gammas": [0.3, 0.7], "format": "csv"}),
-        (["verify", "additivity"],
-         ["--d", "2", "--lambda", "0.5", "--restarts", "2", "--iters", "60", "--m", "4", "--seed", "3"],
-         {"channel": {"type": "depolarizing", "d": 2, "lambda": 0.5},
-          "optimizer": {**_VERIFY_BUDGET, "m": 4}}),
-        (["verify", "theorem1"],
-         ["--d", "2", "--lambdas", "0.9,0.5", "--restarts", "2", "--iters", "60", "--seed", "3",
-          "--tol", "1e-4"],
-         {"d": 2, "lambdas": [0.9, 0.5], "optimizer": {**_VERIFY_BUDGET, "tol": 1e-4}}),
-        (["verify", "theorem2"],
-         ["--d", "2", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7", "--restarts", "2",
-          "--iters", "60", "--seed", "3", "--format", "csv"],
-         {"channel": {"type": "convex", "d": 2, "lambdas": [0.9, 0.5], "gammas": [0.3, 0.7]},
-          **_VERIFY_BUDGET, "format": "csv"}),
+        (["capacity", "depolarizing"], ["--d", "2", "--lambda", "0.5"], "json"),
+        (["capacity", "periodic"], ["--d", "2", "--lambdas", "1,0", "--seed", "4"], "json"),
+        (["capacity", "convex"], ["--d", "3", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7"],
+         "csv"),
+        (["verify", "additivity"], ["--d", "2", "--lambda", "0.5", "--m", "4", *_VERIFY_BUDGET],
+         "json"),
+        (["verify", "theorem1"], ["--d", "2", "--lambdas", "0.9,0.5", "--tol", "1e-4",
+                                  *_VERIFY_BUDGET], "json"),
+        (["verify", "theorem2"], ["--d", "2", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7",
+                                  *_VERIFY_BUDGET], "csv"),
         (["sweep"], ["--d", "2", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.25"],
-         {"channel": {"d": 2, "lambda_from": 0, "lambda_to": 1, "step": 0.25}}),
+         "json"),
     ],
     ids=_COMMAND_IDS,
 )
-def test_config_matches_flags(tmp_path, capsys, command, flags, cfg):
+def test_config_matches_flags(tmp_path, capsys, command, flags, fmt):
+    # a JSON report's inputs, plus its seed when set and the format, are a
+    # config that reprints the report
+    code, out, _ = run(capsys, command + flags)
+    assert code == 0
+    payload = json.loads(out)
+    cfg = dict(payload["inputs"])
+    if payload["seed"] is not None:
+        cfg["seed"] = payload["seed"]
+    if fmt == "csv":
+        cfg["format"] = fmt
+        code, out, _ = run(capsys, command + flags + ["--format", fmt])
+        assert code == 0
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
-    by_flags = run(capsys, command + flags)
-    by_config = run(capsys, command + ["--config", str(path)])
-    assert by_flags[0] == 0 and by_flags[1] != ""
-    assert by_config == by_flags
+    assert run(capsys, command + ["--config", str(path)]) == (0, out, "")
 
 
 _COMMON_FLAGS = {"--help", "--format", "--out", "--config", "--seed", "--timings"}
@@ -516,8 +498,8 @@ _BUDGET_VALUES = {"restarts": 3, "iters": 7, "seed": 11, "tol": 1e-3}
 
 @pytest.mark.parametrize("family", ["additivity", "theorem1", "theorem2"])
 def test_every_optimizer_setting_has_a_flag_and_config_key(tmp_path, capsys, monkeypatch, family):
-    # each search setting reaches the search from its flag and from the
-    # optimizer config block, so none is settable only from code
+    # each search setting reaches the search from its flag and from its
+    # config key, so none is settable only from code
     names = [f.name for f in dataclasses.fields(OptimizerConfig)]
     budget = {name: _BUDGET_VALUES[name] for name in names}
     seen = []
@@ -529,7 +511,7 @@ def test_every_optimizer_setting_has_a_flag_and_config_key(tmp_path, capsys, mon
     monkeypatch.setattr(capacity, f"verify_{family}", verify)
     channel = ["--d", "2"] + (["--lambda", "0.5"] if family == "additivity" else ["--lambdas", "0.9,0.5"])
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"optimizer": budget}))
+    path.write_text(json.dumps(budget))
     flags = [arg for name, value in budget.items() for arg in (f"--{name}", str(value))]
     for argv in (flags, ["--config", str(path)]):
         assert run(capsys, ["verify", family] + channel + argv)[0] == 0
