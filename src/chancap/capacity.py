@@ -11,12 +11,15 @@ targets are 2 chi* for `verify_additivity`, and the closed form C and 2C for
 search, so it refuses d * d > MAX_PRODUCT_DIM before it builds any channel.
 
 The closed forms and reports need the standard library alone; the `verify_*`
-drivers import numpy, `channels` and `optimize` when called."""
+drivers import numpy, `channels` and `optimize` when called.  The closed-form
+CLI commands import this module on every cold start, so its records are
+namedtuples, as in `params`: a dataclass would load `dataclasses` and
+`inspect`."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence
 
 from .params import DepolarizingParams, check_weights
@@ -31,15 +34,10 @@ MATCH_TOL = 1e-3
 TWO_USE_SHORTFALL_TOL = 1e-2
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name passed value bound tol")):
     """One named pass/fail comparison inside a report."""
 
-    name: str
-    passed: bool
-    value: float
-    bound: float
-    tol: float
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -51,17 +49,26 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(
+    namedtuple("CapacityReport", "closed_form optimizer_value checks extras notes")
+):
     """Closed form vs optimizer comparison for one channel: the optimizer
     value (None for a closed form alone), the checks that decide a pass,
-    further results in `extras`, and remarks in `notes`."""
+    further results in `extras` (a new empty dict by default), and remarks
+    in `notes`."""
 
-    closed_form: float
-    optimizer_value: float | None = None
-    checks: tuple[Check, ...] = ()
-    extras: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        closed_form: float,
+        optimizer_value: float | None = None,
+        checks: tuple[Check, ...] = (),
+        extras: dict | None = None,
+        notes: tuple[str, ...] = (),
+    ):
+        extras = {} if extras is None else extras
+        return super().__new__(cls, closed_form, optimizer_value, checks, extras, notes)
 
     @property
     def gap(self) -> float | None:
@@ -165,16 +172,17 @@ def report_convex(d: int, lambdas: Sequence[float], gammas: Sequence[float] | No
 def _verify(searches, cfg: OptimizerConfig | None, notes: tuple[str, ...] = ()) -> CapacityReport:
     """Run each (name, maximize, channel, m, target) search under one seeded
     `cfg` (default: OptimizerConfig()) and give it the two checks of the
-    module docstring.  The first search gives the report's closed form,
-    optimizer value and duality gap."""
+    module docstring.  The first search gives the report's closed form and
+    optimizer value; `duality_gap` holds each search's, by search name."""
     if cfg is None:
         from .optimize import OptimizerConfig
 
         cfg = OptimizerConfig()
     cfg = cfg.seeded()
-    checks, results = [], []
+    checks, results, gaps = [], [], {}
     for name, maximize, channel, m, target in searches:
         result = maximize(channel, m, cfg)
+        gaps[name] = result.duality_gap
         shortfall_tol = MATCH_TOL if name == "one_use" else TWO_USE_SHORTFALL_TOL
         checks += [
             Check(f"{name}_no_excess", result.value <= target + MATCH_TOL,
@@ -191,7 +199,7 @@ def _verify(searches, cfg: OptimizerConfig | None, notes: tuple[str, ...] = ()) 
         extras={
             "restarts": cfg.restarts,
             "converged": all(r.converged for r in results),
-            "duality_gap": first.duality_gap,
+            "duality_gap": gaps,
             "opt_seed": first.seed,
         },
         notes=notes,

@@ -222,16 +222,13 @@ def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
             f"grid of more than {MAX_SWEEP_POINTS} points; raise --step or narrow the range"
         )
     count = math.floor(steps) + 1
+    log_d = math.log2(d)
     rows = []
     for k in range(count):
         lam = min(lo + k * step, 1.0)
-        rows.append(
-            {
-                "lambda": lam,
-                "s_min": capacity.s_min_depolarizing(d, lam),
-                "chi_star": capacity.chi_star_depolarizing(d, lam),
-            }
-        )
+        s_min = capacity.s_min_depolarizing(d, lam)
+        # chi* as capacity.chi_star_depolarizing computes it, without a second S_min
+        rows.append({"lambda": lam, "s_min": s_min, "chi_star": log_d - s_min})
     return {"rows": rows}
 
 
@@ -277,10 +274,23 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
     return items
 
 
+def _finite(obj) -> bool:
+    """Whether every float in `obj`, a nest of dicts, lists and tuples, is finite."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return True
+    return all(map(_finite, obj))
+
+
 def _render(payload: dict, fmt: str, command: str) -> str:
-    for key, value in _flatten(payload):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise _NumericalFailure(f"{key} is {value}")
+    if not _finite(payload):
+        # the key paths are built only to name the first bad value
+        key, value = next((key, value) for key, value in _flatten(payload)
+                          if isinstance(value, float) and not math.isfinite(value))
+        raise _NumericalFailure(f"{key} is {value}")
     if fmt == "json":
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()

@@ -1,12 +1,14 @@
 """Validators of channel parameters and probability vectors.
 
 They use the standard library alone, so the closed-form capacities and the
-CLI commands built on them run without numpy.
+CLI commands built on them run without numpy.  Those commands import this
+module on every cold start, so its record is a namedtuple: a dataclass would
+also load `dataclasses` and `inspect`, two fifths of `import chancap.cli`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import CPViolationError
@@ -14,19 +16,23 @@ from .errors import CPViolationError
 WEIGHT_SUM_TOL = 1e-12  # every probability vector: weights, gammas, ensembles
 
 
-@dataclass(frozen=True)
-class DepolarizingParams:
+class DepolarizingParams(namedtuple("DepolarizingParams", "d lam")):
     """Dimension and mixing parameter of rho -> lam*rho + (1-lam)*I/d."""
 
-    d: int
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-        lo = -1.0 / (self.d**2 - 1)
-        if not lo <= self.lam <= 1.0:
-            raise CPViolationError(self.d, self.lam)
+    def __new__(cls, d: int, lam: float):
+        if d < 2:
+            raise ValueError(f"dimension must be at least 2, got {d}")
+        lo = -1.0 / (d**2 - 1)
+        if not lo <= lam <= 1.0:
+            raise CPViolationError(d, lam)
+        return super().__new__(cls, d, lam)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validate as the constructor does; `_replace` builds through this."""
+        return cls(*iterable)
 
 
 def check_weights(weights: Sequence[float], count: int, name: str):

@@ -26,6 +26,7 @@ from chancap import (
 )
 from chancap.capacity import CapacityReport, report_convex, report_depolarizing, report_periodic
 from chancap.optimize import OptimizerConfig
+from chancap.params import DepolarizingParams
 
 FAST = OptimizerConfig(restarts=3, iters=300, seed=13)
 
@@ -173,6 +174,21 @@ def test_capacity_reports():
     assert rep.notes  # flags the d > 2 reading of the noiseless term
     rep = report_convex(2, [0.9, 0.5], [0.3, 0.7])
     assert rep.closed_form == pytest.approx(CHI_HALF, abs=1e-12)
+
+
+def test_records_are_validated_immutable_values():
+    a, b = CapacityReport(1.0), CapacityReport(closed_form=1.0)
+    assert a == b and a.gap is None and a.passed
+    assert a.extras == {} and a.extras is not b.extras  # no shared default dict
+    with pytest.raises(AttributeError):
+        a.closed_form = 2.0
+    assert DepolarizingParams(d=3, lam=0.5) == DepolarizingParams(3, 0.5)
+    with pytest.raises(CPViolationError):
+        DepolarizingParams(d=2, lam=1.5)
+    with pytest.raises(CPViolationError):
+        DepolarizingParams(2, 0.5)._replace(lam=1.5)
+    with pytest.raises(ValueError, match="at least 2"):
+        DepolarizingParams(1, 0.5)
 
 
 def test_verify_additivity_small_budget():

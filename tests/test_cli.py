@@ -72,7 +72,7 @@ def test_verify_byte_identical_output(capsys):
     payload = json.loads(first)
     assert payload["seed"] == 7
     assert all(check["pass"] for check in payload["checks"])
-    assert payload["results"]["duality_gap"] >= 0.0
+    assert payload["results"]["duality_gap"]["two_use"] >= 0.0
 
 
 def test_verify_generates_and_reports_seed(capsys):
@@ -120,7 +120,8 @@ def test_verify_theorem1(capsys):
     assert code == 0
     assert payload["results"]["closed_form"] == pytest.approx(PERIODIC_09_05, abs=1e-9)
     assert payload["results"]["optimizer_value"] == pytest.approx(PERIODIC_09_05, abs=1e-3)
-    assert payload["results"]["duality_gap"] >= 0.0
+    gaps = payload["results"]["duality_gap"]
+    assert set(gaps) == {"one_use", "two_use"} and min(gaps.values()) >= 0.0
 
 
 def test_verify_theorem2(capsys):
@@ -132,7 +133,8 @@ def test_verify_theorem2(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["results"]["closed_form"] == pytest.approx(CHI_HALF, abs=1e-9)
-    assert payload["results"]["duality_gap"] >= 0.0
+    gaps = payload["results"]["duality_gap"]
+    assert set(gaps) == {"one_use", "two_use"} and min(gaps.values()) >= 0.0
 
 
 def test_sweep_endpoints(capsys):
@@ -387,16 +389,31 @@ def test_capacity_convex_rejects_bad_gammas(capsys, gammas):
     assert "gamma" in err
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, fmt):
-    def report(d, lam):
-        return capacity.CapacityReport(closed_form=float("nan"))
+@pytest.mark.parametrize(
+    "command,fmt",
+    [("capacity", "json"), ("capacity", "csv"), ("sweep", "json"), ("sweep", "csv")],
+    ids=["json", "csv", "sweep-json", "sweep-csv"],
+)
+def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, command, fmt):
+    if command == "capacity":
+        def report(d, lam):
+            return capacity.CapacityReport(closed_form=float("nan"))
 
-    monkeypatch.setattr(capacity, "report_depolarizing", report)
-    argv = ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5", "--format", fmt]
-    code, out, err = run(capsys, argv)
+        monkeypatch.setattr(capacity, "report_depolarizing", report)
+        argv = ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"]
+        key = "results.closed_form"
+    else:
+        s_min = capacity.s_min_depolarizing
+
+        def nan_at_half(d, lam):
+            return float("nan") if lam == 0.5 else s_min(d, lam)
+
+        monkeypatch.setattr(capacity, "s_min_depolarizing", nan_at_half)
+        argv = ["sweep", "--d", "2", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.25"]
+        key = "results.rows.2.s_min"  # the grid is 0, 0.25, 0.5, 0.75, 1
+    code, out, err = run(capsys, argv + ["--format", fmt])
     assert code == 3 and out == ""
-    assert err == "error: numerical failure: results.closed_form is nan\n"
+    assert err == f"error: numerical failure: {key} is nan\n"
 
 
 @pytest.mark.parametrize(

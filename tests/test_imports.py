@@ -12,14 +12,14 @@ import chancap
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(chancap.__file__)))
 
 # runs chancap.cli.main on its arguments in a fresh interpreter, then prints
-# the exit code and whether numpy was loaded
+# the exit code and whether numpy, dataclasses and inspect were loaded
 _CLI = """
 import io, sys
 from contextlib import redirect_stdout
 from chancap.cli import main
 with redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 """
 
 
@@ -45,13 +45,13 @@ _SWEEP = ["sweep", "--d", "3", "--lambda-from", "0", "--lambda-to", "0.999", "--
     ],
 )
 def test_closed_form_commands_load_no_numpy(argv):
-    assert _fresh(_CLI, *argv) == "0 False"
+    assert _fresh(_CLI, *argv) == "0 False False False"
 
 
 def test_verify_loads_numpy():
     argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--iters", "2", "--restarts", "1"]
-    code, loaded = _fresh(_CLI, *argv).split()
-    assert loaded == "True" and code in ("0", "1")
+    code, *loaded = _fresh(_CLI, *argv).split()
+    assert loaded == ["True"] * 3 and code in ("0", "1")
 
 
 def test_bare_import_loads_no_numpy_and_resolves_submodules_on_access():
