@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence
 
-from .params import DepolarizingParams, check_weights
+from .params import DepolarizingParams, check_gammas
 
 if TYPE_CHECKING:
     from .optimize import OptimizerConfig
@@ -158,11 +158,11 @@ def report_periodic(d: int, lambdas: Sequence[float]) -> CapacityReport:
 
 
 def report_convex(d: int, lambdas: Sequence[float], gammas: Sequence[float] | None = None) -> CapacityReport:
-    """The mixing weights, when given, must be a probability vector with one
-    entry per branch, as for ConvexCombinationChannel; they do not enter the
-    closed form."""
+    """The mixing weights, when given, must be a positive probability vector
+    with one entry per branch, as for ConvexCombinationChannel; they do not
+    enter the closed form."""
     if gammas is not None:
-        check_weights(gammas, len(lambdas), "gamma")
+        check_gammas(gammas, len(lambdas))
     return CapacityReport(
         closed_form=capacity_convex_depolarizing(d, lambdas),
         extras={"branch_chi_star": [chi_star_depolarizing(d, l) for l in lambdas]},

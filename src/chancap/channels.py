@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
-from .params import DepolarizingParams, check_weights
+from .params import DepolarizingParams, check_gammas, check_weights
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -114,7 +114,7 @@ class ConvexCombinationChannel:
         d = branches[0].din
         if any(b.din != d or b.dout != d for b in branches):
             raise DimensionMismatchError("all branches must share din = dout = d")
-        check_weights(gammas, len(branches), "gamma")
+        check_gammas(gammas, len(branches))
 
     @property
     def d(self) -> int:

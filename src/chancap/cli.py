@@ -9,18 +9,21 @@ report).
 
 Each command's flags are declared once, in `_COMMANDS` and the `_CHANNEL`,
 `_OPTIMIZER` and `_COMMON` sets; the parser, the config file and the
-report's `inputs` all follow them.  A `--config` file holds one flat JSON
-object that fills the flags not given on the command line; its keys are the
-invoked command's flag destinations, the names the report's `inputs` uses, so
-a report's `inputs` plus its `seed` (when set) is a valid config.  Each value is
-converted as the flag's own text would be.  An unknown key, a key repeated
-in the object, or a value the flag would reject exits 2 naming the key.
+report's `inputs` all follow them.  Only `verify` draws random numbers, so
+only `verify` takes `--seed`; the other commands report `"seed": null`.  A
+`--config` file holds one flat JSON object that fills the flags not given on
+the command line; its keys are the invoked command's flag destinations, the
+names the report's `inputs` uses, so a report's `inputs` plus its `seed`
+(when set) is a valid config.  Each value is converted as the flag's own
+text would be.  An unknown key, a key repeated in the object, or a value
+the flag would reject exits 2 naming the key.
 
 Determinism contract: the same flags and seed produce byte-identical
 output.  Wall-clock timing is therefore reported only with --timings.
 
 `capacity` and `sweep` evaluate closed forms and run on the standard library
-alone; only `verify` imports numpy and the optimizer, when it runs.
+alone; only `verify` imports numpy and the optimizer, when it runs, and
+without numpy it exits 2.
 """
 
 from __future__ import annotations
@@ -67,16 +70,15 @@ _OPTIONAL = ("gammas",)
 _OPTIMIZER = {
     "restarts": {"type": int},
     "iters": {"type": int},
-    "m": {"type": int, "help": "ensemble size (default: input dim squared) of the two-use "
-          "search in additivity and of the one-use search in theorem1/theorem2, whose "
-          "two-use searches always use input dim squared"},
-    "tol": {"type": float, "help": "duality-gap stop (bits) of the final probability step"},
+    "seed": {"type": int},
+    "m": {"type": int, "help": "ensemble size, at most and by default the input dim squared, "
+          "of the two-use search in additivity and of the one-use search in "
+          "theorem1/theorem2, whose two-use searches always use input dim squared"},
 }
 _COMMON = {
     "format": {"choices": ("json", "csv")},
     "out": {"metavar": "PATH"},
     "config": {"metavar": "FILE", "help": "JSON run config; explicit flags override file values"},
-    "seed": {"type": int},
     "timings": {"action": "store_true",
                 "help": "include wall-clock timing (breaks byte-identical output)"},
 }
@@ -212,9 +214,9 @@ def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
         raise ValueError(f"step must be positive, got {step}")
     if lo > hi:
         raise ValueError(f"empty grid: lambda-from {lo} exceeds lambda-to {hi}")
-    cp_lo = -1.0 / (d * d - 1)
-    if lo < cp_lo - 1e-12 or hi > 1.0 + 1e-12:
-        raise CPViolationError(d, lo if lo < cp_lo - 1e-12 else hi)
+    DepolarizingParams(d, lo)  # row 0 is lo itself
+    if hi > 1.0 + 1e-12:  # the last row is clamped to 1
+        raise CPViolationError(d, hi)
     # the grid has floor(steps) + 1 points; steps is infinite for a tiny step
     steps = (hi - lo) / step + 1e-9
     if steps >= MAX_SWEEP_POINTS:
@@ -240,19 +242,21 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             raise ValueError(f"missing required value: {_flag(name)} (flag or config file)")
     inputs = dict(zip(names, params))
     if args.command == "sweep":
-        return _payload(args.invoked, inputs, _sweep(*params), seed=args.seed), 0
+        return _payload(args.invoked, inputs, _sweep(*params)), 0
     if args.command == "capacity":
         report = getattr(capacity, function)(*params)
-        return _payload(args.invoked, inputs, report.results_dict(), seed=args.seed), 0
-    import numpy as np
+        return _payload(args.invoked, inputs, report.results_dict()), 0
+    try:
+        import numpy as np
+    except ImportError as err:  # exit 2, not the failed-check code 1
+        raise ValueError(f"verify needs numpy: {err}") from err
 
     from .optimize import OptimizerConfig
 
-    budget = {key: getattr(args, key) for key in ("restarts", "iters", "seed", "tol")}
+    budget = {key: getattr(args, key) for key in ("restarts", "iters", "seed")}
     cfg = OptimizerConfig(**{k: v for k, v in budget.items() if v is not None}).seeded()
     # "d" keeps its first place; the other channel parameters follow the budget
-    inputs = {"d": args.d, "m": args.m, "restarts": cfg.restarts, "iters": cfg.iters,
-              "tol": cfg.tol, **inputs}
+    inputs = {"d": args.d, "m": args.m, "restarts": cfg.restarts, "iters": cfg.iters, **inputs}
     try:
         report = getattr(capacity, function)(*params, args.m, cfg)
     except np.linalg.LinAlgError as err:  # a ValueError, which would exit 2

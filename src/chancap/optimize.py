@@ -12,8 +12,8 @@ branch minimum ("min" mode, maximin) it is the worst branch's, and a restart
 keeps an update only if its minimum strictly improves.  One update per sweep,
 warm-started from the previous sweep; after the last sweep it repeats until
 the duality gap max_j D(sigma_j || sigma_bar) - chi, an upper bound on what
-any reweighting of the final states could add, falls below `tol`, a min-mode
-update is rejected, or 200 updates have run.
+any reweighting of the final states could add, falls below 1e-6 bits, a
+min-mode update is rejected, or 200 updates have run.
 
 All restarts of one search run in lockstep as one numpy batch.  At the start
 of a sweep every live restart draws its m moves, and their candidate states,
@@ -58,6 +58,7 @@ _STEP_MIN = 1e-6
 _MIN_IMPROVEMENT = 1e-10  # a proposal gaining less counts toward a freeze
 _PATIENCE = 200  # proposals in a row below _MIN_IMPROVEMENT that freeze a restart
 _PROB_ITERS = 200  # cap on the final Blahut-Arimoto updates
+_FINAL_GAP = 1e-6  # duality gap (bits) that ends the final updates sooner
 
 
 @dataclass(frozen=True)
@@ -69,22 +70,17 @@ class OptimizerConfig:
     at most `iters` sweeps; a restart freezes once _PATIENCE proposals in a
     row have gained almost nothing.  `seed` picks the pseudo-random streams
     (None draws one per run, see `seeded`).
-
-    `tol` is the duality-gap stop (bits) of the Blahut-Arimoto probability
-    step run after the last sweep; that step also stops after _PROB_ITERS
-    updates.
     """
 
     restarts: int = 32
     iters: int = 2000
     seed: int | None = None
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1 or self.iters < 1:
             raise ValueError("restarts and iters must be positive")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def seeded(self) -> OptimizerConfig:
         """This budget with a seed: its own, or a freshly drawn one."""
@@ -161,10 +157,9 @@ class _Ascent:
 
     _PER_RESTART = ("psis", "outs", "entropies", "probs", "rbar", "sum_p_s", "chis", "value")
 
-    def __init__(self, transfer: np.ndarray, mode: str, psis, probs, cfg):
+    def __init__(self, transfer: np.ndarray, mode: str, psis, probs):
         self.transfer = transfer
         self.mode = mode
-        self.cfg = cfg
         self.psis = np.array(psis, dtype=np.complex128)  # (R, m, din)
         restarts, self.m, _ = self.psis.shape
         self.nb = len(transfer)
@@ -247,8 +242,9 @@ class _Ascent:
     def prob_step(self, final: bool = False) -> np.ndarray | None:
         """One Blahut-Arimoto update of every restart's probabilities for its
         current states.  With `final`, updates until each restart's duality
-        gap falls below tol, its min-mode update is rejected, or _PROB_ITERS
-        updates have run; returns the gaps at the committed probabilities."""
+        gap falls below _FINAL_GAP, its min-mode update is rejected, or
+        _PROB_ITERS updates have run; returns the gaps at the committed
+        probabilities."""
         rows = np.arange(self.value.size)
         g = self._gradient(rows)
         if not final:
@@ -257,7 +253,7 @@ class _Ascent:
         gaps = self._duality_gap(rows, g)
         live = np.ones(rows.size, dtype=bool)
         for _ in range(_PROB_ITERS):
-            todo = np.flatnonzero(live & (gaps >= self.cfg.tol))
+            todo = np.flatnonzero(live & (gaps >= _FINAL_GAP))
             if not todo.size:
                 break
             keep = self._blahut_arimoto(todo, g[todo])
@@ -349,7 +345,7 @@ def _ascend(
     the batch, so the proposals of the others cost nothing for it; all take
     the final probability step together."""
     restarts, m, dim = psis.shape
-    ascent = _Ascent(transfer, mode, psis, np.full((restarts, m), 1.0 / m), cfg)
+    ascent = _Ascent(transfer, mode, psis, np.full((restarts, m), 1.0 / m))
     ascent.prob_step()
     ids = np.arange(restarts)  # the restart of each row of `ascent`
     gens = list(rngs)  # and its generator
@@ -408,10 +404,13 @@ def _maximize(
         raise CapabilityError(
             f"input dimension {dim} exceeds the optimizer cap {MAX_PRODUCT_DIM}"
         )
+    # an optimal ensemble needs at most dim^2 pure states (Davies), and m
+    # sizes every restart's cached outputs
     if m is None:
         m = dim * dim
-    if m < 1:
-        raise ValueError(f"ensemble size must be positive, got {m}")
+    if not 1 <= m <= dim * dim:
+        raise ValueError(f"ensemble size m must be between 1 and {dim * dim}, the input "
+                         f"dimension squared, got {m}")
     cfg = cfg.seeded()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]

@@ -47,3 +47,11 @@ def check_weights(weights: Sequence[float], count: int, name: str):
         raise ValueError(f"need {count} {name}s, got {len(values)}")
     if not (all(w >= 0 for w in values) and abs(sum(values) - 1.0) <= WEIGHT_SUM_TOL):
         raise ValueError(f"{name}s must be a probability vector, got {values}")
+
+
+def check_gammas(gammas: Sequence[float], count: int):
+    """check_weights for mixing weights, which must also be positive: a
+    branch of weight 0 is never applied, yet the worst-branch capacity counts it."""
+    check_weights(gammas, count, "gamma")
+    if not all(float(g) > 0 for g in gammas):
+        raise ValueError(f"gammas must be positive, got {[float(g) for g in gammas]}")

@@ -170,12 +170,9 @@ def test_criterion_9_depolarizing_spectrum_law():
 def test_criterion_10_cli_contract(capsys):
     with criterion(10, "CLI byte-stability, values and exit codes", 1.0):
         cases = [
-            (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5", "--seed", "7"],
-             CHI_HALF),
-            (["capacity", "periodic", "--d", "2", "--lambdas", "0.9,0.5", "--seed", "7"],
-             PERIODIC_09_05),
-            (["capacity", "convex", "--d", "2", "--lambdas", "0.9,0.5", "--seed", "7"],
-             CHI_HALF),
+            (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], CHI_HALF),
+            (["capacity", "periodic", "--d", "2", "--lambdas", "0.9,0.5"], PERIODIC_09_05),
+            (["capacity", "convex", "--d", "2", "--lambdas", "0.9,0.5"], CHI_HALF),
         ]
         for argv, expected in cases:
             assert cli_main(argv) == 0

@@ -272,6 +272,15 @@ def test_convex_gamma_validation():
         ConvexCombinationChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)), [[0.5], [0.5]])
 
 
+def test_convex_gammas_must_be_positive():
+    # with weight 0 the channel is the other branch alone, whose capacity is
+    # not the worst branch's; mix_channels keeps nonnegative weights
+    branches = (depolarizing(2, 0.9), depolarizing(2, 0.5))
+    with pytest.raises(ValueError, match=r"gammas must be positive, got \[1.0, 0.0\]"):
+        ConvexCombinationChannel(branches, [1.0, 0.0])
+    assert mix_channels(branches, [1.0, 0.0]).din == 2
+
+
 def test_weights_reject_nan():
     branches = (depolarizing(2, 0.9), depolarizing(2, 0.5))
     with pytest.raises(ValueError, match="probability"):

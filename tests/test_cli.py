@@ -54,7 +54,7 @@ def test_capacity_cp_violation_exit_code(capsys):
 
 
 def test_byte_identical_output(capsys):
-    argv = ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5", "--seed", "7"]
+    argv = ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"]
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
@@ -222,11 +222,61 @@ def test_missing_dimension_is_usage_error(capsys):
 
 @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf"])
 def test_bad_tol_is_usage_error(capsys, tol):
+    # the final probability step stops at a fixed gap, so every --tol is rejected
     argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--seed", "7", "--tol", tol]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --tol" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"],
+        ["capacity", "periodic", "--d", "2", "--lambdas", "0.9,0.5"],
+        ["capacity", "convex", "--d", "2", "--lambdas", "0.9,0.5"],
+        ["sweep", "--d", "2", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.25"],
+    ],
+    ids=["depolarizing", "periodic", "convex", "sweep"],
+)
+def test_closed_form_commands_take_no_seed(capsys, argv):
+    # no random draw enters a closed form, so a seed is rejected, not echoed
+    for seed in ("7", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", seed])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --seed" in captured.err
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["seed"] is None
+
+
+def test_verify_negative_seed_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(channels, "tensor_channels", None)  # refused before any channel
+    argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--seed", "-1"]
     code, out, err = run(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert "tol" in err
+    assert code == 2 and out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "channel,limit",
+    [(["additivity", "--lambda", "0.5"], 16), (["theorem1", "--lambdas", "0.9,0.5"], 4),
+     (["theorem2", "--lambdas", "0.9,0.5"], 4)],
+)
+def test_verify_m_above_input_dim_squared_is_usage_error(capsys, monkeypatch, channel, limit):
+    # an optimal ensemble needs at most input dim squared states; m sizes the
+    # search's arrays, so a larger one is refused before any start is drawn
+    def fail(*args, **kwargs):
+        raise AssertionError("search started before the m check")
+
+    monkeypatch.setattr(optimize, "_initial_states", fail)
+    argv = ["verify", channel[0], "--d", "2", *channel[1:], "--m", str(limit + 1), "--seed", "7"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: ensemble size m must be between 1 and {limit},")
 
 
 @pytest.mark.parametrize(
@@ -277,7 +327,7 @@ def test_flags_override_config(tmp_path, capsys):
 
 
 def test_config_optimizer_settings(tmp_path, capsys):
-    cfg = {"d": 2, "lambda": 0.5, "restarts": 2, "iters": 60, "seed": 7, "m": 4, "tol": 1e-6}
+    cfg = {"d": 2, "lambda": 0.5, "restarts": 2, "iters": 60, "seed": 7, "m": 4}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     code, out, _ = run(capsys, ["verify", "additivity", "--config", str(path)])
@@ -359,34 +409,57 @@ def test_config_unknown_optimizer_key(tmp_path, capsys, key):
 
 
 # a config is one flat object of flag destinations, so a misspelt key, a
-# nested block, and a key naming the command or the channel family are unknown
+# nested block, a key naming the command or the channel family, and a key of
+# a flag the command does not take are unknown
+_SWEEP_CFG = {"d": 2, "lambda_from": 0, "lambda_to": 1, "step": 0.25}
+
+
 @pytest.mark.parametrize(
-    "cfg,key",
+    "command,cfg,key",
     [
-        ({"d": 2, "lambda": 0.5, "lamda": 0.9}, "lamda"),
-        ({"d": 2, "lambda": 0.5, "restart": 3}, "restart"),
-        ({"d": 2, "lambda": 0.5, "fromat": "csv"}, "fromat"),
-        ({"channel": {"d": 2, "lambda": 0.5}}, "channel"),
-        ({"d": 2, "lambda": 0.5, "optimizer": {"seed": 7}}, "optimizer"),
-        ({"d": 2, "lambda": 0.5, "command": "capacity depolarizing"}, "command"),
-        ({"d": 2, "lambda": 0.5, "type": "depolarizing"}, "type"),
+        ("capacity depolarizing", {"d": 2, "lambda": 0.5, "lamda": 0.9}, "lamda"),
+        ("capacity depolarizing", {"d": 2, "lambda": 0.5, "restart": 3}, "restart"),
+        ("capacity depolarizing", {"d": 2, "lambda": 0.5, "fromat": "csv"}, "fromat"),
+        ("capacity depolarizing", {"channel": {"d": 2, "lambda": 0.5}}, "channel"),
+        ("capacity depolarizing", {"d": 2, "lambda": 0.5, "optimizer": {"seed": 7}}, "optimizer"),
+        ("capacity depolarizing", {"d": 2, "lambda": 0.5, "command": "capacity depolarizing"},
+         "command"),
+        ("capacity depolarizing", {"d": 2, "lambda": 0.5, "type": "depolarizing"}, "type"),
+        ("verify additivity", {"d": 2, "lambda": 0.5, "iters": 2, "tol": 1e-6}, "tol"),
+        ("capacity depolarizing", {"d": 2, "lambda": 0.5, "seed": 7}, "seed"),
+        ("sweep", dict(_SWEEP_CFG, seed=7), "seed"),
     ],
-    ids=["lamda", "restart", "fromat", "channel", "optimizer", "command", "type"],
+    ids=["lamda", "restart", "fromat", "channel", "optimizer", "command", "type", "tol",
+         "seed-capacity", "seed-sweep"],
 )
-def test_config_unknown_key(tmp_path, capsys, cfg, key):
+def test_config_unknown_key(tmp_path, capsys, command, cfg, key):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
-    code, out, err = run(capsys, ["capacity", "depolarizing", "--config", str(path)])
+    code, out, err = run(capsys, command.split() + ["--config", str(path)])
     assert code == 2 and out == ""
     assert re.search(rf"^error: unknown config key\(s\) {key};", err)
 
 
-@pytest.mark.parametrize("gammas", ["nan,nan", "1.0", "0.3,0.3,0.4", "-0.5,1.5", "0.3,0.6"])
+@pytest.mark.parametrize("gammas", ["nan,nan", "1.0", "0.3,0.3,0.4", "-0.5,1.5", "0.3,0.6", "1,0"])
 def test_capacity_convex_rejects_bad_gammas(capsys, gammas):
     argv = ["capacity", "convex", "--d", "2", "--lambdas", "0.9,0.5", f"--gammas={gammas}"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert "gamma" in err
+
+
+def test_verify_theorem2_zero_gamma_is_usage_error(capsys, monkeypatch):
+    # a branch of weight 0 is never applied, so the worst-branch target would
+    # count a branch the channel does not have
+    def fail(*args, **kwargs):
+        raise AssertionError("search started with a zero gamma")
+
+    monkeypatch.setattr(optimize, "_ascend", fail)
+    argv = ["verify", "theorem2", "--d", "2", "--lambdas", "0.9,0.5", "--gammas", "0,1",
+            "--seed", "7"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: gammas must be positive, got [0.0, 1.0]\n"
 
 
 @pytest.mark.parametrize(
@@ -421,7 +494,7 @@ def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, command, fm
     [
         (["capacity", "depolarizing", "--d", "2"], {"lam": 0.5, "lambda": 0.9}, "lam"),
         (["capacity", "depolarizing", "--lambda", "0.5"], {"d": 2.7}, "d"),
-        (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"seed": 1.5}, "seed"),
+        (["verify", "additivity", "--d", "2", "--lambda", "0.5"], {"seed": 1.5}, "seed"),
         (["capacity", "periodic", "--d", "2"], {"lambdas": [0.9, "x"]}, "lambdas"),
         (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"format": "xml"}, "format"),
         (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], {"timings": "no"}, "timings"),
@@ -452,13 +525,12 @@ _VERIFY_BUDGET = ["--restarts", "2", "--iters", "60", "--seed", "3"]
     "command,flags,fmt",
     [
         (["capacity", "depolarizing"], ["--d", "2", "--lambda", "0.5"], "json"),
-        (["capacity", "periodic"], ["--d", "2", "--lambdas", "1,0", "--seed", "4"], "json"),
+        (["capacity", "periodic"], ["--d", "2", "--lambdas", "1,0"], "json"),
         (["capacity", "convex"], ["--d", "3", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7"],
          "csv"),
         (["verify", "additivity"], ["--d", "2", "--lambda", "0.5", "--m", "4", *_VERIFY_BUDGET],
          "json"),
-        (["verify", "theorem1"], ["--d", "2", "--lambdas", "0.9,0.5", "--tol", "1e-4",
-                                  *_VERIFY_BUDGET], "json"),
+        (["verify", "theorem1"], ["--d", "2", "--lambdas", "0.9,0.5", *_VERIFY_BUDGET], "json"),
         (["verify", "theorem2"], ["--d", "2", "--lambdas", "0.9,0.5", "--gammas", "0.3,0.7",
                                   *_VERIFY_BUDGET], "csv"),
         (["sweep"], ["--d", "2", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.25"],
@@ -484,8 +556,8 @@ def test_config_matches_flags(tmp_path, capsys, command, flags, fmt):
     assert run(capsys, command + ["--config", str(path)]) == (0, out, "")
 
 
-_COMMON_FLAGS = {"--help", "--format", "--out", "--config", "--seed", "--timings"}
-_OPTIMIZER_FLAGS = {"--restarts", "--iters", "--m", "--tol"}
+_COMMON_FLAGS = {"--help", "--format", "--out", "--config", "--timings"}
+_OPTIMIZER_FLAGS = {"--restarts", "--iters", "--m", "--seed"}
 
 
 @pytest.mark.parametrize(
@@ -510,7 +582,7 @@ def test_help_lists_declared_flags(capsys, command, flags):
 
 
 # a value other than the default for every OptimizerConfig field
-_BUDGET_VALUES = {"restarts": 3, "iters": 7, "seed": 11, "tol": 1e-3}
+_BUDGET_VALUES = {"restarts": 3, "iters": 7, "seed": 11}
 
 
 @pytest.mark.parametrize("family", ["additivity", "theorem1", "theorem2"])

@@ -54,6 +54,19 @@ def test_verify_loads_numpy():
     assert loaded == ["True"] * 3 and code in ("0", "1")
 
 
+def test_verify_without_numpy_is_usage_error(tmp_path):
+    # a numpy package whose import fails stands in for an interpreter without
+    # numpy; the run exits 2 (usage), not 1 (a failed check)
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text('raise ImportError("numpy is unavailable")\n')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
+    argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--iters", "2"]
+    proc = subprocess.run([sys.executable, "-m", "chancap", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: verify needs numpy: numpy is unavailable\n"
+
+
 def test_bare_import_loads_no_numpy_and_resolves_submodules_on_access():
     code = (
         "import sys, chancap\n"

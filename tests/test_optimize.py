@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,9 +230,9 @@ def test_incremental_caches_match_rebuild():
         ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
         ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
     ]:
-        transfer, cfg = _transfers(channels), OptimizerConfig()
+        transfer = _transfers(channels)
         rngs, psis = _restart_streams(5, 4, dim, m)
-        ascent = _Ascent(transfer, mode, psis, np.full((4, m), 1.0 / m), cfg)
+        ascent = _Ascent(transfer, mode, psis, np.full((4, m), 1.0 / m))
         accepted = 0
         for t in range(6):
             sweep = ascent.candidates(_moves(m, dim, 0.3 * 0.8**t, rngs))
@@ -241,7 +242,7 @@ def test_incremental_caches_match_rebuild():
                 accepted += np.count_nonzero((ascent.psis[:, j] != before).any(axis=1))
             ascent.prob_step()
         assert accepted > 10
-        fresh = _Ascent(transfer, mode, ascent.psis, ascent.probs, cfg)
+        fresh = _Ascent(transfer, mode, ascent.psis, ascent.probs)
         for name in ("outs", "entropies", "rbar", "sum_p_s", "chis", "value"):
             kept, rebuilt = getattr(ascent, name), getattr(fresh, name)
             np.testing.assert_allclose(kept, rebuilt, rtol=0, atol=1e-12, err_msg=name)
@@ -391,10 +392,9 @@ def test_transfer_matches_kraus_apply(channel):
     ids=["mean-two-use", "mean-periodic", "min-0.2,-0.1", "min-damping"],
 )
 def test_prob_step_monotone(mode, channels, dim, m):
-    cfg = OptimizerConfig()
     for seed in range(5):
         psis = _random_psis(np.random.default_rng(seed), m, dim)
-        ascent = _Ascent(_transfers(channels), mode, psis[None], np.full((1, m), 1.0 / m), cfg)
+        ascent = _Ascent(_transfers(channels), mode, psis[None], np.full((1, m), 1.0 / m))
         for _ in range(100):
             before = ascent.value.copy()
             ascent.prob_step()
@@ -413,36 +413,37 @@ def test_duality_gap_brackets_optimum(monkeypatch, mode, lambdas, prob_iters):
     monkeypatch.setattr(optimize, "_PROB_ITERS", prob_iters)
     transfer = _transfers([depolarizing(2, lam) for lam in lambdas])
     psis = np.eye(2, dtype=np.complex128)[[0, 1, 0, 1]]
-    cfg = OptimizerConfig()
-    ascent = _Ascent(transfer, mode, psis[None], np.array([[0.55, 0.3, 0.1, 0.05]]), cfg)
+    ascent = _Ascent(transfer, mode, psis[None], np.array([[0.55, 0.3, 0.1, 0.05]]))
     gap = ascent.prob_step(final=True)
     closed = capacity_convex_depolarizing(2, lambdas)
     assert ascent.value <= closed + 1e-12
     assert closed <= ascent.value + gap + 1e-12
     if prob_iters < 200:
-        assert gap > cfg.tol
+        assert gap > optimize._FINAL_GAP
     else:
-        assert gap < cfg.tol
+        assert gap < optimize._FINAL_GAP
 
 
 @pytest.mark.parametrize("mode,lambdas", [("mean", (0.5,)), ("min", (0.9, 0.5))], ids=["mean", "min"])
-def test_tol_is_the_final_gap_stop(mode, lambdas):
+def test_tol_is_the_final_gap_stop(monkeypatch, mode, lambdas):
     transfer = _transfers([tensor_channels([depolarizing(2, lam)] * 2) for lam in lambdas])
     psis = _random_psis(np.random.default_rng(3), 8, 4)
-    loose, tight = (
-        _Ascent(transfer, mode, psis[None], np.full((1, 8), 1 / 8), OptimizerConfig(tol=tol)).prob_step(final=True)
-        for tol in (1e-1, OptimizerConfig().tol)
-    )
+
+    def final_gap(tol):
+        monkeypatch.setattr(optimize, "_FINAL_GAP", tol)
+        return _Ascent(transfer, mode, psis[None], np.full((1, 8), 1 / 8)).prob_step(final=True)
+
+    tight = final_gap(optimize._FINAL_GAP)
+    loose = final_gap(1e-1)
     assert tight < loose < 1e-1
 
 
-@pytest.mark.parametrize("field,value", [("restarts", 0), ("iters", 0)])
+@pytest.mark.parametrize("field,value", [("restarts", 0), ("iters", 0), ("seed", -1)])
 def test_out_of_range_budget_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         OptimizerConfig(**{field: value})
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
-def test_non_positive_or_non_finite_tol_rejected(tol):
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol=tol)
+def test_config_fields_are_the_budget():
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "iters", "seed"]
+
