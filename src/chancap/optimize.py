@@ -21,10 +21,18 @@ channel outputs (one product with the branches' transfer matrices), output
 entropies and weighted entropy increments p_j (S(out') - S(out_j)) are
 computed in one batch: member j's state, output and probability change only
 at its own proposal or between sweeps, so computing ahead changes nothing.
-Each proposal then needs one batched eigensolve of the updated average
-outputs, and each restart accepts its move, by masked in-place copies, only
-if its own objective improves.  A restart freezes once 200 proposals in a
-row have each gained less than 1e-10: it leaves the batch and its unused
+Most proposals are rejected, and concavity certifies many rejections without
+an eigensolve: S(X) <= -tr(X log2 rbar) for every state X, so one batched
+eigh of the sweep-start average outputs rbar bounds each branch's Holevo
+quantity after every proposal of the sweep by a term linear in the proposal.
+The sweep walks straight to the next member whose bound, combined over the
+branches as the objective is, comes within 1e-12 bits of some restart's
+value, or to the next possible freeze.  Only those proposals take one batched
+eigensolve of the updated average outputs, and each restart accepts its
+move, by masked in-place copies, only if its own objective improves; a
+skipped proposal would have been rejected, so the walk decides exactly what
+evaluating every proposal decides.  A restart freezes once 200 proposals in
+a row have each gained less than 1e-10: it leaves the batch and its unused
 moves, and rejoins the others only for the final probability step.
 
 The pseudo-random source is numpy's PCG64; restart r draws from the r-th
@@ -59,6 +67,9 @@ _MIN_IMPROVEMENT = 1e-10  # a proposal gaining less counts toward a freeze
 _PATIENCE = 200  # proposals in a row below _MIN_IMPROVEMENT that freeze a restart
 _PROB_ITERS = 200  # cap on the final Blahut-Arimoto updates
 _FINAL_GAP = 1e-6  # duality gap (bits) that ends the final updates sooner
+# a proposal whose concavity bound stays this far below its restart's value
+# is rejected without an eigensolve; the slack covers round-off
+_CERT_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -130,6 +141,13 @@ def _entropies(mats: np.ndarray) -> np.ndarray:
     return -(w * np.log2(w, out=np.zeros(w.shape), where=w > 0)).sum(axis=-1)
 
 
+def _log2m(mats: np.ndarray) -> np.ndarray:
+    """Matrix log2 of a stack (..., d, d) of Hermitian PSD matrices, the
+    eigenvalues floored at _EIG_FLOOR."""
+    w, v = np.linalg.eigh(mats)
+    return (v * np.log2(np.maximum(w, _EIG_FLOOR))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def _apply_pure(transfer: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """Outputs (..., branches, dout, dout) of every branch of a (branches,
     dout^2, din^2) stack of transfer matrices for a stack (..., din) of pure
@@ -151,8 +169,10 @@ class _Ascent:
     i and member j it caches the channel output outs[:, i, j] and its
     entropy, and per branch the probability-weighted average output and the
     weighted member entropies, which a proposal moves by its increments, so
-    it costs one eigensolve per branch instead of m+1.  The helpers taking
-    `rows` act on those restarts only.
+    it costs one eigensolve per branch instead of m+1, and only if
+    `undecided` leaves it open: a proposal whose concavity bound lies below
+    every value it could beat needs none.  The helpers taking `rows` act on
+    those restarts only.
     """
 
     _PER_RESTART = ("psis", "outs", "entropies", "probs", "rbar", "sum_p_s", "chis", "value")
@@ -229,9 +249,7 @@ class _Ascent:
         else:
             rbar, outs, ents = self.rbar[rows], self.outs[rows], self.entropies[rows]
             scale = 1.0 / self.nb
-        w, v = np.linalg.eigh(rbar)
-        logm = (v * np.log2(np.maximum(w, _EIG_FLOOR))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        logm_t = logm.swapaxes(-1, -2)[..., None, :, :]
+        logm_t = _log2m(rbar).swapaxes(-1, -2)[..., None, :, :]
         # Re tr(outs_j logm), summed row by row as einsum("jab,ba->j") does
         traces = (outs.real * logm_t.real - outs.imag * logm_t.imag).sum(axis=-1).sum(axis=-1)
         g = np.zeros((len(rows), self.m))
@@ -282,13 +300,37 @@ class _Ascent:
         dout, dout), output entropies and weighted entropy increments
         p_j (S(out') - S(out_j)), both (R, m, nb).  Ahead is soon enough:
         member j's state, output and probability change only at its own
-        proposal or between sweeps."""
+        proposal or between sweeps.  Two more entries serve `undecided`: the
+        transposed log2 of the sweep-start average outputs, flattened to (R,
+        nb, dout^2, 1), and each proposal's linear term (R, m, nb),
+        -p_j tr((out' - out_j) log2 rbar) - dents."""
         v = self.psis + moves
         # the bits of np.linalg.norm, row by row
         cands = v / np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))[..., None]
         outs = _apply_pure(self.transfer, cands)
         ents = _entropies(outs)
-        return cands, outs, ents, self.probs[..., None] * (ents - self.entropies.swapaxes(1, 2))
+        dents = self.probs[..., None] * (ents - self.entropies.swapaxes(1, 2))
+        restarts, dd = self.value.size, outs.shape[-1] ** 2
+        logs = np.ascontiguousarray(_log2m(self.rbar).swapaxes(-1, -2)).reshape(restarts, self.nb, dd, 1)
+        # tr(X L) = vec(X) . vec(L^T): one matrix-vector product per branch
+        # over views of the outputs, (R, nb, m)
+        now = (self.outs.reshape(restarts, self.nb, self.m, dd) @ logs)[..., 0].real
+        new = (outs.reshape(restarts, self.m, self.nb, dd).swapaxes(1, 2) @ logs)[..., 0].real
+        lin = -(self.probs[:, None, :] * (new - now)).swapaxes(1, 2) - dents
+        return cands, outs, ents, dents, logs, lin
+
+    def undecided(self, sweep: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Mask (R, m) of the `sweep` proposals that might raise their
+        restart's value now.  S is concave, so S(X) <= -tr(X log2 rbar0) for
+        the sweep-start average output rbar0: branch i's chi after proposal
+        j is at most -tr(rbar_i log2 rbar0_i) - sum_p_s_i + lin_ij at the
+        current rbar and sum_p_s, and the bounds combine over branches as
+        the chis do.  A proposal whose bound lies more than _CERT_MARGIN
+        below the value would be rejected; the rest stay undecided."""
+        *_, logs, lin = sweep
+        restarts = self.value.size
+        base = -(self.rbar.reshape(restarts, self.nb, 1, -1) @ logs)[..., 0, 0].real - self.sum_p_s
+        return self._combine(base[:, None, :] + lin) >= (self.value - _CERT_MARGIN)[:, None]
 
     def propose(self, j: int, sweep: tuple[np.ndarray, ...]) -> np.ndarray:
         """Offer each restart member j's candidate from the `sweep` that
@@ -296,7 +338,7 @@ class _Ascent:
         improves, written in place by masked copies.  The increment
         p_j (out' - out_j) is formed here: a sweep's worth would be as large
         as the outputs.  Returns the mask of gains >= _MIN_IMPROVEMENT."""
-        cands, outs, ents, dents = sweep
+        cands, outs, ents, dents = sweep[:4]
         out = outs[:, j]
         rbar = self.rbar + self.probs[:, j, None, None, None] * (out - self.outs[:, :, j])
         sum_p_s = self.sum_p_s + dents[:, j]
@@ -359,9 +401,20 @@ def _ascend(
         # again, so the moves it leaves unused change nothing
         moves = _moves(m, dim, max(_STEP_MIN, _STEP0 * _STEP_DECAY**t), gens)
         sweep = ascent.candidates(moves)
-        for j in range(m):
+        j = 0
+        while j < m and ids.size:
+            # walk to the next member some restart's bound leaves undecided,
+            # or to the next freeze check: a skipped proposal would have been
+            # rejected, and a rejection moves no `last`
+            ahead = np.flatnonzero(ascent.undecided(sweep)[:, j:].any(axis=0))
+            step = j + ahead[0] if ahead.size else m
+            j = min(step, due - t * m)
+            if j >= m:
+                break
             k = t * m + j
-            last[ascent.propose(j, sweep)] = k
+            if j == step:
+                last[ascent.propose(j, sweep)] = k
+            j += 1
             if k < due:
                 continue
             leave = k - last >= _PATIENCE

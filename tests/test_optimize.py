@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -105,25 +106,25 @@ def _restart_streams(seed, restarts, dim, m):
     return rngs, psis
 
 
-@pytest.mark.parametrize(
-    "mode,channels,dim,m,cfg",
-    [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 8,
-         (OptimizerConfig(restarts=5, iters=200, seed=7), 60)),
-        ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
-         (OptimizerConfig(restarts=5, iters=300, seed=3), 200)),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
-         (OptimizerConfig(restarts=5, iters=300, seed=7), 200)),
-        # output dimension 9: the gradient's trace sums take numpy's pairwise
-        # path, which sums in blocks of 8
-        ("mean", (tensor_channels([depolarizing(3, 0.5)] * 2),), 9, 4,
-         (OptimizerConfig(restarts=5, iters=80, seed=7), 20)),
-        # patience < m: restarts 2 and 4 freeze inside sweep 3, 3 and 5
-        # inside sweep 10
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16,
-         (OptimizerConfig(restarts=6, iters=100, seed=7), 6)),
-    ],
-)
+_LOCKSTEP_CASES = [
+    ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 8,
+     (OptimizerConfig(restarts=5, iters=200, seed=7), 60)),
+    ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
+     (OptimizerConfig(restarts=5, iters=300, seed=3), 200)),
+    ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
+     (OptimizerConfig(restarts=5, iters=300, seed=7), 200)),
+    # output dimension 9: the gradient's trace sums take numpy's pairwise
+    # path, which sums in blocks of 8
+    ("mean", (tensor_channels([depolarizing(3, 0.5)] * 2),), 9, 4,
+     (OptimizerConfig(restarts=5, iters=80, seed=7), 20)),
+    # patience < m: restarts 2 and 4 freeze inside sweep 3, 3 and 5
+    # inside sweep 10
+    ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16,
+     (OptimizerConfig(restarts=6, iters=100, seed=7), 6)),
+]
+
+
+@pytest.mark.parametrize("mode,channels,dim,m,cfg", _LOCKSTEP_CASES)
 def test_batching_independence(monkeypatch, mode, channels, dim, m, cfg):
     # each restart run inside the batch must end exactly where it ends
     # alone; cfg pairs the budget with the freeze patience
@@ -160,35 +161,44 @@ def test_batching_independence(monkeypatch, mode, channels, dim, m, cfg):
     ],
 )
 def test_freeze_schedule_matches_consecutive_count(monkeypatch, mode, channels, dim, m, cfg):
-    # record each proposal's significance mask on a one-restart run and
-    # recount it with a plain run-length counter; cfg pairs the budget with
-    # the freeze patience
+    # record the significant proposals k = t m + j of a one-restart run and
+    # recount every k with a plain run-length counter, a proposal the walk
+    # skips counting as insignificant; cfg pairs the budget with the freeze
+    # patience
     cfg, patience = cfg
-    masks = []
-    propose = _Ascent.propose
+    proposed = []  # (k, significant) of each exact evaluation
+    sweeps = []
+    candidates, propose = _Ascent.candidates, _Ascent.propose
 
-    def recording(self, *args):
-        significant = propose(self, *args)
-        masks.append(bool(significant[0]))
+    def sweep_start(self, *args):
+        sweeps.append(len(sweeps))
+        return candidates(self, *args)
+
+    def recording(self, j, sweep):
+        significant = propose(self, j, sweep)
+        proposed.append((sweeps[-1] * m + j, bool(significant[0])))
         return significant
 
     monkeypatch.setattr(optimize, "_PATIENCE", patience)
+    monkeypatch.setattr(_Ascent, "candidates", sweep_start)
     monkeypatch.setattr(_Ascent, "propose", recording)
     for r in range(cfg.restarts):
-        masks.clear()
+        proposed.clear()
+        sweeps.clear()
         rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
         (out,) = _ascend(_transfers(channels), mode, psis[r : r + 1], cfg, rngs[r : r + 1])
+        significant = {k for k, s in proposed if s}
         quiet, frozen_at = 0, None
-        for k, significant in enumerate(masks):
-            quiet = 0 if significant else quiet + 1
+        for k in range(cfg.iters * m):
+            quiet = 0 if k in significant else quiet + 1
             if quiet >= patience:
                 frozen_at = k
                 break
+        assert len(sweeps) == out.iterations
         if frozen_at is None:
-            assert len(masks) == cfg.iters * m
             assert (out.iterations, out.converged) == (cfg.iters, False)
         else:
-            assert len(masks) == frozen_at + 1, "no proposal after the freeze"
+            assert all(k <= frozen_at for k, _ in proposed), "no proposal after the freeze"
             assert (out.iterations, out.converged) == (frozen_at // m + 1, True)
 
 
@@ -344,6 +354,77 @@ def _damping(g, mirrored=False):
     if mirrored:
         k0, k1 = k0[::-1, ::-1], k1[::-1, ::-1]
     return KrausChannel((k0, k1))
+
+
+@pytest.mark.parametrize(
+    "mode,channels,dim,m,cfg",
+    _LOCKSTEP_CASES
+    + [
+        ("mean", (_damping(0.6),), 2, 4, (OptimizerConfig(restarts=4, iters=300, seed=3), 200)),
+        ("mean", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4,
+         (OptimizerConfig(restarts=4, iters=300, seed=3), 200)),
+        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4,
+         (OptimizerConfig(restarts=4, iters=300, seed=3), 200)),
+    ],
+)
+def test_certificate_changes_nothing(monkeypatch, mode, channels, dim, m, cfg):
+    # the walk that skips certified rejections ends every restart exactly
+    # where evaluating every proposal ends it
+    cfg, patience = cfg
+    monkeypatch.setattr(optimize, "_PATIENCE", patience)
+    transfer = _transfers(channels)
+
+    def run():
+        rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
+        return _ascend(transfer, mode, psis, cfg, rngs)
+
+    walked = run()
+    monkeypatch.setattr(optimize, "_CERT_MARGIN", math.inf)
+    every = run()
+    for a, b in zip(walked, every):
+        assert a.value == b.value
+        assert a.iterations == b.iterations
+        assert a.converged == b.converged
+        assert a.duality_gap == b.duality_gap
+        np.testing.assert_array_equal(a.psis, b.psis)
+        np.testing.assert_array_equal(a.probs, b.probs)
+
+
+@pytest.mark.parametrize(
+    "mode,channels,dim,m",
+    [
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+    ],
+    ids=["mean-two-use", "min-depolarizing", "min-damping"],
+)
+def test_certified_proposals_are_rejected(monkeypatch, mode, channels, dim, m):
+    # whenever the walk asks which proposals are undecided, each one the
+    # bound rules out, offered on a copy through the exact path, is rejected
+    undecided = _Ascent.undecided
+    counts = {"ruled_out": 0, "undecided": 0}
+
+    def checked(self, sweep):
+        mask = undecided(self, sweep)
+        # a member that moved this sweep holds its candidate and has left
+        # its bound behind, but the walk has passed it
+        unmoved = (self.psis != sweep[0]).any(axis=-1)
+        counts["undecided"] += int(mask.sum())
+        for j in range(m):
+            rows = ~mask[:, j] & unmoved[:, j]
+            counts["ruled_out"] += int(rows.sum())
+            if rows.any():
+                trial = copy.deepcopy(self)
+                trial.propose(j, sweep)
+                np.testing.assert_array_equal(trial.value[rows], self.value[rows])
+        return mask
+
+    monkeypatch.setattr(_Ascent, "undecided", checked)
+    cfg = OptimizerConfig(restarts=3, iters=40, seed=7)
+    rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
+    _ascend(_transfers(channels), mode, psis, cfg, rngs)
+    assert counts["ruled_out"] > 100 and counts["undecided"] > 100
 
 
 def _random_psis(rng, m, dim):
