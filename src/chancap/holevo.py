@@ -149,6 +149,8 @@ def random_povm(dim: int, k: int | None = None, rng: np.random.Generator | None 
         rng = np.random.default_rng()
     if k is None:
         k = dim + 1
+    if k < 1:
+        raise ValueError(f"a POVM needs at least one element, got k={k}")
     raw = []
     for _ in range(k):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -88,6 +89,12 @@ class OptimizerConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("restarts", "iters", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "seed":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.iters < 1:
             raise ValueError("restarts and iters must be positive")
         if self.seed is not None and self.seed < 0:
@@ -213,9 +220,10 @@ class _Ascent:
         return chis.sum(axis=-1) / self.nb  # the bits of np.mean
 
     def _averages(self, probs: np.ndarray, outs: np.ndarray) -> np.ndarray:
-        """sum_j probs[..., j] outs[..., i, j] for every branch i."""
+        """sum_j probs[..., j] outs[..., i, j] for every branch i, summed
+        over j in order: a BLAS product would split the sum by thread count."""
         flat = outs.reshape(outs.shape[:-2] + (-1,))
-        avg = probs[..., None, None, :] @ flat
+        avg = np.einsum("...j,...bjk->...bk", probs, flat)
         return avg.reshape(outs.shape[:-3] + outs.shape[-2:])
 
     def _commit_probs(self, rows: np.ndarray, probs: np.ndarray, guard: bool = False) -> np.ndarray:
@@ -429,6 +437,7 @@ def _ascend(
             due = last.min() + _PATIENCE
         if not ids.size:
             break
+        del sweep  # as large as the outputs: free it for the steps that follow
         ascent.prob_step()
     for members, batch in frozen:
         ids = np.concatenate([ids, members])

@@ -131,6 +131,12 @@ def test_holevo_bound_random_povms():
         assert -1e-12 <= mi <= min(entropy_of_inputs, np.log2(len(povm.elements))) + 1e-9
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_random_povm_needs_an_element(k):
+    with pytest.raises(ValueError, match="at least one element"):
+        random_povm(2, k, np.random.default_rng(0))
+
+
 def test_random_povm_is_complete_and_nonprojective():
     povm = random_povm(3, rng=np.random.default_rng(2))
     assert len(povm.elements) == 4

@@ -1,6 +1,9 @@
 import copy
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -528,3 +531,35 @@ def test_out_of_range_budget_rejected(field, value):
 def test_config_fields_are_the_budget():
     assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "iters", "seed"]
 
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("iters", 2.5), ("restarts", 2.0), ("seed", 1.5), ("restarts", True), ("iters", True), ("seed", False)],
+)
+def test_non_integer_budget_rejected(field, value):
+    # a float fails later inside the search, and True would run one restart
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        OptimizerConfig(**{field: value})
+
+
+def test_numpy_integer_budget_accepted():
+    cfg = OptimizerConfig(restarts=np.int64(2), iters=np.int32(3), seed=np.uint8(4))
+    assert (cfg.restarts, cfg.iters, cfg.seed) == (2, 3, 4)
+
+
+def test_verify_output_independent_of_blas_threads():
+    # the average outputs sum their members in a fixed order: as a BLAS
+    # product the sum, and with it the value and the duality gap, moved in
+    # the last digits with the thread count at d = 3
+    argv = [sys.executable, "-m", "chancap", "verify", "additivity", "--d", "3", "--lambda", "0.5",
+            "--restarts", "8", "--iters", "30", "--seed", "7"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(optimize.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 1), proc.stderr
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
