@@ -27,13 +27,14 @@ eigh of the sweep-start average outputs rbar bounds each branch's Holevo
 quantity after every proposal of the sweep by a term linear in the proposal.
 The sweep walks straight to the next member whose bound, combined over the
 branches as the objective is, comes within 1e-12 bits of some restart's
-value, or to the next possible freeze.  Only those proposals take one batched
-eigensolve of the updated average outputs, and each restart accepts its
-move, by masked in-place copies, only if its own objective improves; a
-skipped proposal would have been rejected, so the walk decides exactly what
-evaluating every proposal decides.  A restart freezes once 200 proposals in
-a row have each gained less than 1e-10: it leaves the batch and its unused
-moves, and rejoins the others only for the final probability step.
+value, or to the next possible freeze.  The restarts whose bound it comes
+within that margin of take one batched eigensolve of their updated average
+outputs, and each keeps the move, written in place, only if its own
+objective improves.  A proposal skipped would have been rejected, so the
+walk decides exactly what evaluating every proposal decides.  A restart
+freezes once 200 proposals in a row have each gained less than 1e-10: it
+leaves the batch and its unused moves, and rejoins the others only for the
+final probability step.
 
 The pseudo-random source is numpy's PCG64; restart r draws from the r-th
 child of SeedSequence(seed) alone, so runs are reproducible and each
@@ -176,10 +177,10 @@ class _Ascent:
     i and member j it caches the channel output outs[:, i, j] and its
     entropy, and per branch the probability-weighted average output and the
     weighted member entropies, which a proposal moves by its increments, so
-    it costs one eigensolve per branch instead of m+1, and only if
-    `undecided` leaves it open: a proposal whose concavity bound lies below
-    every value it could beat needs none.  The helpers taking `rows` act on
-    those restarts only.
+    it costs one eigensolve per branch instead of m+1, and none for a
+    restart whose concavity bound (`undecided`) shows that the proposal
+    cannot raise its value.  The helpers taking `rows` act on those
+    restarts only.
     """
 
     _PER_RESTART = ("psis", "outs", "entropies", "probs", "rbar", "sum_p_s", "chis", "value")
@@ -340,30 +341,33 @@ class _Ascent:
         base = -(self.rbar.reshape(restarts, self.nb, 1, -1) @ logs)[..., 0, 0].real - self.sum_p_s
         return self._combine(base[:, None, :] + lin) >= (self.value - _CERT_MARGIN)[:, None]
 
-    def propose(self, j: int, sweep: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Offer each restart member j's candidate from the `sweep` that
-        `candidates` returned; a restart keeps the move only if its objective
-        improves, written in place by masked copies.  The increment
-        p_j (out' - out_j) is formed here: a sweep's worth would be as large
-        as the outputs.  Returns the mask of gains >= _MIN_IMPROVEMENT."""
+    def propose(self, j: int, sweep: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
+        """Offer the restarts `rows` member j's candidate from the `sweep`
+        that `candidates` returned; a restart keeps the move only if its
+        objective improves, written in place.  The increment p_j (out' -
+        out_j) is formed here: a sweep's worth would be as large as the
+        outputs.  Returns the mask, over all restarts, of gains >=
+        _MIN_IMPROVEMENT."""
         cands, outs, ents, dents = sweep[:4]
-        out = outs[:, j]
-        rbar = self.rbar + self.probs[:, j, None, None, None] * (out - self.outs[:, :, j])
-        sum_p_s = self.sum_p_s + dents[:, j]
+        out = outs[rows, j]
+        rbar = self.rbar[rows] + self.probs[rows, j, None, None, None] * (out - self.outs[rows, :, j])
+        sum_p_s = self.sum_p_s[rows] + dents[rows, j]
         chis = _entropies(rbar) - sum_p_s
         value = self._combine(chis)
-        gain = value - self.value
+        gain = value - self.value[rows]
         keep = gain > 0
         if keep.any():
-            rows, mats = keep[:, None], keep[:, None, None, None]
-            np.copyto(self.psis[:, j], cands[:, j], where=rows)
-            np.copyto(self.outs[:, :, j], out, where=mats)
-            np.copyto(self.entropies[:, :, j], ents[:, j], where=rows)
-            np.copyto(self.rbar, rbar, where=mats)
-            np.copyto(self.sum_p_s, sum_p_s, where=rows)
-            np.copyto(self.chis, chis, where=rows)
-            np.copyto(self.value, value, where=keep)
-        return gain >= _MIN_IMPROVEMENT
+            kept = rows[keep]
+            self.psis[kept, j] = cands[kept, j]
+            self.outs[kept, :, j] = out[keep]
+            self.entropies[kept, :, j] = ents[kept, j]
+            self.rbar[kept] = rbar[keep]
+            self.sum_p_s[kept] = sum_p_s[keep]
+            self.chis[kept] = chis[keep]
+            self.value[kept] = value[keep]
+        significant = np.zeros(self.value.size, dtype=bool)
+        significant[rows] = gain >= _MIN_IMPROVEMENT
+        return significant
 
 
 def _initial_states(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -414,14 +418,15 @@ def _ascend(
             # walk to the next member some restart's bound leaves undecided,
             # or to the next freeze check: a skipped proposal would have been
             # rejected, and a rejection moves no `last`
-            ahead = np.flatnonzero(ascent.undecided(sweep)[:, j:].any(axis=0))
+            undecided = ascent.undecided(sweep)
+            ahead = np.flatnonzero(undecided[:, j:].any(axis=0))
             step = j + ahead[0] if ahead.size else m
             j = min(step, due - t * m)
             if j >= m:
                 break
             k = t * m + j
             if j == step:
-                last[ascent.propose(j, sweep)] = k
+                last[ascent.propose(j, sweep, np.flatnonzero(undecided[:, j]))] = k
             j += 1
             if k < due:
                 continue

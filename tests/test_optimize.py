@@ -177,8 +177,8 @@ def test_freeze_schedule_matches_consecutive_count(monkeypatch, mode, channels, 
         sweeps.append(len(sweeps))
         return candidates(self, *args)
 
-    def recording(self, j, sweep):
-        significant = propose(self, j, sweep)
+    def recording(self, j, sweep, rows):
+        significant = propose(self, j, sweep, rows)
         proposed.append((sweeps[-1] * m + j, bool(significant[0])))
         return significant
 
@@ -251,7 +251,7 @@ def test_incremental_caches_match_rebuild():
             sweep = ascent.candidates(_moves(m, dim, 0.3 * 0.8**t, rngs))
             for j in range(m):
                 before = ascent.psis[:, j].copy()
-                ascent.propose(j, sweep)
+                ascent.propose(j, sweep, np.arange(4))
                 accepted += np.count_nonzero((ascent.psis[:, j] != before).any(axis=1))
             ascent.prob_step()
         assert accepted > 10
@@ -419,7 +419,7 @@ def test_certified_proposals_are_rejected(monkeypatch, mode, channels, dim, m):
             counts["ruled_out"] += int(rows.sum())
             if rows.any():
                 trial = copy.deepcopy(self)
-                trial.propose(j, sweep)
+                trial.propose(j, sweep, np.flatnonzero(rows))
                 np.testing.assert_array_equal(trial.value[rows], self.value[rows])
         return mask
 
