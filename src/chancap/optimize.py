@@ -27,14 +27,14 @@ eigh of the sweep-start average outputs rbar bounds each branch's Holevo
 quantity after every proposal of the sweep by a term linear in the proposal.
 The sweep walks straight to the next member whose bound, combined over the
 branches as the objective is, comes within 1e-12 bits of some restart's
-value, or to the next possible freeze.  The restarts whose bound it comes
-within that margin of take one batched eigensolve of their updated average
-outputs, and each keeps the move, written in place, only if its own
-objective improves.  A proposal skipped would have been rejected, so the
-walk decides exactly what evaluating every proposal decides.  A restart
-freezes once 200 proposals in a row have each gained less than 1e-10: it
-leaves the batch and its unused moves, and rejoins the others only for the
-final probability step.
+value, or to the next possible freeze.  Only the restarts whose bound comes
+that close take one batched eigensolve of their updated average outputs,
+and each keeps the move, written in place, only if its own objective
+improves.  A proposal skipped would have been rejected, so the walk decides
+exactly what evaluating every proposal decides.  A restart freezes once 200
+proposals in a row have each gained less than 1e-10: it leaves the batch and
+its unused moves, and rejoins the others only for the final probability
+step.
 
 The pseudo-random source is numpy's PCG64; restart r draws from the r-th
 child of SeedSequence(seed) alone, so runs are reproducible and each
@@ -414,7 +414,7 @@ def _ascend(
         moves = _moves(m, dim, max(_STEP_MIN, _STEP0 * _STEP_DECAY**t), gens)
         sweep = ascent.candidates(moves)
         j = 0
-        while j < m and ids.size:
+        while j < m:
             # walk to the next member some restart's bound leaves undecided,
             # or to the next freeze check: a skipped proposal would have been
             # rejected, and a rejection moves no `last`
