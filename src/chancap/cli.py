@@ -68,8 +68,9 @@ _CHANNEL = {
 }
 _OPTIONAL = ("gammas",)
 _OPTIMIZER = {
-    "restarts": {"type": int},
-    "iters": {"type": int},
+    "restarts": {"type": int, "help": "independent random starts of each search"},
+    "iters": {"type": int, "help": "cap on each start's iterations, each moving every ensemble "
+              "member and the probabilities; a start that converges stops sooner"},
     "seed": {"type": int},
     "m": {"type": int, "help": "ensemble size, at most and by default the input dim squared, "
           "of the two-use search in additivity and of the one-use search in "

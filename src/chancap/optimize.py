@@ -1,52 +1,39 @@
-"""Multi-start alternating ascent over input ensembles.
+"""Multi-start gradient ascent over input ensembles.
 
 Independent numerical maximization of Holevo-quantity objectives: the check
 against every closed form, and the probe for any gain from entangled inputs.
-States move by random local perturbations with a decaying step, accepting
-improvements only.  Between sweeps the probabilities take a step of their own
-(the objective is concave in them): the Blahut-Arimoto update of the
-classical-quantum channel j -> sigma_j, p_j <- p_j 2^{D(sigma_j || sigma_bar)},
-normalized.  For the Holevo quantity and its branch average ("mean" mode) the
-divergence is averaged over the branches and every update is kept; for the
-branch minimum ("min" mode, maximin) it is the worst branch's, and a restart
-keeps an update only if its minimum strictly improves.  One update per sweep,
-warm-started from the previous sweep; after the last sweep it repeats until
-the duality gap max_j D(sigma_j || sigma_bar) - chi, an upper bound on what
-any reweighting of the final states could add, falls below 1e-6 bits, a
-min-mode update is rejected, or 200 updates have run.
+An ensemble is m pure states psi_j with probabilities p_j.  Branch i of the
+channel maps them to outputs sigma_ij with average sigma_bar_i, and the
+objective weighs the branches' Holevo quantities chi_i by weights w: uniform
+for the Holevo quantity and its branch average ("mean" mode), one-hot on the
+worst branch for the branch minimum ("min" mode, maximin).
 
-All restarts of one search run in lockstep as one numpy batch.  At the start
-of a sweep every live restart draws its m moves, and their candidate states,
-channel outputs (one product with the branches' transfer matrices), output
-entropies and weighted entropy increments p_j (S(out') - S(out_j)) are
-computed in one batch: member j's state, output and probability change only
-at its own proposal or between sweeps, so computing ahead changes nothing.
-Most proposals are rejected, and concavity certifies many rejections without
-an eigensolve: S(X) <= -tr(X log2 rbar) for every state X, so one batched
-eigh of the sweep-start average outputs rbar bounds each branch's Holevo
-quantity after every proposal of the sweep by a term linear in the proposal.
-The sweep walks straight to the next member whose bound, combined over the
-branches as the objective is, comes within 1e-12 bits of some restart's
-value, or to the next possible freeze.  Only the restarts whose bound comes
-that close take one batched eigensolve of their updated average outputs,
-and each keeps the move, written in place, only if its own objective
-improves.  A proposal skipped would have been rejected, so the walk decides
-exactly what evaluating every proposal decides.  A restart freezes once 200
-proposals in a row have each gained less than 1e-10: it leaves the batch and
-its unused moves, and rejoins the others only for the final probability
-step.
+One iteration moves every member of a restart at once.  Let
+G_j = sum_i w_i Phi_i^dag(log2 sigma_ij - log2 sigma_bar_i), where Phi_i^dag,
+the adjoint of branch i, is the conjugate transpose of its transfer matrix,
+and g_j = <psi_j|G_j|psi_j> = sum_i w_i D(sigma_ij || sigma_bar_i).  The
+states step along the sphere, psi_j <- normalize(psi_j + eta (G_j psi_j -
+g_j psi_j)): the objective's gradient in psi_j is p_j G_j psi_j, and the
+step leaves out the factor p_j.  The probabilities take one Blahut-Arimoto
+update p_j <- p_j 2^g_j, normalized.  A restart keeps the iteration only if
+its value rises (at a stationary point an unchanged value would grow eta
+without bound); eta starts at 1, grows 1.5x on a kept iteration and halves
+on a rejected one.  The duality gap max_j g_j - sum_j p_j g_j bounds what any
+reweighting of the states could add (in min mode to the branch minimum as
+well).  A restart stops, converged, once that gap is below 1e-6 bits and eta
+has fallen below 1e-6; otherwise the iteration cap stops it.
 
-The pseudo-random source is numpy's PCG64; restart r draws from the r-th
-child of SeedSequence(seed) alone, so runs are reproducible and each
-restart's outcome depends neither on the restart count nor on batching.
-Every restart starts from m random pure states, none at a known optimum;
-then, at the start of each sweep, it draws its m step sizes in one call and
-their Gaussian noise in one more.
+All restarts of a chunk run in lockstep as one numpy batch, and a restart
+leaves the batch when it stops.  Chunks hold as many restarts as keep their
+member outputs within 8 MiB, the step holding a few arrays of that size.
+Every restart starts from m random pure states, none at a known optimum,
+drawn from the r-th child of SeedSequence(seed) (numpy's PCG64) for restart
+r; nothing else is random, so runs are reproducible and each restart's
+outcome depends on its start states alone.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -60,29 +47,21 @@ from .errors import CapabilityError
 from .holevo import Ensemble
 from .states import DensityMatrix
 
-_EIG_FLOOR = 1e-30  # keeps log2 of the average output finite in gradients
-# proposal step envelope at sweep t: max(_STEP_MIN, _STEP0 * _STEP_DECAY**t)
-_STEP0 = 0.5
-_STEP_DECAY = 0.9935
-_STEP_MIN = 1e-6
-_MIN_IMPROVEMENT = 1e-10  # a proposal gaining less counts toward a freeze
-_PATIENCE = 200  # proposals in a row below _MIN_IMPROVEMENT that freeze a restart
-_PROB_ITERS = 200  # cap on the final Blahut-Arimoto updates
-_FINAL_GAP = 1e-6  # duality gap (bits) that ends the final updates sooner
-# a proposal whose concavity bound stays this far below its restart's value
-# is rejected without an eigensolve; the slack covers round-off
-_CERT_MARGIN = 1e-12
+_EIG_FLOOR = 1e-30  # keeps the logs of rank-deficient outputs finite
+_FINAL_GAP = 1e-6  # duality gap (bits) below which a restart may stop
+_STEP_DONE = 1e-6  # a step below this has collapsed: the restart may stop
+_CHUNK_BYTES = 8 << 20  # member outputs of the restarts run as one batch
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """The search budget, one field per `verify` flag; defaults hit the
-    package's verification tolerances in minutes at desk scale.
+    package's verification tolerances in seconds at d = 2.
 
-    The `restarts` run in lockstep, one sweep of `m` proposals at a time, for
-    at most `iters` sweeps; a restart freezes once _PATIENCE proposals in a
-    row have gained almost nothing.  `seed` picks the pseudo-random streams
-    (None draws one per run, see `seeded`).
+    Each of the `restarts` takes at most `iters` iterations, each moving all
+    its members and probabilities; a restart stops sooner once it has
+    converged.  `seed` picks the start states (None draws one per run, see
+    `seeded`).
     """
 
     restarts: int = 32
@@ -113,9 +92,10 @@ class OptResult:
     """Best value found over all restarts, the ensemble achieving it, and
     the best restart's diagnostics.
 
-    `converged` says whether that restart froze before the sweep cap, and
+    `converged` says whether that restart stopped with a duality gap below
+    1e-6 bits and a collapsed step, rather than at the iteration cap.
     `seed` is the seed the run drew from (the generated one when the config
-    gave none).  `duality_gap` is its final Blahut-Arimoto gap in bits: no
+    gave none).  `duality_gap` is that restart's final gap in bits: no
     reweighting of its states raises the value by more.  In min mode it is
     the worst branch's gap, which bounds the branch minimum as well."""
 
@@ -142,17 +122,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _entropies(mats: np.ndarray) -> np.ndarray:
-    """Von Neumann entropies in bits of a stack (..., d, d) of Hermitian
-    PSD matrices; round-off negatives in a spectrum contribute 0."""
-    w = np.linalg.eigvalsh(mats)
+def _entropies(w: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a stack (..., d) of spectra;
+    round-off negatives contribute 0."""
     return -(w * np.log2(w, out=np.zeros(w.shape), where=w > 0)).sum(axis=-1)
 
 
-def _log2m(mats: np.ndarray) -> np.ndarray:
-    """Matrix log2 of a stack (..., d, d) of Hermitian PSD matrices, the
-    eigenvalues floored at _EIG_FLOOR."""
-    w, v = np.linalg.eigh(mats)
+def _log2m(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix log2 of the Hermitian matrices with eigenvalues w (..., d) and
+    eigenvectors v (..., d, d), the eigenvalues floored at _EIG_FLOOR."""
     return (v * np.log2(np.maximum(w, _EIG_FLOOR))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -170,204 +148,83 @@ def _apply_pure(transfer: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 
 class _Ascent:
-    """Incremental evaluation state for a batch of restarts.
+    """The state of a batch of restarts, each array with a leading restart
+    axis: states psis (R, m, din), probabilities (R, m), the spectra and
+    eigenvectors of the member outputs (R, m, branches, dout[, dout]), log2
+    of each branch's average output, the branches' Holevo quantities and the
+    objective's value.  The branches come as one (branches, dout^2, din^2)
+    stack of transfer matrices."""
 
-    The branches come as one (branches, dout^2, din^2) stack of transfer
-    matrices, and arrays carry a leading restart axis.  Per restart, branch
-    i and member j it caches the channel output outs[:, i, j] and its
-    entropy, and per branch the probability-weighted average output and the
-    weighted member entropies, which a proposal moves by its increments, so
-    it costs one eigensolve per branch instead of m+1, and none for a
-    restart whose concavity bound (`undecided`) shows that the proposal
-    cannot raise its value.  The helpers taking `rows` act on those
-    restarts only.
-    """
-
-    _PER_RESTART = ("psis", "outs", "entropies", "probs", "rbar", "sum_p_s", "chis", "value")
+    _PER_RESTART = ("psis", "probs", "evals", "evecs", "logr", "chis", "value")
 
     def __init__(self, transfer: np.ndarray, mode: str, psis, probs):
         self.transfer = transfer
+        # rows vec(L) of stacked branches times this give vec(sum_i Phi_i^dag(L_i))
+        self.adjoint = transfer.conj().reshape(-1, transfer.shape[-1])
         self.mode = mode
-        self.psis = np.array(psis, dtype=np.complex128)  # (R, m, din)
-        restarts, self.m, _ = self.psis.shape
-        self.nb = len(transfer)
-        self.outs = np.ascontiguousarray(_apply_pure(transfer, self.psis).swapaxes(1, 2))
-        self.entropies = _entropies(self.outs)  # (R, nb, m)
-        self.probs = np.empty((restarts, self.m))
-        self.rbar = np.empty((restarts, self.nb) + self.outs.shape[-2:], dtype=np.complex128)
-        self.sum_p_s = np.empty((restarts, self.nb))
-        self.chis = np.empty((restarts, self.nb))
-        self.value = np.empty(restarts)
-        self._commit_probs(np.arange(restarts), np.asarray(probs, dtype=np.float64))
+        # copies: the batch writes its kept iterations in place
+        state = self._evaluate(np.array(psis, dtype=np.complex128), np.array(probs, dtype=np.float64))
+        for name, x in zip(self._PER_RESTART, state):
+            setattr(self, name, x)
 
-    def split(self, leave: np.ndarray) -> _Ascent:
-        """Move the restarts selected by the boolean mask `leave` out of this
-        batch into a new one, which is returned."""
-        out = copy.copy(self)
+    def select(self, rows: np.ndarray):
+        """Keep only the restarts selected by the boolean mask `rows`."""
         for name in self._PER_RESTART:
-            rows = getattr(self, name)
-            setattr(out, name, rows[leave])
-            setattr(self, name, rows[~leave])
-        return out
+            setattr(self, name, getattr(self, name)[rows])
 
-    def join(self, other: _Ascent):
-        """Append the restarts of batch `other` to this one."""
-        for name in self._PER_RESTART:
-            setattr(self, name, np.concatenate([getattr(self, name), getattr(other, name)]))
-
-    def _combine(self, chis: np.ndarray) -> np.ndarray:
+    def _weights(self, chis: np.ndarray) -> np.ndarray:
+        """The branch weights (R, branches) at the Holevo quantities `chis`:
+        uniform in mean mode, one-hot on the worst branch (the lowest index
+        of ties) in min mode."""
         if self.mode == "min":
-            return chis.min(axis=-1)
-        return chis.sum(axis=-1) / self.nb  # the bits of np.mean
+            return np.eye(chis.shape[1])[np.argmin(chis, axis=1)]
+        return np.full(chis.shape, 1.0 / chis.shape[1])
 
-    def _averages(self, probs: np.ndarray, outs: np.ndarray) -> np.ndarray:
-        """sum_j probs[..., j] outs[..., i, j] for every branch i, summed
-        over j in order: a BLAS product would split the sum by thread count."""
-        flat = outs.reshape(outs.shape[:-2] + (-1,))
-        avg = np.einsum("...j,...bjk->...bk", probs, flat)
-        return avg.reshape(outs.shape[:-3] + outs.shape[-2:])
+    def _evaluate(self, psis: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The `_PER_RESTART` arrays of the ensembles `psis`, `probs`."""
+        outs = _apply_pure(self.transfer, psis)
+        # sum_j probs[:, j] outs[:, j] per branch, in order: a BLAS product
+        # would split the sum by thread count
+        flat = outs.reshape(outs.shape[:3] + (-1,))
+        rbar = np.einsum("rj,rjbk->rbk", probs, flat).reshape(outs.shape[:1] + outs.shape[2:])
+        evals, evecs = np.linalg.eigh(outs)
+        del outs
+        rw, rv = np.linalg.eigh(rbar)
+        chis = _entropies(rw) - _dot(probs[:, None, :], _entropies(evals).swapaxes(1, 2))
+        value = (self._weights(chis) * chis).sum(axis=1)
+        return psis, probs, evals, evecs, _log2m(rw, rv), chis, value
 
-    def _commit_probs(self, rows: np.ndarray, probs: np.ndarray, guard: bool = False) -> np.ndarray:
-        """Set the probabilities of `rows` to `probs`; with `guard`, only for
-        the restarts whose objective strictly improves.  Returns the mask of
-        `rows` committed."""
-        rbar = self._averages(probs, self.outs[rows])
-        sum_p_s = _dot(probs[:, None, :], self.entropies[rows])
-        chis = _entropies(rbar) - sum_p_s
-        value = self._combine(chis)
-        keep = value > self.value[rows] if guard else np.ones(rows.size, dtype=bool)
-        rows = rows[keep]
-        self.probs[rows] = probs[keep]
-        self.rbar[rows] = rbar[keep]
-        self.sum_p_s[rows] = sum_p_s[keep]
-        self.chis[rows] = chis[keep]
-        self.value[rows] = value[keep]
-        return keep
-
-    def _gradient(self, rows: np.ndarray) -> np.ndarray:
-        """Supergradient of each restart's objective in its probabilities
-        (up to a uniform component, which the normalized update ignores),
-        shape (len(rows), m).  In mean mode entry j is the branch average of
-        D(sigma_ij || sigma_bar_i), so value = probs @ gradient; in min mode
-        it is that of the worst branch alone."""
-        if self.mode == "min":
-            worst = np.argmin(self.chis[rows], axis=1)[:, None]
-            rows = rows[:, None]
-            rbar, outs, ents = self.rbar[rows, worst], self.outs[rows, worst], self.entropies[rows, worst]
-            scale = 1.0
-        else:
-            rbar, outs, ents = self.rbar[rows], self.outs[rows], self.entropies[rows]
-            scale = 1.0 / self.nb
-        logm_t = _log2m(rbar).swapaxes(-1, -2)[..., None, :, :]
-        # Re tr(outs_j logm), summed row by row as einsum("jab,ba->j") does
-        traces = (outs.real * logm_t.real - outs.imag * logm_t.imag).sum(axis=-1).sum(axis=-1)
-        g = np.zeros((len(rows), self.m))
-        for i in range(traces.shape[1]):
-            g += -traces[:, i] - ents[:, i]
-        return g * scale
-
-    def prob_step(self, final: bool = False) -> np.ndarray | None:
-        """One Blahut-Arimoto update of every restart's probabilities for its
-        current states.  With `final`, updates until each restart's duality
-        gap falls below _FINAL_GAP, its min-mode update is rejected, or
-        _PROB_ITERS updates have run; returns the gaps at the committed
-        probabilities."""
-        rows = np.arange(self.value.size)
-        g = self._gradient(rows)
-        if not final:
-            self._blahut_arimoto(rows, g)
-            return None
-        gaps = self._duality_gap(rows, g)
-        live = np.ones(rows.size, dtype=bool)
-        for _ in range(_PROB_ITERS):
-            todo = np.flatnonzero(live & (gaps >= _FINAL_GAP))
-            if not todo.size:
-                break
-            keep = self._blahut_arimoto(todo, g[todo])
-            live[todo[~keep]] = False
-            todo = todo[keep]
-            g[todo] = self._gradient(todo)
-            gaps[todo] = self._duality_gap(todo, g[todo])
-        return gaps
-
-    def _duality_gap(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def gradient(self) -> tuple[np.ndarray, ...]:
+        """Each member's ascent direction G_j psi_j - g_j psi_j (R, m, din),
+        g (R, m) and each restart's duality gap, as in the module docstring."""
+        restarts, m, din = self.psis.shape
+        logs = _log2m(self.evals, self.evecs)
+        logs -= self.logr[:, None]
+        logs *= self._weights(self.chis)[:, None, :, None, None]
+        big_g = (logs.reshape(restarts * m, -1) @ self.adjoint).reshape(restarts, m, din, din)
+        del logs
+        g_psi = (big_g @ self.psis[..., None])[..., 0]
+        g = _dot(self.psis.conj(), g_psi).real
         # probs @ g is a convex combination of g, so it can exceed max(g)
         # only by round-off
-        return np.maximum(0.0, np.max(g, axis=1) - _dot(self.probs[rows], g))
+        gap = np.maximum(0.0, g.max(axis=1) - _dot(self.probs, g))
+        return g_psi - g[..., None] * self.psis, g, gap
 
-    def _blahut_arimoto(self, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """p_j <- p_j 2^(g_j) / Z for g = `_gradient(rows)`; returns the mask
-        of `rows` committed.  In mean mode the update never lowers the value
-        (up to round-off), so every row commits; in min mode the worst branch
-        can change, so a row commits only if its minimum strictly improves."""
-        w = self.probs[rows] * np.exp2(g - np.max(g, axis=1, keepdims=True))
-        return self._commit_probs(rows, w / w.sum(axis=1, keepdims=True), guard=self.mode == "min")
-
-    def candidates(self, moves: np.ndarray) -> tuple[np.ndarray, ...]:
-        """A sweep's proposals computed ahead in one batch: the states
-        psis + moves normalized (R, m, din), their channel outputs (R, m, nb,
-        dout, dout), output entropies and weighted entropy increments
-        p_j (S(out') - S(out_j)), both (R, m, nb).  Ahead is soon enough:
-        member j's state, output and probability change only at its own
-        proposal or between sweeps.  Two more entries serve `undecided`: the
-        transposed log2 of the sweep-start average outputs, flattened to (R,
-        nb, dout^2, 1), and each proposal's linear term (R, m, nb),
-        -p_j tr((out' - out_j) log2 rbar) - dents."""
-        v = self.psis + moves
+    def step(self, eta: np.ndarray, direction: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """One iteration with steps `eta` (R,) along `direction` and the
+        Blahut-Arimoto update by `g`, from `gradient`; a restart keeps it
+        only if its value rises.  Returns the mask of restarts that kept it."""
+        v = self.psis + eta[:, None, None] * direction
         # the bits of np.linalg.norm, row by row
-        cands = v / np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))[..., None]
-        outs = _apply_pure(self.transfer, cands)
-        ents = _entropies(outs)
-        dents = self.probs[..., None] * (ents - self.entropies.swapaxes(1, 2))
-        restarts, dd = self.value.size, outs.shape[-1] ** 2
-        logs = np.ascontiguousarray(_log2m(self.rbar).swapaxes(-1, -2)).reshape(restarts, self.nb, dd, 1)
-        # tr(X L) = vec(X) . vec(L^T): one matrix-vector product per branch
-        # over views of the outputs, (R, nb, m)
-        now = (self.outs.reshape(restarts, self.nb, self.m, dd) @ logs)[..., 0].real
-        new = (outs.reshape(restarts, self.m, self.nb, dd).swapaxes(1, 2) @ logs)[..., 0].real
-        lin = -(self.probs[:, None, :] * (new - now)).swapaxes(1, 2) - dents
-        return cands, outs, ents, dents, logs, lin
-
-    def undecided(self, sweep: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Mask (R, m) of the `sweep` proposals that might raise their
-        restart's value now.  S is concave, so S(X) <= -tr(X log2 rbar0) for
-        the sweep-start average output rbar0: branch i's chi after proposal
-        j is at most -tr(rbar_i log2 rbar0_i) - sum_p_s_i + lin_ij at the
-        current rbar and sum_p_s, and the bounds combine over branches as
-        the chis do.  A proposal whose bound lies more than _CERT_MARGIN
-        below the value would be rejected; the rest stay undecided."""
-        *_, logs, lin = sweep
-        restarts = self.value.size
-        base = -(self.rbar.reshape(restarts, self.nb, 1, -1) @ logs)[..., 0, 0].real - self.sum_p_s
-        return self._combine(base[:, None, :] + lin) >= (self.value - _CERT_MARGIN)[:, None]
-
-    def propose(self, j: int, sweep: tuple[np.ndarray, ...], rows: np.ndarray) -> np.ndarray:
-        """Offer the restarts `rows` member j's candidate from the `sweep`
-        that `candidates` returned; a restart keeps the move only if its
-        objective improves, written in place.  The increment p_j (out' -
-        out_j) is formed here: a sweep's worth would be as large as the
-        outputs.  Returns the mask, over all restarts, of gains >=
-        _MIN_IMPROVEMENT."""
-        cands, outs, ents, dents = sweep[:4]
-        out = outs[rows, j]
-        rbar = self.rbar[rows] + self.probs[rows, j, None, None, None] * (out - self.outs[rows, :, j])
-        sum_p_s = self.sum_p_s[rows] + dents[rows, j]
-        chis = _entropies(rbar) - sum_p_s
-        value = self._combine(chis)
-        gain = value - self.value[rows]
-        keep = gain > 0
-        if keep.any():
-            kept = rows[keep]
-            self.psis[kept, j] = cands[kept, j]
-            self.outs[kept, :, j] = out[keep]
-            self.entropies[kept, :, j] = ents[kept, j]
-            self.rbar[kept] = rbar[keep]
-            self.sum_p_s[kept] = sum_p_s[keep]
-            self.chis[kept] = chis[keep]
-            self.value[kept] = value[keep]
-        significant = np.zeros(self.value.size, dtype=bool)
-        significant[rows] = gain >= _MIN_IMPROVEMENT
-        return significant
+        psis = v / np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))[..., None]
+        probs = self.probs * np.exp2(g - g.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        state = self._evaluate(psis, probs)
+        keep = state[-1] > self.value
+        for name, x in zip(self._PER_RESTART, state):
+            old = getattr(self, name)
+            np.copyto(old, x, where=keep.reshape((-1,) + (1,) * (old.ndim - 1)))
+        return keep
 
 
 def _initial_states(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -375,85 +232,36 @@ def _initial_states(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
-def _moves(m: int, dim: int, envelope: float, rngs) -> np.ndarray:
-    """A sweep's random moves, shape (len(rngs), m, dim): restart n draws
-    its m steps in one call to rngs[n] and their noise in one more."""
-    # spread proposals over two decades below the decaying envelope so fine
-    # refinements are tried long before the envelope shrinks
-    steps = np.stack([envelope * 10.0 ** (-2.0 * rng.random(m)) for rng in rngs])
-    noise = np.stack([rng.normal(size=(m, 2 * dim)) for rng in rngs])
-    return steps[..., None] * (noise[..., :dim] + 1j * noise[..., dim:])
-
-
-def _ascend(
-    transfer: np.ndarray,
-    mode: str,
-    psis: np.ndarray,
-    cfg: OptimizerConfig,
-    rngs: Sequence[np.random.Generator],
-) -> list[_RestartOutcome]:
-    """Run one restart per row of `psis` (R, m, din) in lockstep from
-    uniform probabilities on the branches' (branches, dout^2, din^2)
-    transfer matrices, restart r drawing from rngs[r].  A restart freezes
-    after _PATIENCE proposals in a row below _MIN_IMPROVEMENT and leaves
-    the batch, so the proposals of the others cost nothing for it; all take
-    the final probability step together."""
-    restarts, m, dim = psis.shape
-    ascent = _Ascent(transfer, mode, psis, np.full((restarts, m), 1.0 / m))
-    ascent.prob_step()
-    ids = np.arange(restarts)  # the restart of each row of `ascent`
-    gens = list(rngs)  # and its generator
-    # proposal k = t m + j freezes a restart whose latest gain >= _MIN_IMPROVEMENT
-    # came at proposal last <= k - _PATIENCE: none before due = min(last) + _PATIENCE
-    last, due = np.full(restarts, -1), _PATIENCE - 1
-    frozen_at = np.zeros(restarts, dtype=int)  # the sweep, 0 if never
-    frozen = []  # (ids, batch) of the restarts that have left `ascent`
-    for t in range(cfg.iters):
-        # drawn a sweep ahead: a restart that freezes mid-sweep never draws
-        # again, so the moves it leaves unused change nothing
-        moves = _moves(m, dim, max(_STEP_MIN, _STEP0 * _STEP_DECAY**t), gens)
-        sweep = ascent.candidates(moves)
-        j = 0
-        while j < m:
-            # walk to the next member some restart's bound leaves undecided,
-            # or to the next freeze check: a skipped proposal would have been
-            # rejected, and a rejection moves no `last`
-            undecided = ascent.undecided(sweep)
-            ahead = np.flatnonzero(undecided[:, j:].any(axis=0))
-            step = j + ahead[0] if ahead.size else m
-            j = min(step, due - t * m)
-            if j >= m:
+def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> list[_RestartOutcome]:
+    """Run one restart per row of `psis` (R, m, din) from uniform
+    probabilities on the branches' (branches, dout^2, din^2) transfer
+    matrices, for at most `iters` iterations each, in chunks of restarts
+    whose member outputs fit _CHUNK_BYTES."""
+    restarts, m, _ = psis.shape
+    size = max(1, _CHUNK_BYTES // (16 * m * transfer.shape[0] * transfer.shape[1]))
+    outcomes = []
+    for first in range(0, restarts, size):
+        chunk = psis[first : first + size]
+        ascent = _Ascent(transfer, mode, chunk, np.full(chunk.shape[:2], 1.0 / m))
+        ids = np.arange(len(chunk))  # the chunk row of each restart in `ascent`
+        eta = np.ones(len(chunk))
+        done = [None] * len(chunk)
+        for t in range(iters + 1):
+            direction, g, gap = ascent.gradient()
+            converged = (gap < _FINAL_GAP) & (eta < _STEP_DONE)
+            stop = converged | (t == iters)
+            for n in np.flatnonzero(stop):
+                done[ids[n]] = _RestartOutcome(
+                    float(ascent.value[n]), ascent.psis[n].copy(), ascent.probs[n].copy(),
+                    t, bool(converged[n]), float(gap[n]),
+                )
+            if stop.all():
                 break
-            k = t * m + j
-            if j == step:
-                last[ascent.propose(j, sweep, np.flatnonzero(undecided[:, j]))] = k
-            j += 1
-            if k < due:
-                continue
-            leave = k - last >= _PATIENCE
-            if leave.any():
-                frozen_at[ids[leave]] = t + 1
-                frozen.append((ids[leave], ascent.split(leave)))
-                ids, last = ids[~leave], last[~leave]
-                sweep = tuple(x[~leave] for x in sweep)
-                gens = [rngs[r] for r in ids]
-                if not ids.size:
-                    break
-            due = last.min() + _PATIENCE
-        if not ids.size:
-            break
-        del sweep  # as large as the outputs: free it for the steps that follow
-        ascent.prob_step()
-    for members, batch in frozen:
-        ids = np.concatenate([ids, members])
-        ascent.join(batch)
-    gaps = ascent.prob_step(final=True)
-    outcomes = [None] * restarts
-    for n, r in enumerate(ids):
-        outcomes[r] = _RestartOutcome(
-            float(ascent.value[n]), ascent.psis[n], ascent.probs[n],
-            int(frozen_at[r] or cfg.iters), bool(frozen_at[r]), float(gaps[n]),
-        )
+            if stop.any():
+                ascent.select(~stop)
+                ids, eta, direction, g = ids[~stop], eta[~stop], direction[~stop], g[~stop]
+            eta = np.where(ascent.step(eta, direction, g), 1.5 * eta, 0.5 * eta)
+        outcomes += done
     return outcomes
 
 
@@ -482,8 +290,7 @@ def _maximize(
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
     psis = np.stack([_initial_states(dim, m, rng) for rng in rngs])
-    transfer = np.stack([b.transfer for b in branches])
-    outcomes = _ascend(transfer, mode, psis, cfg, rngs)
+    outcomes = _ascend(np.stack([b.transfer for b in branches]), mode, psis, cfg.iters)
 
     best = max(outcomes, key=lambda outcome: outcome.value)  # the first of ties
     ensemble = Ensemble(best.probs, tuple(DensityMatrix(np.outer(psi, psi.conj())) for psi in best.psis))
@@ -518,8 +325,8 @@ def maximize_min_chi(
     m: int | None = None,
     cfg: OptimizerConfig = OptimizerConfig(),
 ) -> OptResult:
-    """Maximize the worst-branch Holevo quantity (maximin); ascent accepts a
-    move only when the minimum itself improves, ties resolved toward the
-    lowest branch index."""
+    """Maximize the worst-branch Holevo quantity (maximin): each iteration
+    follows the worst branch, ties resolved toward the lowest branch index,
+    and is kept only when the minimum itself rises."""
     return _maximize(ch.branches, "min", m, cfg, lambda ens: holevo.chi_branch_min(ch, ens))
 

@@ -1,8 +1,8 @@
 """Acceptance suite: every criterion at its stated tolerance and runtime
 budget, one pass/fail line each (run with `pytest tests/test_acceptance.py -v -s`).
 
-The optimizer criteria use the full default budgets (32 restarts, 2000
-sweeps); the whole module takes about 15 s on two cores.
+The optimizer criteria use the full default budgets (32 restarts, at most 2000
+iterations); the whole module takes about 15 s on two cores.
 """
 
 import json

@@ -98,16 +98,36 @@ def test_verify_generates_and_reports_seed(capsys):
     ],
 )
 def test_crippled_budget_fails_low(capsys, channel):
-    # no restart starts at the known optimum, so one restart of five sweeps,
-    # or 32 restarts of one sweep, fall short of a closed form and the run fails
+    # no restart starts at the known optimum, so one restart of five
+    # iterations, or 32 restarts of one, fall short of a closed form, the run
+    # fails and its searches stop at the cap, unconverged
     argv = ["verify", channel[0], "--d", "2", *channel[1:]]
     code, out, _ = run(capsys, argv)
-    failed = {c["name"]: c for c in json.loads(out)["checks"] if not c["pass"]}
+    payload = json.loads(out)
+    failed = {c["name"]: c for c in payload["checks"] if not c["pass"]}
     assert code == 1 and failed
+    assert payload["results"]["converged"] is False
     for check in failed.values():
         assert check["value"] < check["bound"] - check["tol"]
     if channel[channel.index("--iters") + 1] == "1":
         assert "two_use_reaches_closed_form" in failed
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3", "7", "11", "42"])
+@pytest.mark.parametrize(
+    "channel",
+    [["additivity", "--lambda", "0.5"], ["theorem1", "--lambdas", "0.9,0.5"],
+     ["theorem2", "--lambdas", "0.9,0.5"]],
+    ids=["additivity", "theorem1", "theorem2"],
+)
+def test_default_budget_converges(capsys, channel, seed):
+    # at the default budget every search stops by its gap-and-step rule
+    # before the cap, within a duality gap of 1e-6 bits
+    code, out, _ = run(capsys, ["verify", channel[0], "--d", "2", *channel[1:], "--seed", seed])
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["converged"] is True
+    assert max(results["duality_gap"].values()) < 1e-6
 
 
 def test_verify_theorem1(capsys):

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import os
@@ -29,7 +28,7 @@ from chancap import (
     tensor_channels,
 )
 from chancap import optimize
-from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend, _initial_states, _moves
+from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend, _initial_states
 
 # small budgets keep the unit tests quick; the acceptance suite runs the
 # spec budgets
@@ -84,9 +83,9 @@ def test_determinism_same_seed():
 def test_no_restart_starts_at_the_computational_basis(monkeypatch):
     starts = []
 
-    def ascend(transfer, mode, psis, cfg, rngs):
+    def ascend(transfer, mode, psis, iters):
         starts.append(psis)
-        return _ascend(transfer, mode, psis, cfg, rngs)
+        return _ascend(transfer, mode, psis, iters)
 
     monkeypatch.setattr(optimize, "_ascend", ascend)
     maximize_chi(depolarizing(2, 0.5), 4, OptimizerConfig(restarts=4, iters=1, seed=0))
@@ -101,164 +100,55 @@ def _transfers(channels):
     return np.stack([ch.transfer for ch in channels])
 
 
-def _restart_streams(seed, restarts, dim, m):
-    """Per-restart generators and start states, drawn as _maximize does."""
+def _starts(seed, restarts, dim, m):
+    """Per-restart start states, drawn as _maximize draws them."""
     children = np.random.SeedSequence(seed).spawn(restarts)
-    rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
-    psis = np.stack([_initial_states(dim, m, rng) for rng in rngs])
-    return rngs, psis
+    return np.stack([_initial_states(dim, m, np.random.Generator(np.random.PCG64(c))) for c in children])
 
 
 _LOCKSTEP_CASES = [
-    ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 8,
-     (OptimizerConfig(restarts=5, iters=200, seed=7), 60)),
-    ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
-     (OptimizerConfig(restarts=5, iters=300, seed=3), 200)),
-    ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
-     (OptimizerConfig(restarts=5, iters=300, seed=7), 200)),
-    # output dimension 9: the gradient's trace sums take numpy's pairwise
+    ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 8, (5, None)),
+    ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4, (5, None)),
+    ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4, (5, None)),
+    # output dimension 9: the sums over an output take numpy's pairwise
     # path, which sums in blocks of 8
-    ("mean", (tensor_channels([depolarizing(3, 0.5)] * 2),), 9, 4,
-     (OptimizerConfig(restarts=5, iters=80, seed=7), 20)),
-    # patience < m: restarts 2 and 4 freeze inside sweep 3, 3 and 5
-    # inside sweep 10
-    ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16,
-     (OptimizerConfig(restarts=6, iters=100, seed=7), 6)),
+    ("mean", (tensor_channels([depolarizing(3, 0.5)] * 2),), 9, 4, (4, None)),
+    # chunks of two restarts, so the five span three chunks
+    ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16, (5, 2)),
 ]
 
 
 @pytest.mark.parametrize("mode,channels,dim,m,cfg", _LOCKSTEP_CASES)
 def test_batching_independence(monkeypatch, mode, channels, dim, m, cfg):
-    # each restart run inside the batch must end exactly where it ends
-    # alone; cfg pairs the budget with the freeze patience
-    cfg, patience = cfg
-    monkeypatch.setattr(optimize, "_PATIENCE", patience)
+    # each restart run inside the batch, while the others stop before or
+    # after it, must end exactly where it ends alone; cfg pairs the restart
+    # count with the restarts per chunk (None: all in one)
+    restarts, chunk = cfg
     transfer = _transfers(channels)
-    rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
-    batched = _ascend(transfer, mode, psis, cfg, rngs)
-    sweeps = {out.iterations for out in batched}
-    assert len(sweeps) > 1, "restarts should freeze at different sweeps"
+    psis = _starts(7, restarts, dim, m)
+    if chunk:
+        monkeypatch.setattr(optimize, "_CHUNK_BYTES", chunk * 16 * m * transfer.shape[0] * transfer.shape[1])
+    batches = []
+    init = _Ascent.__init__
+
+    def recording(self, transfer, mode, psis, probs):
+        batches.append(len(psis))
+        init(self, transfer, mode, psis, probs)
+
+    monkeypatch.setattr(_Ascent, "__init__", recording)
+    iters = 2000
+    batched = _ascend(transfer, mode, psis, iters)
+    assert batches == ([chunk] * (restarts // chunk) + [restarts % chunk] if chunk else [restarts])
+    assert len({out.iterations for out in batched}) > 1, "restarts should stop at different iterations"
     for r, together in enumerate(batched):
-        rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
-        (alone,) = _ascend(transfer, mode, psis[r : r + 1], cfg, rngs[r : r + 1])
+        (alone,) = _ascend(transfer, mode, psis[r : r + 1], iters)
         assert together.value == alone.value
         assert together.iterations == alone.iterations
         assert together.converged == alone.converged
         assert together.duality_gap == alone.duality_gap
         np.testing.assert_array_equal(together.psis, alone.psis)
         np.testing.assert_array_equal(together.probs, alone.probs)
-
-
-@pytest.mark.parametrize(
-    "mode,channels,dim,m,cfg",
-    [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16,
-         (OptimizerConfig(restarts=3, iters=100, seed=7), 6)),
-        ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
-         (OptimizerConfig(restarts=3, iters=300, seed=3), 1)),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 8,
-         (OptimizerConfig(restarts=3, iters=100, seed=7), 5)),
-        # patience beyond the budget: the sweep cap ends the run
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4,
-         (OptimizerConfig(restarts=3, iters=30, seed=7), 500)),
-    ],
-)
-def test_freeze_schedule_matches_consecutive_count(monkeypatch, mode, channels, dim, m, cfg):
-    # record the significant proposals k = t m + j of a one-restart run and
-    # recount every k with a plain run-length counter, a proposal the walk
-    # skips counting as insignificant; cfg pairs the budget with the freeze
-    # patience
-    cfg, patience = cfg
-    proposed = []  # (k, significant) of each exact evaluation
-    sweeps = []
-    candidates, propose = _Ascent.candidates, _Ascent.propose
-
-    def sweep_start(self, *args):
-        sweeps.append(len(sweeps))
-        return candidates(self, *args)
-
-    def recording(self, j, sweep, rows):
-        significant = propose(self, j, sweep, rows)
-        proposed.append((sweeps[-1] * m + j, bool(significant[0])))
-        return significant
-
-    monkeypatch.setattr(optimize, "_PATIENCE", patience)
-    monkeypatch.setattr(_Ascent, "candidates", sweep_start)
-    monkeypatch.setattr(_Ascent, "propose", recording)
-    for r in range(cfg.restarts):
-        proposed.clear()
-        sweeps.clear()
-        rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
-        (out,) = _ascend(_transfers(channels), mode, psis[r : r + 1], cfg, rngs[r : r + 1])
-        significant = {k for k, s in proposed if s}
-        quiet, frozen_at = 0, None
-        for k in range(cfg.iters * m):
-            quiet = 0 if k in significant else quiet + 1
-            if quiet >= patience:
-                frozen_at = k
-                break
-        assert len(sweeps) == out.iterations
-        if frozen_at is None:
-            assert (out.iterations, out.converged) == (cfg.iters, False)
-        else:
-            assert all(k <= frozen_at for k, _ in proposed), "no proposal after the freeze"
-            assert (out.iterations, out.converged) == (frozen_at // m + 1, True)
-
-
-@pytest.mark.parametrize(
-    "mode,channels,dim,m,iters",
-    [
-        # long enough for gains below 1e-10 and between 1e-10 and 1e-7
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16, 1000),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 8, 300),
-    ],
-)
-def test_significance_threshold(monkeypatch, mode, channels, dim, m, iters):
-    # a proposal counts toward no freeze exactly when it commits a gain of
-    # at least 1e-10 bits (a rejected move gains 0)
-    propose = _Ascent.propose
-    gains = []
-
-    def recording(self, *args):
-        before = self.value.copy()
-        significant = propose(self, *args)
-        gain = self.value - before
-        np.testing.assert_array_equal(significant, gain >= 1e-10)
-        gains.append(gain)
-        return significant
-
-    monkeypatch.setattr(_Ascent, "propose", recording)
-    cfg = OptimizerConfig(restarts=3, iters=iters, seed=7)
-    rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
-    _ascend(_transfers(channels), mode, psis, cfg, rngs)
-    if mode == "mean":
-        gains = np.concatenate(gains)
-        assert np.any((gains > 0) & (gains < 1e-10)) and np.any((gains >= 1e-10) & (gains < 1e-7))
-
-
-def test_incremental_caches_match_rebuild():
-    # masked commits and per-sweep increments keep the caches equal to a
-    # fresh evaluation of the same states and probabilities
-    for mode, channels, dim, m in [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
-    ]:
-        transfer = _transfers(channels)
-        rngs, psis = _restart_streams(5, 4, dim, m)
-        ascent = _Ascent(transfer, mode, psis, np.full((4, m), 1.0 / m))
-        accepted = 0
-        for t in range(6):
-            sweep = ascent.candidates(_moves(m, dim, 0.3 * 0.8**t, rngs))
-            for j in range(m):
-                before = ascent.psis[:, j].copy()
-                ascent.propose(j, sweep, np.arange(4))
-                accepted += np.count_nonzero((ascent.psis[:, j] != before).any(axis=1))
-            ascent.prob_step()
-        assert accepted > 10
-        fresh = _Ascent(transfer, mode, ascent.psis, ascent.probs)
-        for name in ("outs", "entropies", "rbar", "sum_p_s", "chis", "value"):
-            kept, rebuilt = getattr(ascent, name), getattr(fresh, name)
-            np.testing.assert_allclose(kept, rebuilt, rtol=0, atol=1e-12, err_msg=name)
+        assert together.converged and together.duality_gap < optimize._FINAL_GAP
 
 
 def test_monotone_in_restarts():
@@ -359,77 +249,6 @@ def _damping(g, mirrored=False):
     return KrausChannel((k0, k1))
 
 
-@pytest.mark.parametrize(
-    "mode,channels,dim,m,cfg",
-    _LOCKSTEP_CASES
-    + [
-        ("mean", (_damping(0.6),), 2, 4, (OptimizerConfig(restarts=4, iters=300, seed=3), 200)),
-        ("mean", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4,
-         (OptimizerConfig(restarts=4, iters=300, seed=3), 200)),
-        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4,
-         (OptimizerConfig(restarts=4, iters=300, seed=3), 200)),
-    ],
-)
-def test_certificate_changes_nothing(monkeypatch, mode, channels, dim, m, cfg):
-    # the walk that skips certified rejections ends every restart exactly
-    # where evaluating every proposal ends it
-    cfg, patience = cfg
-    monkeypatch.setattr(optimize, "_PATIENCE", patience)
-    transfer = _transfers(channels)
-
-    def run():
-        rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
-        return _ascend(transfer, mode, psis, cfg, rngs)
-
-    walked = run()
-    monkeypatch.setattr(optimize, "_CERT_MARGIN", math.inf)
-    every = run()
-    for a, b in zip(walked, every):
-        assert a.value == b.value
-        assert a.iterations == b.iterations
-        assert a.converged == b.converged
-        assert a.duality_gap == b.duality_gap
-        np.testing.assert_array_equal(a.psis, b.psis)
-        np.testing.assert_array_equal(a.probs, b.probs)
-
-
-@pytest.mark.parametrize(
-    "mode,channels,dim,m",
-    [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
-        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
-    ],
-    ids=["mean-two-use", "min-depolarizing", "min-damping"],
-)
-def test_certified_proposals_are_rejected(monkeypatch, mode, channels, dim, m):
-    # whenever the walk asks which proposals are undecided, each one the
-    # bound rules out, offered on a copy through the exact path, is rejected
-    undecided = _Ascent.undecided
-    counts = {"ruled_out": 0, "undecided": 0}
-
-    def checked(self, sweep):
-        mask = undecided(self, sweep)
-        # a member that moved this sweep holds its candidate and has left
-        # its bound behind, but the walk has passed it
-        unmoved = (self.psis != sweep[0]).any(axis=-1)
-        counts["undecided"] += int(mask.sum())
-        for j in range(m):
-            rows = ~mask[:, j] & unmoved[:, j]
-            counts["ruled_out"] += int(rows.sum())
-            if rows.any():
-                trial = copy.deepcopy(self)
-                trial.propose(j, sweep, np.flatnonzero(rows))
-                np.testing.assert_array_equal(trial.value[rows], self.value[rows])
-        return mask
-
-    monkeypatch.setattr(_Ascent, "undecided", checked)
-    cfg = OptimizerConfig(restarts=3, iters=40, seed=7)
-    rngs, psis = _restart_streams(cfg.seed, cfg.restarts, dim, m)
-    _ascend(_transfers(channels), mode, psis, cfg, rngs)
-    assert counts["ruled_out"] > 100 and counts["undecided"] > 100
-
-
 def _random_psis(rng, m, dim):
     psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
@@ -468,41 +287,83 @@ def test_transfer_matches_kraus_apply(channel):
     [
         ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
         ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
         ("min", (depolarizing(2, 0.2), depolarizing(2, -0.1)), 2, 4),
-        # neither branch degrades the other, so the worst one changes and
-        # unguarded updates would lower the minimum
+        # neither branch degrades the other, so the worst one changes
+        ("mean", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
         ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+        # rank-deficient outputs, whose logs take the eigenvalue floor
+        ("mean", (identity_channel(2),), 2, 4),
+        ("mean", (_damping(0.6),), 2, 4),
+        ("mean", (_damping(0.999),), 2, 4),
     ],
-    ids=["mean-two-use", "mean-periodic", "min-0.2,-0.1", "min-damping"],
+    ids=["mean-two-use", "mean-periodic", "min-0.9,0.5", "min-0.2,-0.1", "mean-damping",
+         "min-damping", "identity", "damping-0.6", "damping-0.999"],
 )
-def test_prob_step_monotone(mode, channels, dim, m):
-    for seed in range(5):
-        psis = _random_psis(np.random.default_rng(seed), m, dim)
-        ascent = _Ascent(_transfers(channels), mode, psis[None], np.full((1, m), 1.0 / m))
-        for _ in range(100):
-            before = ascent.value.copy()
-            ascent.prob_step()
-            assert ascent.value >= before - 1e-15
+def test_iteration_monotone(monkeypatch, mode, channels, dim, m):
+    # at no iteration does a restart's value fall, a restart that rejects
+    # the iteration keeps its state, and nothing turns NaN
+    step = _Ascent.step
+    kept = []
+
+    def checked(self, eta, direction, g):
+        before = {name: getattr(self, name).copy() for name in _Ascent._PER_RESTART}
+        keep = step(self, eta, direction, g)
+        assert np.all(self.value >= before["value"])
+        for name, old in before.items():
+            np.testing.assert_array_equal(getattr(self, name)[~keep], old[~keep])
+            assert np.isfinite(getattr(self, name)).all(), name
+        kept.append(keep)
+        return keep
+
+    monkeypatch.setattr(_Ascent, "step", checked)
+    outcomes = _ascend(_transfers(channels), mode, _starts(3, 3, dim, m), 300)
+    kept = np.concatenate(kept)
+    assert kept.any() and not kept.all()
+    assert all(np.isfinite([out.value, out.duality_gap]).all() for out in outcomes)
+
+
+def test_incremental_caches_match_rebuild():
+    # after kept and rejected iterations alike, the cached spectra, logs,
+    # chis and values equal a fresh evaluation of the states and
+    # probabilities held
+    for mode, channels, dim, m in [
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
+    ]:
+        ascent = _Ascent(_transfers(channels), mode, _starts(5, 4, dim, m), np.full((4, m), 1.0 / m))
+        kept = []
+        for eta in (0.3, 3.0, 30.0, 0.1, 10.0, 1.0):
+            direction, g, _ = ascent.gradient()
+            kept.append(ascent.step(np.full(4, eta), direction, g))
+            fresh = _Ascent(ascent.transfer, mode, ascent.psis, ascent.probs)
+            for name in _Ascent._PER_RESTART:
+                np.testing.assert_array_equal(getattr(fresh, name), getattr(ascent, name), err_msg=name)
+        kept = np.array(kept)
+        assert kept.any() and not kept.all()
 
 
 @pytest.mark.parametrize(
-    "mode,lambdas,prob_iters",
+    "mode,lambdas,iters",
     [pytest.param("mean", (0.5,), n, id=str(n)) for n in (1, 3, 200)]
     + [pytest.param("min", (0.9, 0.5), n, id=f"min-{n}") for n in (1, 3, 200)],
 )
-def test_duality_gap_brackets_optimum(monkeypatch, mode, lambdas, prob_iters):
+def test_duality_gap_brackets_optimum(mode, lambdas, iters):
     # the computational basis is an optimal set of states for every
-    # depolarizing branch, so over its probabilities
-    # value <= closed form <= value + gap
-    monkeypatch.setattr(optimize, "_PROB_ITERS", prob_iters)
+    # depolarizing branch, so it does not move, and over its probabilities
+    # value <= closed form <= value + gap at every iteration; the gap closes
     transfer = _transfers([depolarizing(2, lam) for lam in lambdas])
     psis = np.eye(2, dtype=np.complex128)[[0, 1, 0, 1]]
     ascent = _Ascent(transfer, mode, psis[None], np.array([[0.55, 0.3, 0.1, 0.05]]))
-    gap = ascent.prob_step(final=True)
     closed = capacity_convex_depolarizing(2, lambdas)
-    assert ascent.value <= closed + 1e-12
-    assert closed <= ascent.value + gap + 1e-12
-    if prob_iters < 200:
+    for t in range(iters + 1):
+        direction, g, gap = ascent.gradient()
+        assert ascent.value <= closed + 1e-12
+        assert closed <= ascent.value + gap + 1e-12
+        if t < iters:
+            ascent.step(np.ones(1), direction, g)
+    np.testing.assert_array_equal(ascent.psis[0], psis)
+    if iters < 200:
         assert gap > optimize._FINAL_GAP
     else:
         assert gap < optimize._FINAL_GAP
@@ -510,16 +371,15 @@ def test_duality_gap_brackets_optimum(monkeypatch, mode, lambdas, prob_iters):
 
 @pytest.mark.parametrize("mode,lambdas", [("mean", (0.5,)), ("min", (0.9, 0.5))], ids=["mean", "min"])
 def test_tol_is_the_final_gap_stop(monkeypatch, mode, lambdas):
+    # a restart stops before the cap, converged, only once its gap is below
+    # _FINAL_GAP; with no gap below it, every restart runs to the cap
     transfer = _transfers([tensor_channels([depolarizing(2, lam)] * 2) for lam in lambdas])
-    psis = _random_psis(np.random.default_rng(3), 8, 4)
-
-    def final_gap(tol):
-        monkeypatch.setattr(optimize, "_FINAL_GAP", tol)
-        return _Ascent(transfer, mode, psis[None], np.full((1, 8), 1 / 8)).prob_step(final=True)
-
-    tight = final_gap(optimize._FINAL_GAP)
-    loose = final_gap(1e-1)
-    assert tight < loose < 1e-1
+    psis = _starts(3, 3, 4, 8)
+    for out in _ascend(transfer, mode, psis, 1000):
+        assert out.converged and out.iterations < 1000 and out.duality_gap < optimize._FINAL_GAP
+    monkeypatch.setattr(optimize, "_FINAL_GAP", 0.0)
+    for out in _ascend(transfer, mode, psis, 1000):
+        assert not out.converged and out.iterations == 1000
 
 
 @pytest.mark.parametrize("field,value", [("restarts", 0), ("iters", 0), ("seed", -1)])
