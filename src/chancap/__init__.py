@@ -21,19 +21,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # states
     **dict.fromkeys(
-        ("DensityMatrix", "PureState", "Spectrum", "basis_state", "maximally_mixed",
-         "tensor", "partial_trace", "eigenvalues"),
+        ("DensityMatrix", "basis_state", "maximally_mixed", "tensor", "partial_trace",
+         "eigenvalues"),
         "states",
     ),
     # entropy
     **dict.fromkeys(("von_neumann_entropy", "relative_entropy", "shannon_entropy"), "entropy"),
     # channels
-    "KrausChannel": "channels",
-    "DepolarizingParams": "params",
     **dict.fromkeys(
-        ("PeriodicChannel", "ConvexCombinationChannel", "depolarizing", "identity_channel",
-         "apply", "tensor_channels", "periodic_branch", "apply_periodic", "apply_convex",
-         "mix_channels"),
+        ("KrausChannel", "PeriodicChannel", "ConvexCombinationChannel", "depolarizing",
+         "identity_channel", "apply", "tensor_channels", "periodic_branch", "apply_periodic",
+         "apply_convex", "mix_channels"),
         "channels",
     ),
     # holevo
@@ -60,19 +58,23 @@ _EXPORTS = {
 
 __all__ = ["__version__", *_EXPORTS]
 
+# the submodules that attribute access imports, every export's among them
+_SUBMODULES = ("states", "entropy", "channels", "params", "holevo", "sampling", "optimize",
+               "capacity", "errors")
+
 
 def __getattr__(name: str):
     """Resolve a submodule or an export not yet bound (PEP 562)."""
-    if name in _EXPORTS.values():
+    if name in _SUBMODULES:
         # `from . import <submodule>` inside the package also lands here
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    for module in _EXPORTS.values():
+    for module in _SUBMODULES:
         importlib.import_module(f"{__name__}.{module}")
     globals().update((export, getattr(globals()[module], export)) for export, module in _EXPORTS.items())
     return globals()[name]
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__) | set(_EXPORTS.values()))
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

@@ -12,8 +12,7 @@ search, so it refuses d * d > MAX_PRODUCT_DIM before it builds any channel.
 The closed forms and reports need the standard library alone; the `verify_*`
 drivers import numpy, `channels` and `optimize` when called.  The closed-form
 CLI commands import this module on every cold start, so its records are
-namedtuples, as in `params`: a dataclass would load `dataclasses` and
-`inspect`."""
+namedtuples: a dataclass would load `dataclasses` and `inspect`."""
 
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Sequence
 
-from .params import DepolarizingParams, check_gammas
+from .params import check_depolarizing, check_gammas
 
 if TYPE_CHECKING:
     from .optimize import OptimizerConfig
@@ -93,7 +92,7 @@ class CapacityReport(
 
 def s_min_depolarizing(d: int, lam: float) -> float:
     """Minimum output entropy in bits, attained on any pure input."""
-    DepolarizingParams(d, lam)  # validates the CP range
+    check_depolarizing(d, lam)
     big = lam + (1.0 - lam) / d
     small = (1.0 - lam) / d
     s = 0.0
@@ -113,7 +112,7 @@ def _validate_lambdas(d: int, lambdas: Sequence[float]):
     if not len(lambdas):
         raise ValueError("need at least one branch parameter")
     for lam in lambdas:
-        DepolarizingParams(d, lam)  # CPViolationError names the offending value
+        check_depolarizing(d, lam)  # CPViolationError names the offending value
 
 
 def capacity_periodic_depolarizing(d: int, lambdas: Sequence[float]) -> float:

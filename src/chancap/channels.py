@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
-from .params import DepolarizingParams, check_gammas, check_weights
+from .params import check_depolarizing, check_gammas, check_weights
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -145,8 +145,7 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
     the identity and (1-lam)/d^2 elsewhere; both are nonnegative exactly on
     the completely positive range of lam.
     """
-    params = DepolarizingParams(d, lam)
-    d, lam = params.d, params.lam
+    check_depolarizing(d, lam)
     # at lam = -1/(d^2-1) round-off can leave w_id just below 0 (e.g. d = 6)
     w_id = max(0.0, lam + (1.0 - lam) / d**2)
     w_other = (1.0 - lam) / d**2

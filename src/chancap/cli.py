@@ -4,8 +4,8 @@ Subcommands: `capacity {depolarizing|periodic|convex}`,
 `verify {additivity|theorem1|theorem2}`, and `sweep`.  Output is a JSON
 report (or CSV with --format csv); exit code 0 on success, 1 when a
 verification check fails, 2 on usage or validation errors, 3 on a numerical
-failure (an eigensolver that did not converge, or a non-finite value in the
-report).
+failure (an eigensolver that did not converge, a search whose value the
+Kraus form does not reproduce, or a non-finite value in the report).
 
 Each command's flags are declared once, in `_COMMANDS` and the `_CHANNEL`,
 `_OPTIMIZER` and `_COMMON` sets; the parser, the config file and the
@@ -33,19 +33,21 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 
 from . import capacity
 from .errors import CPViolationError
-from .params import DepolarizingParams
+from .params import check_depolarizing
 
 
 MAX_SWEEP_POINTS = 100_000  # most rows one sweep tabulates
 
 
 class _NumericalFailure(ArithmeticError):
-    """An eigensolver did not converge, or a report value is NaN or infinite."""
+    """An eigensolver did not converge, a search's value failed its cross-check,
+    or a report value is NaN or infinite."""
 
 
 def _float_list(text: str) -> list[float]:
@@ -115,8 +117,19 @@ def _flags(invoked: str) -> dict:
     return flags
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token of "-" and a digit or "." as a value, not a flag, so
+    `--lambdas -0.2,0.5` and `--lambda -2e-1` parse as their `=` forms do
+    (argparse takes only plain negative decimals); no chancap flag starts so."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-[\d.]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chancap",
         description="Capacities of depolarizing-branch channels: closed forms, "
         "optimizer verification, parameter sweeps.",
@@ -210,12 +223,12 @@ def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
     for name, value in (("lambda_from", lo), ("lambda_to", hi), ("step", step)):
         if not math.isfinite(value):
             raise ValueError(f"{_flag(name)} must be finite, got {value}")
-    DepolarizingParams(d, 1.0)  # rejects d < 2 before the grid bounds divide by d*d - 1
+    check_depolarizing(d, 1.0)  # rejects d < 2 before the grid bounds divide by d*d - 1
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if lo > hi:
         raise ValueError(f"empty grid: lambda-from {lo} exceeds lambda-to {hi}")
-    DepolarizingParams(d, lo)  # row 0 is lo itself
+    check_depolarizing(d, lo)  # row 0 is lo itself
     if hi > 1.0 + 1e-12:  # the last row is clamped to 1
         raise CPViolationError(d, hi)
     # the grid has floor(steps) + 1 points; steps is infinite for a tiny step
@@ -260,7 +273,9 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
     inputs = {"d": args.d, "m": args.m, "restarts": cfg.restarts, "iters": cfg.iters, **inputs}
     try:
         report = getattr(capacity, function)(*params, args.m, cfg)
-    except np.linalg.LinAlgError as err:  # a ValueError, which would exit 2
+    # LinAlgError is a ValueError, which would exit 2; ArithmeticError is
+    # also the optimizer's failed cross-check of its value
+    except (np.linalg.LinAlgError, ArithmeticError) as err:
         raise _NumericalFailure(err) from err
     payload = _payload(args.invoked, inputs, report.results_dict(), report.checks, seed=cfg.seed)
     return payload, 0 if report.passed else 1

@@ -29,7 +29,9 @@ member outputs within 8 MiB, the step holding a few arrays of that size.
 Every restart starts from m random pure states, none at a known optimum,
 drawn from the r-th child of SeedSequence(seed) (numpy's PCG64) for restart
 r; nothing else is random, so runs are reproducible and each restart's
-outcome depends on its start states alone.
+outcome depends on its start states alone.  The reported value is the best
+restart's ensemble re-evaluated through the channels' Kraus form; a search
+whose two values differ by more than 1e-9 bits raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -45,12 +47,20 @@ from . import holevo
 from .channels import MAX_PRODUCT_DIM, ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .errors import CapabilityError
 from .holevo import Ensemble
+from .sampling import random_unit_vectors
 from .states import DensityMatrix
 
 _EIG_FLOOR = 1e-30  # keeps the logs of rank-deficient outputs finite
 _FINAL_GAP = 1e-6  # duality gap (bits) below which a restart may stop
 _STEP_DONE = 1e-6  # a step below this has collapsed: the restart may stop
 _CHUNK_BYTES = 8 << 20  # member outputs of the restarts run as one batch
+_CROSS_CHECK_TOL = 1e-9  # bits between the ascent's value and the Kraus form's
+
+
+def _check_integer(name: str, value):
+    """Raise TypeError unless `value` is an integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +81,8 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("restarts", "iters", "seed"):
             value = getattr(self, name)
-            if value is None and name == "seed":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value is not None or name != "seed":
+                _check_integer(name, value)
         if self.restarts < 1 or self.iters < 1:
             raise ValueError("restarts and iters must be positive")
         if self.seed is not None and self.seed < 0:
@@ -227,11 +235,6 @@ class _Ascent:
         return keep
 
 
-def _initial_states(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
-    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
-
-
 def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> list[_RestartOutcome]:
     """Run one restart per row of `psis` (R, m, din) from uniform
     probabilities on the branches' (branches, dout^2, din^2) transfer
@@ -283,22 +286,27 @@ def _maximize(
     # sizes every restart's cached outputs
     if m is None:
         m = dim * dim
+    _check_integer("m", m)
     if not 1 <= m <= dim * dim:
         raise ValueError(f"ensemble size m must be between 1 and {dim * dim}, the input "
                          f"dimension squared, got {m}")
     cfg = cfg.seeded()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
-    psis = np.stack([_initial_states(dim, m, rng) for rng in rngs])
+    psis = np.stack([random_unit_vectors(dim, m, rng) for rng in rngs])
     outcomes = _ascend(np.stack([b.transfer for b in branches]), mode, psis, cfg.iters)
 
     best = max(outcomes, key=lambda outcome: outcome.value)  # the first of ties
     ensemble = Ensemble(best.probs, tuple(DensityMatrix(np.outer(psi, psi.conj())) for psi in best.psis))
     # Report the value re-evaluated through the library path (the Kraus sum,
     # not the transfer matrix) so it is exactly reproducible from the
-    # returned ensemble.
+    # returned ensemble, and check it against the ascent's own.
+    value = evaluate(ensemble)
+    if not abs(value - best.value) <= _CROSS_CHECK_TOL:
+        raise ArithmeticError(f"the Kraus form gives {value!r} bits where the ascent gave "
+                              f"{best.value!r}, more than {_CROSS_CHECK_TOL} apart")
     return OptResult(
-        value=evaluate(ensemble),
+        value=value,
         ensemble=ensemble,
         converged=best.converged,
         seed=cfg.seed,

@@ -1,14 +1,11 @@
 """Validators of channel parameters and probability vectors.
 
 They use the standard library alone, so the closed-form capacities and the
-CLI commands built on them run without numpy.  Those commands import this
-module on every cold start, so its record is a namedtuple: a dataclass would
-also load `dataclasses` and `inspect`, two fifths of `import chancap.cli`.
+CLI commands built on them run without numpy.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Sequence
 
 from .errors import CPViolationError
@@ -16,23 +13,13 @@ from .errors import CPViolationError
 WEIGHT_SUM_TOL = 1e-12  # every probability vector: weights, gammas, ensembles
 
 
-class DepolarizingParams(namedtuple("DepolarizingParams", "d lam")):
-    """Dimension and mixing parameter of rho -> lam*rho + (1-lam)*I/d."""
-
-    __slots__ = ()
-
-    def __new__(cls, d: int, lam: float):
-        if d < 2:
-            raise ValueError(f"dimension must be at least 2, got {d}")
-        lo = -1.0 / (d**2 - 1)
-        if not lo <= lam <= 1.0:
-            raise CPViolationError(d, lam)
-        return super().__new__(cls, d, lam)
-
-    @classmethod
-    def _make(cls, iterable):
-        """Validate as the constructor does; `_replace` builds through this."""
-        return cls(*iterable)
+def check_depolarizing(d: int, lam: float):
+    """Raise unless rho -> lam*rho + (1-lam)*I/d is a channel: ValueError
+    for d < 2, CPViolationError for lam outside [-1/(d^2-1), 1]."""
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    if not -1.0 / (d**2 - 1) <= lam <= 1.0:
+        raise CPViolationError(d, lam)
 
 
 def check_weights(weights: Sequence[float], count: int, name: str):

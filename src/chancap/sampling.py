@@ -1,10 +1,11 @@
-"""Random states and unitaries for property tests and benchmarks."""
+"""Random states and unitaries: the optimizer's start states, and inputs
+for property tests and benchmarks."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -14,9 +15,17 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
-    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(amps / np.linalg.norm(amps))
+def random_unit_vectors(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m Haar-random state vectors as the rows of an (m, dim) array:
+    normalized complex Gaussians, the real parts drawn before the imaginary."""
+    psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
+    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
+
+
+def random_pure_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Haar-random pure state |psi><psi|."""
+    (psi,) = random_unit_vectors(dim, 1, rng)
+    return DensityMatrix(np.outer(psi, psi.conj()))
 
 
 def random_density_matrix(

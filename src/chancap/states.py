@@ -1,4 +1,5 @@
-"""Density matrices, pure states and spectra, plus the tensor/trace plumbing."""
+"""Density matrices, a pure state being the matrix |psi><psi|, plus the
+tensor/trace plumbing and spectra as read-only arrays."""
 
 from __future__ import annotations
 
@@ -12,13 +13,6 @@ from .errors import DimensionMismatchError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-NORM_TOL = 1e-12
-
-
-def _as_complex(a) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128, order="C")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,7 +26,8 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _as_complex(self.mat)
+        mat = np.array(self.mat, dtype=np.complex128, order="C")
+        mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
@@ -51,50 +46,13 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit-norm state vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = _as_complex(self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1 or amps.size < 1:
-            raise ValueError(f"amplitudes must be a nonempty vector, got shape {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state vector norm must be 1, got {norm}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def to_density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Real eigenvalues in descending order."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if np.isnan(vals).any() or np.any(np.diff(vals) > 0):
-            raise ValueError("spectrum values must be numbers in descending order")
-
-
-def basis_state(dim: int, k: int) -> PureState:
-    """Computational basis vector |k> on a dim-dimensional space."""
+def basis_state(dim: int, k: int) -> DensityMatrix:
+    """Computational basis state |k><k| on a dim-dimensional space."""
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[k] = 1.0
-    return PureState(amps)
+    mat = np.zeros((dim, dim))
+    mat[k, k] = 1.0
+    return DensityMatrix(mat)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -137,8 +95,10 @@ def partial_trace(
     return DensityMatrix(reshaped.reshape(d_kept, d_kept))
 
 
-def eigenvalues(rho: DensityMatrix) -> Spectrum:
-    """Descending real spectrum; round-off negatives in [-1e-10, 0) clamp to 0."""
+def eigenvalues(rho: DensityMatrix) -> np.ndarray:
+    """Read-only real spectrum in descending order; round-off negatives in
+    [-1e-10, 0) clamp to 0."""
     w = np.linalg.eigvalsh(rho.mat)[::-1].copy()
     w[w < 0] = 0.0
-    return Spectrum(w)
+    w.setflags(write=False)
+    return w

@@ -163,7 +163,7 @@ def test_criterion_9_depolarizing_spectrum_law():
                     )
                 )[::-1]
                 for psi in states:
-                    spec = eigenvalues(apply(ch, psi.to_density())).values
+                    spec = eigenvalues(apply(ch, psi))
                     np.testing.assert_allclose(spec, expected, atol=1e-10)
 
 

@@ -26,7 +26,7 @@ from chancap import (
 )
 from chancap.capacity import CapacityReport, report_convex, report_depolarizing, report_periodic
 from chancap.optimize import OptimizerConfig
-from chancap.params import DepolarizingParams
+from chancap.params import check_depolarizing
 
 FAST = OptimizerConfig(restarts=3, iters=300, seed=13)
 
@@ -182,13 +182,13 @@ def test_records_are_validated_immutable_values():
     assert a.extras == {} and a.extras is not b.extras  # no shared default dict
     with pytest.raises(AttributeError):
         a.closed_form = 2.0
-    assert DepolarizingParams(d=3, lam=0.5) == DepolarizingParams(3, 0.5)
+    assert check_depolarizing(d=3, lam=0.5) is None and check_depolarizing(2, -1 / 3) is None
     with pytest.raises(CPViolationError):
-        DepolarizingParams(d=2, lam=1.5)
+        check_depolarizing(d=2, lam=1.5)
     with pytest.raises(CPViolationError):
-        DepolarizingParams(2, 0.5)._replace(lam=1.5)
+        check_depolarizing(2, -0.34)
     with pytest.raises(ValueError, match="at least 2"):
-        DepolarizingParams(1, 0.5)
+        check_depolarizing(1, 0.5)
 
 
 def test_verify_additivity_small_budget():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from chancap import capacity, channels, optimize
+from chancap import capacity, channels, holevo, optimize
 from chancap.cli import MAX_SWEEP_POINTS, main
 from chancap.optimize import OptimizerConfig
 
@@ -292,7 +292,7 @@ def test_verify_m_above_input_dim_squared_is_usage_error(capsys, monkeypatch, ch
     def fail(*args, **kwargs):
         raise AssertionError("search started before the m check")
 
-    monkeypatch.setattr(optimize, "_initial_states", fail)
+    monkeypatch.setattr(optimize, "random_unit_vectors", fail)
     argv = ["verify", channel[0], "--d", "2", *channel[1:], "--m", str(limit + 1), "--seed", "7"]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
@@ -326,6 +326,34 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: numerical failure: Eigenvalues did not converge\n"
+
+
+def test_failed_cross_check_is_numerical_failure(capsys, monkeypatch):
+    # a Kraus-form value that disagrees with the ascent's exits 3, unprinted
+    chi = holevo.chi
+    monkeypatch.setattr(holevo, "chi", lambda ch, ens: chi(ch, ens) + 1e-6)
+    argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--restarts", "2", "--iters", "60",
+            "--seed", "7"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical failure: the Kraus form gives ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "periodic", "--d", "2", "--lambdas", "-0.2,0.5"],
+        ["capacity", "depolarizing", "--d", "2", "--lambda", "-2e-1"],
+        ["capacity", "convex", "--d", "3", "--lambdas", "-.1,0.5", "--gammas", ".3,.7"],
+        ["sweep", "--d", "2", "--lambda-from", "-1e-1", "--lambda-to", "0.5", "--step", "0.1"],
+    ],
+)
+def test_negative_value_after_space_parses_as_with_equals(capsys, argv):
+    # argparse itself reads only plain negative decimals such as -0.2 as values
+    tokens = iter(argv)
+    joined = [f"{t}={next(tokens)}" if t.startswith("--") else t for t in tokens]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and (code, out, err) == run(capsys, joined)
 
 
 def test_config_file_provides_defaults(tmp_path, capsys):

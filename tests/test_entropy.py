@@ -18,7 +18,7 @@ H_QUARTER = 0.8112781244591328
 
 
 def test_entropy_pure_state_is_zero():
-    assert von_neumann_entropy(basis_state(2, 0).to_density()) == pytest.approx(0.0, abs=1e-12)
+    assert von_neumann_entropy(basis_state(2, 0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_maximally_mixed_qubit():
@@ -45,8 +45,8 @@ def test_relative_entropy_self_is_zero():
 
 
 def test_relative_entropy_disjoint_support_is_infinite():
-    a = basis_state(2, 0).to_density()
-    b = basis_state(2, 1).to_density()
+    a = basis_state(2, 0)
+    b = basis_state(2, 1)
     assert relative_entropy(a, b) == math.inf
 
 

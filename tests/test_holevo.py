@@ -28,7 +28,7 @@ CHI_HALF = 0.18872187554086717
 def random_ensemble(d, m, rng, pure=False):
     probs = rng.dirichlet(np.ones(m))
     if pure:
-        states = tuple(random_pure_state(d, rng).to_density() for _ in range(m))
+        states = tuple(random_pure_state(d, rng) for _ in range(m))
     else:
         states = tuple(random_density_matrix(d, rng) for _ in range(m))
     return Ensemble(probs, states)
@@ -95,7 +95,7 @@ def test_zero_probability_members_contribute_nothing():
     base = uniform_orthonormal_ensemble(2)
     padded = Ensemble(
         np.array([0.5, 0.5, 0.0]),
-        base.states + (random_pure_state(2, np.random.default_rng(1)).to_density(),),
+        base.states + (random_pure_state(2, np.random.default_rng(1)),),
     )
     for fn in (chi, chi_via_relative_entropy):
         val = fn(ch, padded)

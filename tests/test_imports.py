@@ -1,7 +1,8 @@
-"""What importing chancap loads: the lazy export table, and the closed-form
-CLI commands running without numpy."""
+"""What importing chancap loads: the lazy export table, the closed-form CLI
+commands running without numpy, and the README's library quick start."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -71,11 +72,12 @@ def test_bare_import_loads_no_numpy_and_resolves_submodules_on_access():
     code = (
         "import sys, chancap\n"
         "print('numpy' in sys.modules, 'chancap.holevo' in sys.modules)\n"
-        "print(chancap.holevo.__name__, chancap.optimize.__name__, chancap.capacity.__name__)\n"
+        "print(chancap.params.__name__, chancap.holevo.__name__, chancap.optimize.__name__,"
+        " chancap.capacity.__name__)\n"
     )
     assert _fresh(code).splitlines() == [
         "False False",
-        "chancap.holevo chancap.optimize chancap.capacity",
+        "chancap.params chancap.holevo chancap.optimize chancap.capacity",
     ]
 
 
@@ -85,7 +87,7 @@ def test_first_export_access_loads_every_submodule():
     code = (
         "import sys, chancap\n"
         "chancap.chi_star_depolarizing\n"
-        "print(sorted(set(chancap._EXPORTS.values()) - {m[8:] for m in sys.modules if m.startswith('chancap.')}))\n"
+        "print(sorted(set(chancap._SUBMODULES) - {m[8:] for m in sys.modules if m.startswith('chancap.')}))\n"
     )
     assert _fresh(code) == "[]"
 
@@ -108,3 +110,14 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         chancap.no_such_name
     assert getattr(chancap, "KERNEL_BACKEND", None) is None
+
+
+def test_readme_quick_start_runs():
+    # the README's library example uses only exported names, and its claims hold
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    (block,) = re.findall(r"## Library quick start\n\n```python\n(.*?)```", text, re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["rep"].passed

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -28,7 +29,8 @@ from chancap import (
     tensor_channels,
 )
 from chancap import optimize
-from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend, _initial_states
+from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend
+from chancap.sampling import random_unit_vectors
 
 # small budgets keep the unit tests quick; the acceptance suite runs the
 # spec budgets
@@ -54,6 +56,28 @@ def test_value_reproducible_from_ensemble():
     ch = depolarizing(2, 0.6)
     res = maximize_chi(ch, 4, FAST)
     assert abs(chi(ch, res.ensemble) - res.value) <= 1e-9
+
+
+def test_disagreeing_kraus_value_raises(monkeypatch):
+    chi = optimize.holevo.chi
+    monkeypatch.setattr(optimize.holevo, "chi", lambda ch, ens: chi(ch, ens) + 1e-6)
+    with pytest.raises(ArithmeticError, match="the Kraus form gives .* the ascent gave"):
+        maximize_chi(depolarizing(2, 0.6), 4, FAST)
+
+
+@pytest.mark.parametrize("m", [2.0, True, "2", None, np.int64(2)], ids=repr)
+def test_m_must_be_an_integer(monkeypatch, m):
+    # checked before any start state is drawn
+    def fail(*args, **kwargs):
+        raise AssertionError("start states drawn before the m check")
+
+    monkeypatch.setattr(optimize, "random_unit_vectors", fail)
+    if isinstance(m, np.integer) or m is None:
+        with pytest.raises(AssertionError, match="start states drawn"):
+            maximize_chi(depolarizing(2, 0.6), m, FAST)
+    else:
+        with pytest.raises(TypeError, match=re.escape(f"m must be an integer, got {m!r}")):
+            maximize_chi(depolarizing(2, 0.6), m, FAST)
 
 
 def test_avg_value_reproducible_from_ensemble():
@@ -103,7 +127,7 @@ def _transfers(channels):
 def _starts(seed, restarts, dim, m):
     """Per-restart start states, drawn as _maximize draws them."""
     children = np.random.SeedSequence(seed).spawn(restarts)
-    return np.stack([_initial_states(dim, m, np.random.Generator(np.random.PCG64(c))) for c in children])
+    return np.stack([random_unit_vectors(dim, m, np.random.Generator(np.random.PCG64(c))) for c in children])
 
 
 _LOCKSTEP_CASES = [
@@ -249,11 +273,6 @@ def _damping(g, mirrored=False):
     return KrausChannel((k0, k1))
 
 
-def _random_psis(rng, m, dim):
-    psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
-    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
-
-
 def _partial_trace():
     """Trace over the second qubit of two, as Kraus terms I (x) <k|."""
     return KrausChannel(tuple(np.kron(np.eye(2), np.eye(2)[[k]]) for k in range(2)))
@@ -272,7 +291,7 @@ def _partial_trace():
     ids=["depolarizing-2", "depolarizing-3", "two-use", "mixture", "damping", "partial-trace"],
 )
 def test_transfer_matches_kraus_apply(channel):
-    psis = _random_psis(np.random.default_rng(4), 6, channel.din)
+    psis = random_unit_vectors(channel.din, 6, np.random.default_rng(4))
     outs = _apply_pure(channel.transfer[None], psis)
     assert outs.shape == (6, 1, channel.dout, channel.dout)
     for psi, out in zip(psis, outs[:, 0]):

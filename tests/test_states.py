@@ -4,7 +4,6 @@ import pytest
 from chancap import (
     DensityMatrix,
     DimensionMismatchError,
-    PureState,
     basis_state,
     eigenvalues,
     maximally_mixed,
@@ -29,11 +28,6 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(np.diag([1.5, -0.5]))
 
 
-def test_pure_state_requires_unit_norm():
-    with pytest.raises(ValueError, match="norm"):
-        PureState(np.array([1.0, 1.0]))
-
-
 def test_tensor_identity_case():
     out = tensor(maximally_mixed(2), maximally_mixed(2))
     assert out.dim == 4
@@ -41,7 +35,7 @@ def test_tensor_identity_case():
 
 
 def test_tensor_basis_case():
-    out = tensor(basis_state(2, 0).to_density(), basis_state(2, 1).to_density())
+    out = tensor(basis_state(2, 0), basis_state(2, 1))
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0  # |01>
     np.testing.assert_allclose(out.mat, expected, atol=1e-15)
@@ -63,7 +57,7 @@ def test_tensor_partial_trace_round_trip(d):
 def test_partial_trace_maximally_entangled():
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = 1 / np.sqrt(2)
-    pair = PureState(amps).to_density()
+    pair = DensityMatrix(np.outer(amps, amps.conj()))
     reduced = partial_trace(pair, [2, 2], {0})
     np.testing.assert_allclose(reduced.mat, np.eye(2) / 2, atol=1e-12)
 
@@ -83,25 +77,26 @@ def test_partial_trace_dimension_mismatch():
 
 def test_eigenvalues_maximally_mixed():
     spec = eigenvalues(maximally_mixed(4))
-    np.testing.assert_allclose(spec.values, np.full(4, 0.25), atol=1e-14)
+    np.testing.assert_allclose(spec, np.full(4, 0.25), atol=1e-14)
 
 
 def test_eigenvalues_pure_state():
-    spec = eigenvalues(basis_state(3, 1).to_density())
-    np.testing.assert_allclose(spec.values, [1.0, 0.0, 0.0], atol=1e-14)
+    spec = eigenvalues(basis_state(3, 1))
+    np.testing.assert_allclose(spec, [1.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_eigenvalues_depolarized_pure_qubit():
     # Delta_0.5 on |0><0| has spectrum {lam + (1-lam)/d, (1-lam)/d} = {0.75, 0.25}
     rho = DensityMatrix(np.diag([0.75, 0.25]))
     spec = eigenvalues(rho)
-    np.testing.assert_allclose(spec.values, [0.75, 0.25], atol=1e-12)
+    np.testing.assert_allclose(spec, [0.75, 0.25], atol=1e-12)
 
 
 def test_spectrum_descending_and_normalized():
     rng = np.random.default_rng(11)
     for _ in range(25):
         spec = eigenvalues(random_density_matrix(5, rng))
-        assert np.all(np.diff(spec.values) <= 0)
-        assert np.all(spec.values >= 0)
-        assert abs(spec.values.sum() - 1.0) < 1e-9
+        assert np.all(np.diff(spec) <= 0)
+        assert np.all(spec >= 0)
+        assert abs(spec.sum() - 1.0) < 1e-9
+        assert not spec.flags.writeable
