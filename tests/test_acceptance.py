@@ -5,6 +5,7 @@ The optimizer criteria use the full default budgets (32 restarts, at most 2000
 iterations); the whole module takes about 15 s on two cores.
 """
 
+import gc
 import json
 import time
 from contextlib import contextmanager
@@ -50,6 +51,9 @@ CFG = OptimizerConfig(seed=7)
 
 @contextmanager
 def criterion(num: int, label: str, budget_s: float):
+    # Collect the earlier tests' garbage first: a full collection takes tens
+    # of milliseconds and would otherwise land in the timed block by chance.
+    gc.collect()
     start = time.perf_counter()
     try:
         yield
