@@ -30,16 +30,17 @@ _EXPORTS = {
     # channels
     **dict.fromkeys(
         ("KrausChannel", "PeriodicChannel", "ConvexCombinationChannel", "depolarizing",
-         "identity_channel", "apply", "tensor_channels", "periodic_branch", "apply_periodic",
-         "apply_convex", "mix_channels"),
+         "identity_channel", "apply", "tensor_channels", "periodic_branch", "periodic_uses",
+         "convex_uses", "mix_channels"),
         "channels",
     ),
     # holevo
     **dict.fromkeys(
         ("Ensemble", "Povm", "chi", "chi_via_relative_entropy", "mutual_information",
-         "chi_periodic_average", "chi_branch_min", "random_povm", "uniform_orthonormal_ensemble"),
+         "chi_periodic_average", "chi_branch_min", "uniform_orthonormal_ensemble"),
         "holevo",
     ),
+    "random_povm": "sampling",
     # optimize
     **dict.fromkeys(
         ("OptimizerConfig", "OptResult", "maximize_chi", "maximize_avg_chi", "maximize_min_chi"),

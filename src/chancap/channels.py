@@ -1,5 +1,7 @@
 """CPT maps in operator-sum form: depolarizing channels, tensor products,
-and the two memory-channel wrappers (periodic, convex combination).
+mixtures, and the periodic and convex-combination channels with memory,
+whose n uses `periodic_uses` and `convex_uses` build as one mixture of
+product channels.
 
 A channel also carries its transfer matrix, the same map on vectorized
 density matrices, which the optimizer uses; `apply` keeps the Kraus sum.
@@ -71,6 +73,17 @@ class KrausChannel:
         return s
 
 
+def _check_branches(branches: Sequence[KrausChannel], empty_message: str) -> tuple[KrausChannel, ...]:
+    """The branches of a memory channel as a tuple: at least one, all with one din = dout."""
+    branches = tuple(branches)
+    if not branches:
+        raise ValueError(empty_message)
+    d = branches[0].din
+    if any(b.din != d or b.dout != d for b in branches):
+        raise DimensionMismatchError("all branches must share din = dout = d")
+    return branches
+
+
 @dataclass(frozen=True, eq=False)
 class PeriodicChannel:
     """Cycles through `branches` with a uniformly random starting phase."""
@@ -78,12 +91,7 @@ class PeriodicChannel:
     branches: tuple[KrausChannel, ...]
 
     def __post_init__(self):
-        branches = tuple(self.branches)
-        if not branches:
-            raise ValueError("periodic channel needs at least one branch")
-        d = branches[0].din
-        if any(b.din != d or b.dout != d for b in branches):
-            raise DimensionMismatchError("all branches must share din = dout = d")
+        branches = _check_branches(self.branches, "periodic channel needs at least one branch")
         object.__setattr__(self, "branches", branches)
 
     @property
@@ -104,21 +112,12 @@ class ConvexCombinationChannel:
     gammas: np.ndarray
 
     def __post_init__(self):
-        branches = tuple(self.branches)
         gammas = np.array(self.gammas, dtype=np.float64)
         gammas.setflags(write=False)
+        branches = _check_branches(self.branches, "convex combination needs at least one branch")
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "gammas", gammas)
-        if not branches:
-            raise ValueError("convex combination needs at least one branch")
-        d = branches[0].din
-        if any(b.din != d or b.dout != d for b in branches):
-            raise DimensionMismatchError("all branches must share din = dout = d")
         check_gammas(gammas, len(branches))
-
-    @property
-    def d(self) -> int:
-        return self.branches[0].din
 
 
 def _weyl_operators(d: int) -> list[np.ndarray]:
@@ -198,35 +197,6 @@ def periodic_branch(ch: PeriodicChannel, i: int, n: int) -> KrausChannel:
     return tensor_channels([ch.branches[(i + k) % ch.period] for k in range(n)])
 
 
-def apply_periodic(ch: PeriodicChannel, rho_n: DensityMatrix, n: int) -> DensityMatrix:
-    """Uniform average over the starting phase of the n-fold branch products."""
-    check_product_size(ch.d, n)
-    if rho_n.dim != ch.d**n:
-        raise DimensionMismatchError(
-            f"state dim {rho_n.dim} does not match {n} uses of dimension {ch.d}"
-        )
-    out = np.zeros((rho_n.dim, rho_n.dim), dtype=np.complex128)
-    for i in range(ch.period):
-        out += apply(periodic_branch(ch, i, n), rho_n).mat
-    return DensityMatrix(out / ch.period)
-
-
-def apply_convex(
-    ch: ConvexCombinationChannel, rho_n: DensityMatrix, n: int
-) -> DensityMatrix:
-    """Gamma-weighted average of the n-fold memoryless branch outputs."""
-    check_product_size(ch.d, n)
-    if rho_n.dim != ch.d**n:
-        raise DimensionMismatchError(
-            f"state dim {rho_n.dim} does not match {n} uses of dimension {ch.d}"
-        )
-    out = np.zeros((rho_n.dim, rho_n.dim), dtype=np.complex128)
-    for gamma, branch in zip(ch.gammas, ch.branches):
-        product = tensor_channels([branch] * n)
-        out += gamma * apply(product, rho_n).mat
-    return DensityMatrix(out)
-
-
 def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> KrausChannel:
     """The channel rho -> sum_i w_i Phi_i(rho) as a single Kraus list."""
     channels = list(channels)
@@ -235,3 +205,14 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     terms = [np.sqrt(w) * k for w, c in zip(weights, channels) for k in c.kraus]
     return KrausChannel(tuple(terms))
 
+
+def periodic_uses(ch: PeriodicChannel, n: int) -> KrausChannel:
+    """n uses of the periodic channel: the uniform average over the starting
+    phase i of the branch products phi_i (x) phi_{i+1} (x) ... (x) phi_{i+n-1}."""
+    products = [periodic_branch(ch, i, n) for i in range(ch.period)]
+    return mix_channels(products, [1.0 / ch.period] * ch.period)
+
+
+def convex_uses(ch: ConvexCombinationChannel, n: int) -> KrausChannel:
+    """n uses of the convex combination: sum_i gamma_i phi_i^(x)n."""
+    return mix_channels([tensor_channels([b] * n) for b in ch.branches], ch.gammas)

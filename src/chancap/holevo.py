@@ -1,5 +1,6 @@
 """Ensembles, the Holevo quantity in its two equivalent forms, and POVM
-mutual information for testing the Holevo bound."""
+mutual information for testing the Holevo bound, of any `KrausChannel`:
+n uses of a channel with memory too (`channels.periodic_uses`, `convex_uses`)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .entropy import shannon_entropy, von_neumann_entropy, relative_entropy
 from .errors import DimensionMismatchError
 from .params import check_weights
-from .states import DensityMatrix
+from .states import HERMITICITY_TOL, DensityMatrix, basis_state
 
 POVM_COMPLETENESS_TOL = 1e-9
 POVM_EIGENVALUE_FLOOR = -1e-10
@@ -43,7 +44,7 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Positive operators summing to the identity."""
+    """Hermitian positive operators summing to the identity."""
 
     elements: tuple[np.ndarray, ...]
 
@@ -54,13 +55,15 @@ class Povm:
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise ValueError("POVM needs at least one element")
-        d = elems[0].shape[0]
-        if any(e.shape != (d, d) for e in elems):
+        shape = elems[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(e.shape != shape for e in elems):
             raise ValueError("POVM elements must be square matrices of equal dimension")
-        defect = np.max(np.abs(sum(elems) - np.eye(d)))
+        defect = np.max(np.abs(sum(elems) - np.eye(shape[0])))
         if not defect <= POVM_COMPLETENESS_TOL:
             raise ValueError(f"POVM elements do not sum to identity (defect {defect:.3e})")
         for e in elems:
+            if not np.max(np.abs(e - e.conj().T)) <= HERMITICITY_TOL:
+                raise ValueError("POVM element is not Hermitian")
             if not np.linalg.eigvalsh(e)[0] >= POVM_EIGENVALUE_FLOOR:
                 raise ValueError("POVM element has a negative eigenvalue")
 
@@ -135,27 +138,4 @@ def chi_branch_min(ch: ConvexCombinationChannel, ens: Ensemble) -> float:
 
 def uniform_orthonormal_ensemble(d: int) -> Ensemble:
     """The computational basis with uniform probabilities."""
-    states = tuple(
-        DensityMatrix(np.diag(row).astype(np.complex128)) for row in np.eye(d)
-    )
-    return Ensemble(np.full(d, 1.0 / d), states)
-
-
-def random_povm(dim: int, k: int | None = None, rng: np.random.Generator | None = None) -> Povm:
-    """Random POVM from k positive matrices normalized by the inverse square
-    root of their sum; k defaults to dim + 1 so the measurement is
-    non-projective."""
-    if rng is None:
-        rng = np.random.default_rng()
-    if k is None:
-        k = dim + 1
-    if k < 1:
-        raise ValueError(f"a POVM needs at least one element, got k={k}")
-    raw = []
-    for _ in range(k):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raw.append(g @ g.conj().T)
-    total = sum(raw)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return Povm(tuple(inv_sqrt @ r @ inv_sqrt for r in raw))
+    return Ensemble(np.full(d, 1.0 / d), tuple(basis_state(d, k) for k in range(d)))

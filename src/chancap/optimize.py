@@ -37,7 +37,6 @@ whose two values differ by more than 1e-9 bits raises ArithmeticError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -47,6 +46,7 @@ from . import holevo
 from .channels import MAX_PRODUCT_DIM, ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .errors import CapabilityError
 from .holevo import Ensemble
+from .params import check_integer
 from .sampling import random_unit_vectors
 from .states import DensityMatrix
 
@@ -55,12 +55,6 @@ _FINAL_GAP = 1e-6  # duality gap (bits) below which a restart may stop
 _STEP_DONE = 1e-6  # a step below this has collapsed: the restart may stop
 _CHUNK_BYTES = 8 << 20  # member outputs of the restarts run as one batch
 _CROSS_CHECK_TOL = 1e-9  # bits between the ascent's value and the Kraus form's
-
-
-def _check_integer(name: str, value):
-    """Raise TypeError unless `value` is an integer other than a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +76,7 @@ class OptimizerConfig:
         for name in ("restarts", "iters", "seed"):
             value = getattr(self, name)
             if value is not None or name != "seed":
-                _check_integer(name, value)
+                check_integer(name, value)
         if self.restarts < 1 or self.iters < 1:
             raise ValueError("restarts and iters must be positive")
         if self.seed is not None and self.seed < 0:
@@ -286,7 +280,7 @@ def _maximize(
     # sizes every restart's cached outputs
     if m is None:
         m = dim * dim
-    _check_integer("m", m)
+    check_integer("m", m)
     if not 1 <= m <= dim * dim:
         raise ValueError(f"ensemble size m must be between 1 and {dim * dim}, the input "
                          f"dimension squared, got {m}")

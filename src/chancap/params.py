@@ -1,4 +1,4 @@
-"""Validators of channel parameters and probability vectors.
+"""Validators of integers, channel parameters and probability vectors.
 
 They use the standard library alone, so the closed-form capacities and the
 CLI commands built on them run without numpy.
@@ -6,6 +6,7 @@ CLI commands built on them run without numpy.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .errors import CPViolationError
@@ -13,9 +14,22 @@ from .errors import CPViolationError
 WEIGHT_SUM_TOL = 1e-12  # every probability vector: weights, gammas, ensembles
 
 
+def check_integer(name: str, value):
+    """Raise TypeError unless `value` is an integer other than a bool, as numbers.Integral tests."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def check_depolarizing(d: int, lam: float):
-    """Raise unless rho -> lam*rho + (1-lam)*I/d is a channel: ValueError
-    for d < 2, CPViolationError for lam outside [-1/(d^2-1), 1]."""
+    """Raise unless rho -> lam*rho + (1-lam)*I/d is a channel: TypeError
+    for a d that is not an integer, ValueError for d < 2, CPViolationError
+    for lam outside [-1/(d^2-1), 1]."""
+    check_integer("d", d)
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if not -1.0 / (d**2 - 1) <= lam <= 1.0:

@@ -1,10 +1,12 @@
-"""Random states and unitaries: the optimizer's start states, and inputs
-for property tests and benchmarks."""
+"""Random states, unitaries and measurements: the optimizer's start states,
+and inputs for property tests and benchmarks.  Random positive matrices all
+come from one Wishart draw, `wishart`."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .holevo import Povm
 from .states import DensityMatrix
 
 
@@ -28,12 +30,34 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()))
 
 
+def wishart(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Wishart matrix G G^dag of a dim x rank complex Gaussian G, the real
+    parts drawn before the imaginary."""
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return g @ g.conj().T
+
+
 def random_density_matrix(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> DensityMatrix:
     """Normalized Wishart state G G^dag / tr, full rank by default."""
     if rank is None:
         rank = dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
+    rho = wishart(dim, rank, rng)
     return DensityMatrix(rho / np.trace(rho))
+
+
+def random_povm(dim: int, k: int | None = None, rng: np.random.Generator | None = None) -> Povm:
+    """Random POVM from k Wishart matrices normalized by the inverse square
+    root of their sum; k defaults to dim + 1 so the measurement is
+    non-projective."""
+    if rng is None:
+        rng = np.random.default_rng()
+    if k is None:
+        k = dim + 1
+    if k < 1:
+        raise ValueError(f"a POVM needs at least one element, got k={k}")
+    raw = [wishart(dim, dim, rng) for _ in range(k)]
+    w, v = np.linalg.eigh(sum(raw))
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    return Povm(tuple(inv_sqrt @ r @ inv_sqrt for r in raw))

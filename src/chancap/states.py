@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .params import check_integer
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -48,6 +49,7 @@ class DensityMatrix:
 
 def basis_state(dim: int, k: int) -> DensityMatrix:
     """Computational basis state |k><k| on a dim-dimensional space."""
+    check_integer("k", k)
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dim {dim}")
     mat = np.zeros((dim, dim))

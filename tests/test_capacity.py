@@ -1,4 +1,6 @@
 import math
+import numbers
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from chancap import (
 )
 from chancap.capacity import CapacityReport, report_convex, report_depolarizing, report_periodic
 from chancap.optimize import OptimizerConfig
-from chancap.params import check_depolarizing
+from chancap.params import check_depolarizing, check_integer
+from chancap.states import basis_state
 
 FAST = OptimizerConfig(restarts=3, iters=300, seed=13)
 
@@ -174,6 +177,35 @@ def test_capacity_reports():
     assert rep.notes  # flags the d > 2 reading of the noiseless term
     rep = report_convex(2, [0.9, 0.5], [0.3, 0.7])
     assert rep.closed_form == pytest.approx(CHI_HALF, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "value", [2, np.int64(2), np.uint8(2), True, np.True_, 2.0, 2.5, "2", None], ids=repr
+)
+def test_check_integer_is_the_integral_test(value):
+    # accepts exactly what numbers.Integral accepts, bools aside
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        check_integer("x", value)
+    else:
+        with pytest.raises(TypeError, match=re.escape(f"x must be an integer, got {value!r}")):
+            check_integer("x", value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: chi_star_depolarizing(2.5, 0.5),
+        lambda: capacity_periodic_depolarizing(2.0, [0.5]),
+        lambda: capacity_convex_depolarizing(3.7, [0.5]),
+        lambda: depolarizing(np.True_, 0.5),
+        lambda: basis_state(2, True),
+        lambda: OptimizerConfig(restarts=2.0),
+    ],
+    ids=["chi_star", "periodic", "convex", "depolarizing", "basis_state", "config"],
+)
+def test_non_integer_rejected(call):
+    with pytest.raises(TypeError, match="must be an integer"):
+        call()
 
 
 def test_records_are_validated_immutable_values():

@@ -12,15 +12,15 @@ from chancap import (
     PeriodicChannel,
     Povm,
     apply,
-    apply_convex,
-    apply_periodic,
     basis_state,
+    convex_uses,
     depolarizing,
     eigenvalues,
     identity_channel,
     maximally_mixed,
     mix_channels,
     periodic_branch,
+    periodic_uses,
     tensor,
     tensor_channels,
 )
@@ -185,11 +185,10 @@ def test_two_use_product_size_cap():
     per = PeriodicChannel((depolarizing(5, 0.5),))
     with pytest.raises(CapabilityError, match=r"need d\^n <= 16"):
         periodic_branch(per, 0, 2)
-    rho = maximally_mixed(25)
     with pytest.raises(CapabilityError):
-        apply_periodic(per, rho, 2)
+        periodic_uses(per, 2)
     with pytest.raises(CapabilityError):
-        apply_convex(ConvexCombinationChannel(per.branches, [1.0]), rho, 2)
+        convex_uses(ConvexCombinationChannel(per.branches, [1.0]), 2)
 
 
 def test_tensor_channels_size_cap(monkeypatch):
@@ -207,7 +206,7 @@ def test_apply_periodic_single_branch():
     rng = np.random.default_rng(11)
     rho = random_density_matrix(4, rng)
     direct = tensor_channels([depolarizing(2, 0.5)] * 2)
-    np.testing.assert_allclose(apply_periodic(per, rho, 2).mat, apply(direct, rho).mat, atol=1e-12)
+    np.testing.assert_allclose(apply(periodic_uses(per, 2), rho).mat, apply(direct, rho).mat, atol=1e-12)
 
 
 def test_apply_periodic_single_use_average():
@@ -217,25 +216,12 @@ def test_apply_periodic_single_use_average():
     expected = 0.5 * (
         apply(depolarizing(2, 0.9), rho).mat + apply(depolarizing(2, 0.5), rho).mat
     )
-    np.testing.assert_allclose(apply_periodic(per, rho, 1).mat, expected, atol=1e-12)
-
-
-def test_apply_periodic_two_code_paths():
-    per = two_branch_periodic()
-    rng = np.random.default_rng(13)
-    mixture = mix_channels(
-        [periodic_branch(per, i, 2) for i in range(2)], [0.5, 0.5]
-    )
-    for _ in range(5):
-        rho = random_density_matrix(4, rng)
-        np.testing.assert_allclose(
-            apply_periodic(per, rho, 2).mat, apply(mixture, rho).mat, atol=1e-12
-        )
+    np.testing.assert_allclose(apply(periodic_uses(per, 1), rho).mat, expected, atol=1e-12)
 
 
 def test_apply_periodic_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        apply_periodic(two_branch_periodic(), maximally_mixed(3), 1)
+        apply(periodic_uses(two_branch_periodic(), 1), maximally_mixed(3))
 
 
 def test_apply_convex_single_branch():
@@ -243,7 +229,7 @@ def test_apply_convex_single_branch():
     rng = np.random.default_rng(14)
     rho = random_density_matrix(2, rng)
     np.testing.assert_allclose(
-        apply_convex(cc, rho, 1).mat, apply(depolarizing(2, 0.5), rho).mat, atol=1e-12
+        apply(convex_uses(cc, 1), rho).mat, apply(depolarizing(2, 0.5), rho).mat, atol=1e-12
     )
 
 
@@ -252,13 +238,13 @@ def test_apply_convex_degenerate_mixture():
     rng = np.random.default_rng(15)
     rho = random_density_matrix(2, rng)
     np.testing.assert_allclose(
-        apply_convex(cc, rho, 1).mat, apply(depolarizing(2, 0.5), rho).mat, atol=1e-12
+        apply(convex_uses(cc, 1), rho).mat, apply(depolarizing(2, 0.5), rho).mat, atol=1e-12
     )
 
 
 def test_apply_convex_weighted_example():
     cc = ConvexCombinationChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)), [0.3, 0.7])
-    out = apply_convex(cc, basis_state(2, 0), 1)
+    out = apply(convex_uses(cc, 1), basis_state(2, 0))
     expected = 0.3 * np.diag([0.95, 0.05]) + 0.7 * np.diag([0.75, 0.25])
     np.testing.assert_allclose(out.mat, expected, atol=1e-12)
 

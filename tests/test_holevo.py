@@ -46,6 +46,11 @@ def test_povm_validation():
         Povm((np.eye(2) * 0.5,))
     with pytest.raises(ValueError, match="negative"):
         Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
+    # sums to the identity with positive lower triangles, which eigvalsh reads alone
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Povm(([[1, 1], [0, 0]], [[0, -1], [0, 1]]))
+    with pytest.raises(ValueError, match="square matrices"):
+        Povm((1.0,))
 
 
 def test_chi_single_state_is_zero():
@@ -135,6 +140,26 @@ def test_holevo_bound_random_povms():
 def test_random_povm_needs_an_element(k):
     with pytest.raises(ValueError, match="at least one element"):
         random_povm(2, k, np.random.default_rng(0))
+
+
+def test_random_draws_unchanged():
+    # a fixed generator gives the Wishart draws written out in full, real
+    # parts before imaginary, bit for bit
+    def gaussian(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    rng = np.random.default_rng(5)
+    raw = [g @ g.conj().T for g in (gaussian(rng, (3, 3)) for _ in range(4))]
+    w, v = np.linalg.eigh(sum(raw))
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    povm = random_povm(3, rng=np.random.default_rng(5))
+    for element, r in zip(povm.elements, raw, strict=True):
+        np.testing.assert_array_equal(element, inv_sqrt @ r @ inv_sqrt)
+    g = gaussian(np.random.default_rng(6), (4, 2))
+    rho = g @ g.conj().T
+    np.testing.assert_array_equal(
+        random_density_matrix(4, np.random.default_rng(6), 2).mat, rho / np.trace(rho)
+    )
 
 
 def test_random_povm_is_complete_and_nonprojective():

@@ -16,6 +16,7 @@ from chancap import (
     PeriodicChannel,
     apply,
     capacity_convex_depolarizing,
+    capacity_periodic_depolarizing,
     chi,
     chi_branch_min,
     chi_periodic_average,
@@ -26,6 +27,7 @@ from chancap import (
     maximize_chi,
     maximize_min_chi,
     mix_channels,
+    periodic_uses,
     tensor_channels,
 )
 from chancap import optimize
@@ -211,6 +213,18 @@ def test_avg_chi_periodic_example():
     res = maximize_avg_chi(per, 4, FAST)
     expected = 0.5 * (chi_star_depolarizing(2, 0.9) + chi_star_depolarizing(2, 0.5))
     assert res.value == pytest.approx(expected, abs=1e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_two_use_periodic_channel_stays_below_theorem1_bound(seed):
+    # two uses of the periodic channel itself, the phase average of the
+    # branch products, not the branch average that verify theorem1 searches:
+    # 0.3926749 bits per use, and Theorem 1's 2C is 0.117 above it
+    per = PeriodicChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)))
+    res = maximize_chi(periodic_uses(per, 2), cfg=OptimizerConfig(restarts=8, iters=300, seed=seed))
+    assert res.converged
+    assert res.value / 2 == pytest.approx(0.3926749, abs=1e-6)
+    assert 2 * capacity_periodic_depolarizing(2, [0.9, 0.5]) - res.value >= 0.1
 
 
 def test_avg_chi_identical_branches_period_independent():
