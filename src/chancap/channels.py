@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
-from .params import check_depolarizing, check_gammas, check_weights
+from .params import check_depolarizing, check_gammas, check_integer, check_weights
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -179,7 +179,9 @@ def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
 
 
 def check_product_size(d: int, n: int):
-    """Refuse n uses of dimension d unless d^n <= MAX_PRODUCT_DIM."""
+    """Refuse n uses of dimension d unless n is a positive integer and
+    d^n <= MAX_PRODUCT_DIM."""
+    check_integer("n", n)
     if n < 1:
         raise ValueError(f"number of uses must be positive, got {n}")
     if d**n > MAX_PRODUCT_DIM:
@@ -215,4 +217,5 @@ def periodic_uses(ch: PeriodicChannel, n: int) -> KrausChannel:
 
 def convex_uses(ch: ConvexCombinationChannel, n: int) -> KrausChannel:
     """n uses of the convex combination: sum_i gamma_i phi_i^(x)n."""
+    check_product_size(ch.branches[0].din, n)
     return mix_channels([tensor_channels([b] * n) for b in ch.branches], ch.gammas)

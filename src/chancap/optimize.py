@@ -12,16 +12,22 @@ One iteration moves every member of a restart at once.  Let
 G_j = sum_i w_i Phi_i^dag(log2 sigma_ij - log2 sigma_bar_i), where Phi_i^dag,
 the adjoint of branch i, is the conjugate transpose of its transfer matrix,
 and g_j = <psi_j|G_j|psi_j> = sum_i w_i D(sigma_ij || sigma_bar_i).  The
-states step along the sphere, psi_j <- normalize(psi_j + eta (G_j psi_j -
-g_j psi_j)): the objective's gradient in psi_j is p_j G_j psi_j, and the
-step leaves out the factor p_j.  The probabilities take one Blahut-Arimoto
-update p_j <- p_j 2^g_j, normalized.  A restart keeps the iteration only if
-its value rises (at a stationary point an unchanged value would grow eta
-without bound); eta starts at 1, grows 1.5x on a kept iteration and halves
-on a rejected one.  The duality gap max_j g_j - sum_j p_j g_j bounds what any
-reweighting of the states could add (in min mode to the branch minimum as
-well).  A restart stops, converged, once that gap is below 1e-6 bits and eta
-has fallen below 1e-6; otherwise the iteration cap stops it.
+states step along the sphere, psi_j <- normalize(psi_j + eta d_j) with
+d_j = G_j psi_j - g_j psi_j + 0.85 v_j: the objective's gradient in psi_j is
+p_j G_j psi_j, and the step leaves out the factor p_j.  The heavy-ball
+momentum v_j is d_j of the restart's last kept iteration less its component
+along the current psi_j, and 0 at the start and after a rejected iteration,
+which is retried along the gradient alone.  The probabilities take one
+Blahut-Arimoto update p_j <- p_j 2^g_j, normalized.  A restart keeps the
+iteration only if its value rises (at a stationary point an unchanged value
+would grow eta without bound); eta starts at 1, grows 1.5x on a kept
+iteration and halves on a rejected one.  Like eta, the momentum belongs to
+one restart: another restart's rejection does not reset it, so a restart's
+path is the same in any batch.  The duality gap max_j g_j - sum_j p_j g_j
+bounds what any reweighting of the states could add (in min mode to the
+branch minimum as well).  A restart stops, converged, once that gap is below
+1e-6 bits and eta has fallen below 1e-6; otherwise the iteration cap stops
+it.
 
 All restarts of a chunk run in lockstep as one numpy batch, and a restart
 leaves the batch when it stops.  Chunks hold as many restarts as keep their
@@ -53,6 +59,7 @@ from .states import DensityMatrix
 _EIG_FLOOR = 1e-30  # keeps the logs of rank-deficient outputs finite
 _FINAL_GAP = 1e-6  # duality gap (bits) below which a restart may stop
 _STEP_DONE = 1e-6  # a step below this has collapsed: the restart may stop
+_MOMENTUM = 0.85  # share of a restart's last kept direction added to its next
 _CHUNK_BYTES = 8 << 20  # member outputs of the restarts run as one batch
 _CROSS_CHECK_TOL = 1e-9  # bits between the ascent's value and the Kraus form's
 
@@ -242,6 +249,7 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> li
         ascent = _Ascent(transfer, mode, chunk, np.full(chunk.shape[:2], 1.0 / m))
         ids = np.arange(len(chunk))  # the chunk row of each restart in `ascent`
         eta = np.ones(len(chunk))
+        mom = np.zeros(chunk.shape, dtype=np.complex128)  # each restart's last kept direction
         done = [None] * len(chunk)
         for t in range(iters + 1):
             direction, g, gap = ascent.gradient()
@@ -256,8 +264,14 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> li
                 break
             if stop.any():
                 ascent.select(~stop)
-                ids, eta, direction, g = ids[~stop], eta[~stop], direction[~stop], g[~stop]
-            eta = np.where(ascent.step(eta, direction, g), 1.5 * eta, 0.5 * eta)
+                ids, eta, mom = ids[~stop], eta[~stop], mom[~stop]
+                direction, g = direction[~stop], g[~stop]
+            # heavy ball, projected onto the tangent space at the states
+            mom -= _dot(ascent.psis.conj(), mom)[..., None] * ascent.psis
+            direction += _MOMENTUM * mom
+            keep = ascent.step(eta, direction, g)
+            mom = np.where(keep[:, None, None], direction, 0.0)
+            eta = np.where(keep, 1.5 * eta, 0.5 * eta)
         outcomes += done
     return outcomes
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,33 @@ def test_two_use_product_size_cap():
         periodic_uses(per, 2)
     with pytest.raises(CapabilityError):
         convex_uses(ConvexCombinationChannel(per.branches, [1.0]), 2)
+
+
+@pytest.mark.parametrize(
+    "n,error,message",
+    [
+        (0, ValueError, "number of uses must be positive, got 0"),
+        (-1, ValueError, "number of uses must be positive, got -1"),
+        (2.0, TypeError, "n must be an integer, got 2.0"),
+        (5, CapabilityError, "5-fold product on dimension 2 exceeds the desk-scale cap"),
+    ],
+)
+@pytest.mark.parametrize(
+    "uses,channel",
+    [
+        (periodic_uses, PeriodicChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)))),
+        (convex_uses, ConvexCombinationChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)), [0.3, 0.7])),
+    ],
+    ids=["periodic", "convex"],
+)
+def test_bad_number_of_uses_same_error(monkeypatch, uses, channel, n, error, message):
+    # both n-use constructors refuse a bad n alike, before any product is formed
+    def kron(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", kron)
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        uses(channel, n)
 
 
 def test_tensor_channels_size_cap(monkeypatch):

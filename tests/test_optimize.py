@@ -29,6 +29,7 @@ from chancap import (
     mix_channels,
     periodic_uses,
     tensor_channels,
+    verify_theorem2,
 )
 from chancap import optimize
 from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend
@@ -354,6 +355,57 @@ def test_iteration_monotone(monkeypatch, mode, channels, dim, m):
     kept = np.concatenate(kept)
     assert kept.any() and not kept.all()
     assert all(np.isfinite([out.value, out.duality_gap]).all() for out in outcomes)
+
+
+@pytest.mark.parametrize(
+    "mode,channels,dim,m",
+    [
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+    ],
+    ids=["mean-two-use", "min-0.9,0.5", "min-damping"],
+)
+def test_momentum_resets_on_rejection(monkeypatch, mode, channels, dim, m):
+    # after a rejected iteration the next step goes along the gradient
+    # alone; after a kept one it adds _MOMENTUM times the kept direction,
+    # less its component along the current states.  One restart at a time
+    # keeps the recorded rows aligned; each step follows one gradient call.
+    gradient, step = _Ascent.gradient, _Ascent.step
+    for psis in _starts(3, 3, dim, m):
+        grads, steps = [], []
+
+        def recording_gradient(self):
+            direction, g, gap = gradient(self)
+            grads.append(direction.copy())
+            return direction, g, gap
+
+        def recording_step(self, eta, direction, g):
+            states = self.psis.copy()
+            keep = step(self, eta, direction, g)
+            steps.append((states, direction.copy(), bool(keep[0])))
+            return keep
+
+        monkeypatch.setattr(_Ascent, "gradient", recording_gradient)
+        monkeypatch.setattr(_Ascent, "step", recording_step)
+        _ascend(_transfers(channels), mode, psis[None], 300)
+        kept = [k for _, _, k in steps[:-1]]
+        assert any(kept) and not all(kept)
+        for grad, (_, before, kept), (now, after, _) in zip(grads[1:], steps, steps[1:]):
+            if kept:
+                mom = before - (now.conj() * before).sum(axis=-1, keepdims=True) * now
+                np.testing.assert_allclose(after, grad + optimize._MOMENTUM * mom, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(after, grad)
+
+
+@pytest.mark.parametrize("momentum", [0.7, optimize._MOMENTUM], ids=["0.7", "default"])
+def test_momentum_converges_maximin(monkeypatch, momentum):
+    # without momentum the two-use search of perfbench's maximin op runs 3
+    # of its 4 restarts into the 300-iteration cap
+    monkeypatch.setattr(optimize, "_MOMENTUM", momentum)
+    rep = verify_theorem2(2, [0.9, 0.5], [0.3, 0.7], None, OptimizerConfig(4, 300, 0))
+    assert rep.passed and rep.extras["converged"]
 
 
 def test_incremental_caches_match_rebuild():
