@@ -28,7 +28,8 @@ if TYPE_CHECKING:
 # Check tolerance in bits: how far any search may rise above or fall below
 # its closed-form target.  The smallest power of ten that the small budgets
 # of the tests and CI clear (2 restarts x 60 iterations at m = 4 end 2.2e-6
-# short); the default budget ends within 1e-14.
+# short); at the default budget the three d = 2 commands end within 4e-13
+# of it on seeds 1, 2, 3, 7, 11 and 42.
 MATCH_TOL = 1e-5
 
 

@@ -25,9 +25,11 @@ iteration and halves on a rejected one.  Like eta, the momentum belongs to
 one restart: another restart's rejection does not reset it, so a restart's
 path is the same in any batch.  The duality gap max_j g_j - sum_j p_j g_j
 bounds what any reweighting of the states could add (in min mode to the
-branch minimum as well).  A restart stops, converged, once that gap is below
-1e-6 bits and eta has fallen below 1e-6; otherwise the iteration cap stops
-it.
+branch minimum as well).  A restart stops, converged, once it is stationary
+to first order: that gap is below 1e-6 bits and every member's tangent
+gradient G_j psi_j - g_j psi_j, before the momentum, has norm below 1e-6.
+eta plays no part, as at a maximum it keeps growing.  Otherwise the
+iteration cap stops it.
 
 All restarts of a chunk run in lockstep as one numpy batch, and a restart
 leaves the batch when it stops.  Chunks hold as many restarts as keep their
@@ -58,7 +60,7 @@ from .states import DensityMatrix
 
 _EIG_FLOOR = 1e-30  # keeps the logs of rank-deficient outputs finite
 _FINAL_GAP = 1e-6  # duality gap (bits) below which a restart may stop
-_STEP_DONE = 1e-6  # a step below this has collapsed: the restart may stop
+_GRAD_DONE = 1e-6  # tangent gradient norm below which a member is stationary
 _MOMENTUM = 0.85  # share of a restart's last kept direction added to its next
 _CHUNK_BYTES = 8 << 20  # member outputs of the restarts run as one batch
 _CROSS_CHECK_TOL = 1e-9  # bits between the ascent's value and the Kraus form's
@@ -102,7 +104,8 @@ class OptResult:
     the best restart's diagnostics.
 
     `converged` says whether that restart stopped with a duality gap below
-    1e-6 bits and a collapsed step, rather than at the iteration cap.
+    1e-6 bits and every member's tangent gradient below 1e-6 in norm, rather
+    than at the iteration cap.
     `seed` is the seed the run drew from (the generated one when the config
     gave none).  `duality_gap` is that restart's final gap in bits: no
     reweighting of its states raises the value by more.  In min mode it is
@@ -253,7 +256,9 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> li
         done = [None] * len(chunk)
         for t in range(iters + 1):
             direction, g, gap = ascent.gradient()
-            converged = (gap < _FINAL_GAP) & (eta < _STEP_DONE)
+            # each member's tangent gradient norm, row by row as in `step`
+            norms = np.sqrt(_dot(direction.real, direction.real) + _dot(direction.imag, direction.imag))
+            converged = (gap < _FINAL_GAP) & (norms.max(axis=1) < _GRAD_DONE)
             stop = converged | (t == iters)
             for n in np.flatnonzero(stop):
                 done[ids[n]] = _RestartOutcome(

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .holevo import Povm
+from .params import check_integer
 from .states import DensityMatrix
 
 
@@ -43,6 +44,9 @@ def random_density_matrix(
     """Normalized Wishart state G G^dag / tr, full rank by default."""
     if rank is None:
         rank = dim
+    check_integer("rank", rank)
+    if rank < 1:
+        raise ValueError(f"a density matrix needs rank at least 1, got rank={rank}")
     rho = wishart(dim, rank, rng)
     return DensityMatrix(rho / np.trace(rho))
 

@@ -121,8 +121,8 @@ def test_crippled_budget_fails_low(capsys, channel):
     ids=["additivity", "theorem1", "theorem2"],
 )
 def test_default_budget_converges(capsys, channel, seed):
-    # at the default budget every search stops by its gap-and-step rule
-    # before the cap, within a duality gap of 1e-6 bits
+    # at the default budget every search stops by its gap-and-gradient
+    # rule before the cap, within a duality gap of 1e-6 bits
     code, out, _ = run(capsys, ["verify", channel[0], "--d", "2", *channel[1:], "--seed", seed])
     results = json.loads(out)["results"]
     assert code == 0

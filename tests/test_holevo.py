@@ -19,6 +19,7 @@ from chancap import (
     random_povm,
     uniform_orthonormal_ensemble,
 )
+from chancap import sampling
 from chancap.sampling import haar_unitary, random_density_matrix, random_pure_state
 
 # chi of Delta_0.5 on the uniform qubit basis: 1 - H(0.25), frozen
@@ -140,6 +141,21 @@ def test_holevo_bound_random_povms():
 def test_random_povm_needs_an_element(k):
     with pytest.raises(ValueError, match="at least one element"):
         random_povm(2, k, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rank", [0, -1, 2.0, True, "2"], ids=repr)
+def test_random_density_matrix_rank_checked(monkeypatch, rank):
+    # checked before any draw
+    def fail(*args, **kwargs):
+        raise AssertionError("drawn before the rank check")
+
+    monkeypatch.setattr(sampling, "wishart", fail)
+    if isinstance(rank, int) and not isinstance(rank, bool):
+        with pytest.raises(ValueError, match=f"rank at least 1, got rank={rank}"):
+            random_density_matrix(2, np.random.default_rng(0), rank)
+    else:
+        with pytest.raises(TypeError, match=f"rank must be an integer, got {rank!r}"):
+            random_density_matrix(2, np.random.default_rng(0), rank)
 
 
 def test_random_draws_unchanged():

@@ -457,14 +457,54 @@ def test_duality_gap_brackets_optimum(mode, lambdas, iters):
 @pytest.mark.parametrize("mode,lambdas", [("mean", (0.5,)), ("min", (0.9, 0.5))], ids=["mean", "min"])
 def test_tol_is_the_final_gap_stop(monkeypatch, mode, lambdas):
     # a restart stops before the cap, converged, only once its gap is below
-    # _FINAL_GAP; with no gap below it, every restart runs to the cap
+    # _FINAL_GAP and its tangent gradient below _GRAD_DONE; with either
+    # bound at 0, every restart runs to the cap
     transfer = _transfers([tensor_channels([depolarizing(2, lam)] * 2) for lam in lambdas])
     psis = _starts(3, 3, 4, 8)
     for out in _ascend(transfer, mode, psis, 1000):
         assert out.converged and out.iterations < 1000 and out.duality_gap < optimize._FINAL_GAP
-    monkeypatch.setattr(optimize, "_FINAL_GAP", 0.0)
-    for out in _ascend(transfer, mode, psis, 1000):
-        assert not out.converged and out.iterations == 1000
+    for bound in ("_FINAL_GAP", "_GRAD_DONE"):
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, bound, 0.0)
+            for out in _ascend(transfer, mode, psis, 1000):
+                assert not out.converged and out.iterations == 1000, bound
+
+
+def test_constant_channel_stops_at_once():
+    # every output is I/2, so the gradient is 0 up to round-off and so is
+    # the gap: each restart stops, converged, at its start states
+    transfer = _transfers([depolarizing(2, 0.0)])
+    psis = _starts(0, 4, 2, 4)
+    direction, _, _ = _Ascent(transfer, "mean", psis, np.full((4, 4), 0.25)).gradient()
+    assert np.abs(direction).max() < 1e-15
+    for start, out in zip(psis, _ascend(transfer, "mean", psis, 300)):
+        assert out.converged and out.iterations == 0
+        np.testing.assert_array_equal(out.psis, start)
+
+
+@pytest.mark.parametrize(
+    "mode,channels,dim,m",
+    [
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        ("min", (tensor_channels([depolarizing(2, 0.9)] * 2), tensor_channels([depolarizing(2, 0.5)] * 2)), 4, 16),
+        ("mean", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+    ],
+    ids=["mean-two-use", "min-0.9,0.5", "min-two-use", "mean-damping"],
+)
+def test_converged_restarts_are_stationary(mode, channels, dim, m):
+    # a converged restart's states have every member's tangent gradient
+    # G_j psi_j - g_j psi_j below _GRAD_DONE, and its probabilities a gap
+    # below _FINAL_GAP, at the states and probabilities it returns
+    transfer = _transfers(channels)
+    outcomes = _ascend(transfer, mode, _starts(2, 4, dim, m), 2000)
+    assert all(out.converged for out in outcomes)
+    for out in outcomes:
+        ascent = _Ascent(transfer, mode, out.psis[None], out.probs[None])
+        direction, _, gap = ascent.gradient()
+        assert np.linalg.norm(direction[0], axis=-1).max() < optimize._GRAD_DONE
+        assert gap[0] == out.duality_gap < optimize._FINAL_GAP
+        assert ascent.value[0] == out.value
 
 
 @pytest.mark.parametrize("field,value", [("restarts", 0), ("iters", 0), ("seed", -1)])
