@@ -32,8 +32,10 @@ eta plays no part, as at a maximum it keeps growing.  Otherwise the
 iteration cap stops it.
 
 All restarts of a chunk run in lockstep as one numpy batch, and a restart
-leaves the batch when it stops.  Chunks hold as many restarts as keep their
-member outputs within 8 MiB, the step holding a few arrays of that size.
+leaves the batch when it stops.  `_Ascent` owns every per-restart array, eta
+and the momentum among them, so a stopped restart leaves them all at once.
+Chunks hold as many restarts as keep their member outputs within 8 MiB, the
+step holding a few arrays of that size.
 Every restart starts from m random pure states, none at a known optimum,
 drawn from the r-th child of SeedSequence(seed) (numpy's PCG64) for restart
 r; nothing else is random, so runs are reproducible and each restart's
@@ -118,20 +120,15 @@ class OptResult:
     duality_gap: float
 
 
-@dataclass(frozen=True)
-class _RestartOutcome:
-    value: float
-    psis: np.ndarray
-    probs: np.ndarray
-    iterations: int
-    converged: bool
-    duality_gap: float
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products over the last axis, broadcast over the rest; each is
     one BLAS dot, so a row's result does not depend on the batch."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Norms over the last axis with the bits of np.linalg.norm, row by row."""
+    return np.sqrt(_dot(a.real, a.real) + _dot(a.imag, a.imag))
 
 
 def _entropies(w: np.ndarray) -> np.ndarray:
@@ -161,13 +158,15 @@ def _apply_pure(transfer: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 class _Ascent:
     """The state of a batch of restarts, each array with a leading restart
-    axis: states psis (R, m, din), probabilities (R, m), the spectra and
+    axis: its row in the batch it started in, its eta, its momentum and
+    states psis (R, m, din), probabilities (R, m), the spectra and
     eigenvectors of the member outputs (R, m, branches, dout[, dout]), log2
     of each branch's average output, the branches' Holevo quantities and the
     objective's value.  The branches come as one (branches, dout^2, din^2)
     stack of transfer matrices."""
 
-    _PER_RESTART = ("psis", "probs", "evals", "evecs", "logr", "chis", "value")
+    _EVALUATED = ("psis", "probs", "evals", "evecs", "logr", "chis", "value")
+    _PER_RESTART = ("row", "eta", "mom") + _EVALUATED
 
     def __init__(self, transfer: np.ndarray, mode: str, psis, probs):
         self.transfer = transfer
@@ -176,8 +175,11 @@ class _Ascent:
         self.mode = mode
         # copies: the batch writes its kept iterations in place
         state = self._evaluate(np.array(psis, dtype=np.complex128), np.array(probs, dtype=np.float64))
-        for name, x in zip(self._PER_RESTART, state):
+        for name, x in zip(self._EVALUATED, state):
             setattr(self, name, x)
+        self.row = np.arange(len(self.psis))
+        self.eta = np.ones(len(self.psis))
+        self.mom = np.zeros(self.psis.shape, dtype=np.complex128)  # each restart's last kept direction
 
     def select(self, rows: np.ndarray):
         """Keep only the restarts selected by the boolean mask `rows`."""
@@ -193,7 +195,7 @@ class _Ascent:
         return np.full(chis.shape, 1.0 / chis.shape[1])
 
     def _evaluate(self, psis: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The `_PER_RESTART` arrays of the ensembles `psis`, `probs`."""
+        """The `_EVALUATED` arrays of the ensembles `psis`, `probs`."""
         outs = _apply_pure(self.transfer, psis)
         # sum_j probs[:, j] outs[:, j] per branch, in order: a BLAS product
         # would split the sum by thread count
@@ -222,63 +224,63 @@ class _Ascent:
         gap = np.maximum(0.0, g.max(axis=1) - _dot(self.probs, g))
         return g_psi - g[..., None] * self.psis, g, gap
 
-    def step(self, eta: np.ndarray, direction: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """One iteration with steps `eta` (R,) along `direction` and the
-        Blahut-Arimoto update by `g`, from `gradient`; a restart keeps it
-        only if its value rises.  Returns the mask of restarts that kept it."""
-        v = self.psis + eta[:, None, None] * direction
-        # the bits of np.linalg.norm, row by row
-        psis = v / np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))[..., None]
+    @staticmethod
+    def stationary(direction: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """The mask of restarts stationary at `gradient`'s `direction` and
+        `gap`, the stop test of the module docstring."""
+        return (gap < _FINAL_GAP) & (_norms(direction).max(axis=1) < _GRAD_DONE)
+
+    def step(self, direction: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """One iteration from `gradient`'s `direction` and `g`, with the
+        momentum, keep rule and eta schedule of the module docstring; a kept
+        step's direction becomes the momentum.  Returns the kept mask."""
+        # heavy ball, projected onto the tangent space at the states
+        self.mom -= _dot(self.psis.conj(), self.mom)[..., None] * self.psis
+        direction = direction + _MOMENTUM * self.mom
+        v = self.psis + self.eta[:, None, None] * direction
+        psis = v / _norms(v)[..., None]
         probs = self.probs * np.exp2(g - g.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         state = self._evaluate(psis, probs)
         keep = state[-1] > self.value
-        for name, x in zip(self._PER_RESTART, state):
+        for name, x in zip(self._EVALUATED, state):
             old = getattr(self, name)
             np.copyto(old, x, where=keep.reshape((-1,) + (1,) * (old.ndim - 1)))
+        self.mom = np.where(keep[:, None, None], direction, 0.0)
+        self.eta = np.where(keep, 1.5 * self.eta, 0.5 * self.eta)
         return keep
 
 
-def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> list[_RestartOutcome]:
+def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> dict[str, np.ndarray]:
     """Run one restart per row of `psis` (R, m, din) from uniform
     probabilities on the branches' (branches, dout^2, din^2) transfer
     matrices, for at most `iters` iterations each, in chunks of restarts
-    whose member outputs fit _CHUNK_BYTES."""
+    whose member outputs fit _CHUNK_BYTES.  Returns, indexed by restart, the
+    final value, psis, probs, iterations, converged and duality_gap."""
     restarts, m, _ = psis.shape
     size = max(1, _CHUNK_BYTES // (16 * m * transfer.shape[0] * transfer.shape[1]))
-    outcomes = []
+    out = {"value": np.empty(restarts), "psis": np.empty(psis.shape, dtype=np.complex128),
+           "probs": np.empty((restarts, m)), "iterations": np.empty(restarts, dtype=int),
+           "converged": np.empty(restarts, dtype=bool), "duality_gap": np.empty(restarts)}
     for first in range(0, restarts, size):
         chunk = psis[first : first + size]
         ascent = _Ascent(transfer, mode, chunk, np.full(chunk.shape[:2], 1.0 / m))
-        ids = np.arange(len(chunk))  # the chunk row of each restart in `ascent`
-        eta = np.ones(len(chunk))
-        mom = np.zeros(chunk.shape, dtype=np.complex128)  # each restart's last kept direction
-        done = [None] * len(chunk)
         for t in range(iters + 1):
             direction, g, gap = ascent.gradient()
-            # each member's tangent gradient norm, row by row as in `step`
-            norms = np.sqrt(_dot(direction.real, direction.real) + _dot(direction.imag, direction.imag))
-            converged = (gap < _FINAL_GAP) & (norms.max(axis=1) < _GRAD_DONE)
+            converged = ascent.stationary(direction, gap)
             stop = converged | (t == iters)
-            for n in np.flatnonzero(stop):
-                done[ids[n]] = _RestartOutcome(
-                    float(ascent.value[n]), ascent.psis[n].copy(), ascent.probs[n].copy(),
-                    t, bool(converged[n]), float(gap[n]),
-                )
-            if stop.all():
-                break
             if stop.any():
+                rows = first + ascent.row[stop]
+                for name, x in (("value", ascent.value), ("psis", ascent.psis), ("probs", ascent.probs),
+                                ("converged", converged), ("duality_gap", gap)):
+                    out[name][rows] = x[stop]
+                out["iterations"][rows] = t
+                if stop.all():
+                    break
                 ascent.select(~stop)
-                ids, eta, mom = ids[~stop], eta[~stop], mom[~stop]
                 direction, g = direction[~stop], g[~stop]
-            # heavy ball, projected onto the tangent space at the states
-            mom -= _dot(ascent.psis.conj(), mom)[..., None] * ascent.psis
-            direction += _MOMENTUM * mom
-            keep = ascent.step(eta, direction, g)
-            mom = np.where(keep[:, None, None], direction, 0.0)
-            eta = np.where(keep, 1.5 * eta, 0.5 * eta)
-        outcomes += done
-    return outcomes
+            ascent.step(direction, g)
+    return out
 
 
 def _maximize(
@@ -292,9 +294,7 @@ def _maximize(
     # dimension to the fourth power, are built
     dim = branches[0].din
     if dim > MAX_PRODUCT_DIM:
-        raise CapabilityError(
-            f"input dimension {dim} exceeds the optimizer cap {MAX_PRODUCT_DIM}"
-        )
+        raise CapabilityError(f"input dimension {dim} exceeds the optimizer cap {MAX_PRODUCT_DIM}")
     # an optimal ensemble needs at most dim^2 pure states (Davies), and m
     # sizes every restart's cached outputs
     if m is None:
@@ -307,24 +307,21 @@ def _maximize(
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
     psis = np.stack([random_unit_vectors(dim, m, rng) for rng in rngs])
-    outcomes = _ascend(np.stack([b.transfer for b in branches]), mode, psis, cfg.iters)
+    out = _ascend(np.stack([b.transfer for b in branches]), mode, psis, cfg.iters)
 
-    best = max(outcomes, key=lambda outcome: outcome.value)  # the first of ties
-    ensemble = Ensemble(best.probs, tuple(DensityMatrix(np.outer(psi, psi.conj())) for psi in best.psis))
+    best = int(np.argmax(out["value"]))  # the first of ties
+    ensemble = Ensemble(out["probs"][best],
+                        tuple(DensityMatrix(np.outer(psi, psi.conj())) for psi in out["psis"][best]))
+    ascent_value = float(out["value"][best])
     # Report the value re-evaluated through the library path (the Kraus sum,
     # not the transfer matrix) so it is exactly reproducible from the
     # returned ensemble, and check it against the ascent's own.
     value = evaluate(ensemble)
-    if not abs(value - best.value) <= _CROSS_CHECK_TOL:
+    if not abs(value - ascent_value) <= _CROSS_CHECK_TOL:
         raise ArithmeticError(f"the Kraus form gives {value!r} bits where the ascent gave "
-                              f"{best.value!r}, more than {_CROSS_CHECK_TOL} apart")
-    return OptResult(
-        value=value,
-        ensemble=ensemble,
-        converged=best.converged,
-        seed=cfg.seed,
-        duality_gap=best.duality_gap,
-    )
+                              f"{ascent_value!r}, more than {_CROSS_CHECK_TOL} apart")
+    return OptResult(value=value, ensemble=ensemble, converged=bool(out["converged"][best]),
+                     seed=cfg.seed, duality_gap=float(out["duality_gap"][best]))
 
 
 def maximize_chi(

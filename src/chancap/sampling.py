@@ -51,17 +51,10 @@ def random_density_matrix(
     return DensityMatrix(rho / np.trace(rho))
 
 
-def random_povm(dim: int, k: int | None = None, rng: np.random.Generator | None = None) -> Povm:
-    """Random POVM from k Wishart matrices normalized by the inverse square
-    root of their sum; k defaults to dim + 1 so the measurement is
-    non-projective."""
-    if rng is None:
-        rng = np.random.default_rng()
-    if k is None:
-        k = dim + 1
-    if k < 1:
-        raise ValueError(f"a POVM needs at least one element, got k={k}")
-    raw = [wishart(dim, dim, rng) for _ in range(k)]
+def random_povm(dim: int, rng: np.random.Generator) -> Povm:
+    """Random POVM from dim + 1 Wishart matrices, so the measurement is
+    non-projective, normalized by the inverse square root of their sum."""
+    raw = [wishart(dim, dim, rng) for _ in range(dim + 1)]
     w, v = np.linalg.eigh(sum(raw))
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return Povm(tuple(inv_sqrt @ r @ inv_sqrt for r in raw))

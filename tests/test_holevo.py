@@ -137,12 +137,6 @@ def test_holevo_bound_random_povms():
         assert -1e-12 <= mi <= min(entropy_of_inputs, np.log2(len(povm.elements))) + 1e-9
 
 
-@pytest.mark.parametrize("k", [0, -1])
-def test_random_povm_needs_an_element(k):
-    with pytest.raises(ValueError, match="at least one element"):
-        random_povm(2, k, np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("rank", [0, -1, 2.0, True, "2"], ids=repr)
 def test_random_density_matrix_rank_checked(monkeypatch, rank):
     # checked before any draw

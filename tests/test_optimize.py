@@ -50,6 +50,19 @@ def test_constant_channel_capacity_zero():
     assert res.value == pytest.approx(0.0, abs=1e-6)
 
 
+def test_first_of_tied_restarts_is_reported():
+    # every output of the constant channel is I/2, so every restart stops at
+    # once with value exactly 0, and the report is restart 0's ensemble
+    ch = depolarizing(2, 0.0)
+    starts = _starts(FAST.seed, FAST.restarts, 2, 2)
+    out = _ascend(_transfers([ch]), "mean", starts, FAST.iters)
+    assert np.unique(out["value"]).size == 1 and (out["iterations"] == 0).all()
+    res = maximize_chi(ch, 2, FAST)
+    np.testing.assert_array_equal(res.ensemble.probs, [0.5, 0.5])
+    for state, psi in zip(res.ensemble.states, starts[0], strict=True):
+        np.testing.assert_array_equal(state.mat, np.outer(psi, psi.conj()))
+
+
 def test_depolarizing_recovers_closed_form():
     res = maximize_chi(depolarizing(2, 0.5), 4, FAST)
     assert res.value == pytest.approx(chi_star_depolarizing(2, 0.5), abs=1e-3)
@@ -166,16 +179,12 @@ def test_batching_independence(monkeypatch, mode, channels, dim, m, cfg):
     iters = 2000
     batched = _ascend(transfer, mode, psis, iters)
     assert batches == ([chunk] * (restarts // chunk) + [restarts % chunk] if chunk else [restarts])
-    assert len({out.iterations for out in batched}) > 1, "restarts should stop at different iterations"
-    for r, together in enumerate(batched):
-        (alone,) = _ascend(transfer, mode, psis[r : r + 1], iters)
-        assert together.value == alone.value
-        assert together.iterations == alone.iterations
-        assert together.converged == alone.converged
-        assert together.duality_gap == alone.duality_gap
-        np.testing.assert_array_equal(together.psis, alone.psis)
-        np.testing.assert_array_equal(together.probs, alone.probs)
-        assert together.converged and together.duality_gap < optimize._FINAL_GAP
+    assert np.unique(batched["iterations"]).size > 1, "restarts should stop at different iterations"
+    assert batched["converged"].all() and (batched["duality_gap"] < optimize._FINAL_GAP).all()
+    for r in range(restarts):
+        alone = _ascend(transfer, mode, psis[r : r + 1], iters)
+        for name, x in alone.items():
+            np.testing.assert_array_equal(batched[name][r], x[0], err_msg=name)
 
 
 def test_monotone_in_restarts():
@@ -336,25 +345,26 @@ def test_transfer_matches_kraus_apply(channel):
 )
 def test_iteration_monotone(monkeypatch, mode, channels, dim, m):
     # at no iteration does a restart's value fall, a restart that rejects
-    # the iteration keeps its state, and nothing turns NaN
+    # the iteration keeps its ensemble, and nothing turns NaN
     step = _Ascent.step
     kept = []
 
-    def checked(self, eta, direction, g):
-        before = {name: getattr(self, name).copy() for name in _Ascent._PER_RESTART}
-        keep = step(self, eta, direction, g)
+    def checked(self, direction, g):
+        before = {name: getattr(self, name).copy() for name in _Ascent._EVALUATED}
+        keep = step(self, direction, g)
         assert np.all(self.value >= before["value"])
         for name, old in before.items():
             np.testing.assert_array_equal(getattr(self, name)[~keep], old[~keep])
+        for name in _Ascent._PER_RESTART:
             assert np.isfinite(getattr(self, name)).all(), name
         kept.append(keep)
         return keep
 
     monkeypatch.setattr(_Ascent, "step", checked)
-    outcomes = _ascend(_transfers(channels), mode, _starts(3, 3, dim, m), 300)
+    out = _ascend(_transfers(channels), mode, _starts(3, 3, dim, m), 300)
     kept = np.concatenate(kept)
     assert kept.any() and not kept.all()
-    assert all(np.isfinite([out.value, out.duality_gap]).all() for out in outcomes)
+    assert np.isfinite(out["value"]).all() and np.isfinite(out["duality_gap"]).all()
 
 
 @pytest.mark.parametrize(
@@ -367,36 +377,54 @@ def test_iteration_monotone(monkeypatch, mode, channels, dim, m):
     ids=["mean-two-use", "min-0.9,0.5", "min-damping"],
 )
 def test_momentum_resets_on_rejection(monkeypatch, mode, channels, dim, m):
-    # after a rejected iteration the next step goes along the gradient
-    # alone; after a kept one it adds _MOMENTUM times the kept direction,
-    # less its component along the current states.  One restart at a time
-    # keeps the recorded rows aligned; each step follows one gradient call.
-    gradient, step = _Ascent.gradient, _Ascent.step
-    for psis in _starts(3, 3, dim, m):
-        grads, steps = [], []
+    # a kept iteration leaves as the momentum its gradient plus _MOMENTUM
+    # times the last kept direction, less its component along the states it
+    # started from; a rejected one leaves momentum 0, so the next iteration
+    # goes along the gradient alone
+    step = _Ascent.step
+    kept, fresh = [], []
 
-        def recording_gradient(self):
-            direction, g, gap = gradient(self)
-            grads.append(direction.copy())
-            return direction, g, gap
+    def checked(self, direction, g):
+        states, mom = self.psis.copy(), self.mom.copy()
+        keep = step(self, direction, g)
+        mom -= (states.conj() * mom).sum(axis=-1, keepdims=True) * states
+        np.testing.assert_allclose(self.mom[keep], (direction + optimize._MOMENTUM * mom)[keep],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(self.mom[~keep], 0.0)
+        # a kept retry after a rejection (or the first iteration)
+        retry = keep & ~mom.any(axis=(1, 2))
+        np.testing.assert_array_equal(self.mom[retry], direction[retry])
+        kept.append(keep)
+        fresh.append(retry)
+        return keep
 
-        def recording_step(self, eta, direction, g):
-            states = self.psis.copy()
-            keep = step(self, eta, direction, g)
-            steps.append((states, direction.copy(), bool(keep[0])))
-            return keep
+    monkeypatch.setattr(_Ascent, "step", checked)
+    _ascend(_transfers(channels), mode, _starts(3, 3, dim, m), 300)
+    kept = np.concatenate(kept)
+    assert kept.any() and not kept.all()
+    assert np.concatenate(fresh).sum() > 3, "some kept iteration should follow a rejection"
 
-        monkeypatch.setattr(_Ascent, "gradient", recording_gradient)
-        monkeypatch.setattr(_Ascent, "step", recording_step)
-        _ascend(_transfers(channels), mode, psis[None], 300)
-        kept = [k for _, _, k in steps[:-1]]
-        assert any(kept) and not all(kept)
-        for grad, (_, before, kept), (now, after, _) in zip(grads[1:], steps, steps[1:]):
-            if kept:
-                mom = before - (now.conj() * before).sum(axis=-1, keepdims=True) * now
-                np.testing.assert_allclose(after, grad + optimize._MOMENTUM * mom, rtol=0, atol=1e-12)
-            else:
-                np.testing.assert_array_equal(after, grad)
+
+def test_step_schedule():
+    # after a step, a restart that kept it has grown its eta 1.5x and holds
+    # the direction it stepped along as its momentum; one that rejected it
+    # has halved its eta and holds momentum 0
+    transfer = _transfers([tensor_channels([depolarizing(2, 0.5)] * 2)])
+    ascent = _Ascent(transfer, "mean", _starts(5, 4, 4, 16), np.full((4, 16), 1.0 / 16))
+    ascent.eta = np.array([0.3, 3.0, 30.0, 300.0])
+    kept = []
+    for _ in range(6):
+        eta, states = ascent.eta.copy(), ascent.psis.copy()
+        direction, g, _ = ascent.gradient()
+        keep = ascent.step(direction, g)
+        np.testing.assert_array_equal(ascent.eta, np.where(keep, 1.5 * eta, 0.5 * eta))
+        np.testing.assert_array_equal(ascent.mom[~keep], 0.0)
+        v = states + eta[:, None, None] * ascent.mom
+        np.testing.assert_allclose(ascent.psis[keep], (v / np.linalg.norm(v, axis=-1, keepdims=True))[keep],
+                                   rtol=0, atol=1e-14)
+        kept.append(keep)
+    kept = np.array(kept)
+    assert kept.any() and not kept.all()
 
 
 @pytest.mark.parametrize("momentum", [0.7, optimize._MOMENTUM], ids=["0.7", "default"])
@@ -420,9 +448,10 @@ def test_incremental_caches_match_rebuild():
         kept = []
         for eta in (0.3, 3.0, 30.0, 0.1, 10.0, 1.0):
             direction, g, _ = ascent.gradient()
-            kept.append(ascent.step(np.full(4, eta), direction, g))
+            ascent.eta = np.full(4, eta)
+            kept.append(ascent.step(direction, g))
             fresh = _Ascent(ascent.transfer, mode, ascent.psis, ascent.probs)
-            for name in _Ascent._PER_RESTART:
+            for name in _Ascent._EVALUATED:
                 np.testing.assert_array_equal(getattr(fresh, name), getattr(ascent, name), err_msg=name)
         kept = np.array(kept)
         assert kept.any() and not kept.all()
@@ -446,7 +475,7 @@ def test_duality_gap_brackets_optimum(mode, lambdas, iters):
         assert ascent.value <= closed + 1e-12
         assert closed <= ascent.value + gap + 1e-12
         if t < iters:
-            ascent.step(np.ones(1), direction, g)
+            ascent.step(direction, g)
     np.testing.assert_array_equal(ascent.psis[0], psis)
     if iters < 200:
         assert gap > optimize._FINAL_GAP
@@ -461,13 +490,14 @@ def test_tol_is_the_final_gap_stop(monkeypatch, mode, lambdas):
     # bound at 0, every restart runs to the cap
     transfer = _transfers([tensor_channels([depolarizing(2, lam)] * 2) for lam in lambdas])
     psis = _starts(3, 3, 4, 8)
-    for out in _ascend(transfer, mode, psis, 1000):
-        assert out.converged and out.iterations < 1000 and out.duality_gap < optimize._FINAL_GAP
+    out = _ascend(transfer, mode, psis, 1000)
+    assert out["converged"].all() and (out["iterations"] < 1000).all()
+    assert (out["duality_gap"] < optimize._FINAL_GAP).all()
     for bound in ("_FINAL_GAP", "_GRAD_DONE"):
         with monkeypatch.context() as patch:
             patch.setattr(optimize, bound, 0.0)
-            for out in _ascend(transfer, mode, psis, 1000):
-                assert not out.converged and out.iterations == 1000, bound
+            out = _ascend(transfer, mode, psis, 1000)
+            assert not out["converged"].any() and (out["iterations"] == 1000).all(), bound
 
 
 def test_constant_channel_stops_at_once():
@@ -477,9 +507,9 @@ def test_constant_channel_stops_at_once():
     psis = _starts(0, 4, 2, 4)
     direction, _, _ = _Ascent(transfer, "mean", psis, np.full((4, 4), 0.25)).gradient()
     assert np.abs(direction).max() < 1e-15
-    for start, out in zip(psis, _ascend(transfer, "mean", psis, 300)):
-        assert out.converged and out.iterations == 0
-        np.testing.assert_array_equal(out.psis, start)
+    out = _ascend(transfer, "mean", psis, 300)
+    assert out["converged"].all() and (out["iterations"] == 0).all()
+    np.testing.assert_array_equal(out["psis"], psis)
 
 
 @pytest.mark.parametrize(
@@ -497,14 +527,14 @@ def test_converged_restarts_are_stationary(mode, channels, dim, m):
     # G_j psi_j - g_j psi_j below _GRAD_DONE, and its probabilities a gap
     # below _FINAL_GAP, at the states and probabilities it returns
     transfer = _transfers(channels)
-    outcomes = _ascend(transfer, mode, _starts(2, 4, dim, m), 2000)
-    assert all(out.converged for out in outcomes)
-    for out in outcomes:
-        ascent = _Ascent(transfer, mode, out.psis[None], out.probs[None])
+    out = _ascend(transfer, mode, _starts(2, 4, dim, m), 2000)
+    assert out["converged"].all()
+    for psis, probs, value, duality_gap in zip(out["psis"], out["probs"], out["value"], out["duality_gap"]):
+        ascent = _Ascent(transfer, mode, psis[None], probs[None])
         direction, _, gap = ascent.gradient()
         assert np.linalg.norm(direction[0], axis=-1).max() < optimize._GRAD_DONE
-        assert gap[0] == out.duality_gap < optimize._FINAL_GAP
-        assert ascent.value[0] == out.value
+        assert gap[0] == duality_gap < optimize._FINAL_GAP
+        assert ascent.value[0] == value
 
 
 @pytest.mark.parametrize("field,value", [("restarts", 0), ("iters", 0), ("seed", -1)])
