@@ -1,6 +1,11 @@
 """Closed-form capacities of depolarizing-branch channels and the
 verification drivers that compare them against the optimizer.
 
+The paper states its closed forms for qubits, whose noiseless term is the
+constant 1 = log2 2.  For d > 2 every closed form here, and every target
+built on one, takes that term as log2 d, the capacity of the noiseless
+d-dimensional channel.
+
 Each `verify_*` driver runs its searches under one seeded config and checks
 every search on both sides of its closed-form target: `<search>_no_excess`
 fails if the search beats the target by more than MATCH_TOL, and
@@ -48,13 +53,10 @@ class Check(namedtuple("Check", "name passed value bound tol")):
         }
 
 
-class CapacityReport(
-    namedtuple("CapacityReport", "closed_form optimizer_value checks extras notes")
-):
+class CapacityReport(namedtuple("CapacityReport", "closed_form optimizer_value checks extras")):
     """Closed form vs optimizer comparison for one channel: the optimizer
-    value (None for a closed form alone), the checks that decide a pass,
-    further results in `extras` (a new empty dict by default), and remarks
-    in `notes`."""
+    value (None for a closed form alone), the checks that decide a pass, and
+    further results in `extras` (a new empty dict by default)."""
 
     __slots__ = ()
 
@@ -64,10 +66,9 @@ class CapacityReport(
         optimizer_value: float | None = None,
         checks: tuple[Check, ...] = (),
         extras: dict | None = None,
-        notes: tuple[str, ...] = (),
     ):
         extras = {} if extras is None else extras
-        return super().__new__(cls, closed_form, optimizer_value, checks, extras, notes)
+        return super().__new__(cls, closed_form, optimizer_value, checks, extras)
 
     @property
     def gap(self) -> float | None:
@@ -86,8 +87,6 @@ class CapacityReport(
             out["optimizer_value"] = self.optimizer_value
             out["gap"] = self.gap
         out.update(self.extras)
-        if self.notes:
-            out["notes"] = list(self.notes)
         return out
 
 
@@ -132,15 +131,6 @@ def capacity_convex_depolarizing(d: int, lambdas: Sequence[float]) -> float:
     return min(chi_star_depolarizing(d, lam) for lam in lambdas)
 
 
-def _dimension_note(d: int) -> tuple[str, ...]:
-    if d > 2:
-        return (
-            "noiseless term taken as log2(d) for d > 2; the qubit case fixes "
-            "the constant 1",
-        )
-    return ()
-
-
 def report_depolarizing(d: int, lam: float) -> CapacityReport:
     return CapacityReport(
         closed_form=chi_star_depolarizing(d, lam),
@@ -152,7 +142,6 @@ def report_periodic(d: int, lambdas: Sequence[float]) -> CapacityReport:
     return CapacityReport(
         closed_form=capacity_periodic_depolarizing(d, lambdas),
         extras={"branch_chi_star": [chi_star_depolarizing(d, l) for l in lambdas]},
-        notes=_dimension_note(d),
     )
 
 
@@ -168,7 +157,7 @@ def report_convex(d: int, lambdas: Sequence[float], gammas: Sequence[float] | No
     )
 
 
-def _verify(searches, cfg: OptimizerConfig | None, notes: tuple[str, ...] = ()) -> CapacityReport:
+def _verify(searches, cfg: OptimizerConfig | None) -> CapacityReport:
     """Run each (name, maximize, channel, m, target) search under one seeded
     `cfg` (default: OptimizerConfig()) and give it the two checks of the
     module docstring.  The first search gives the report's closed form and
@@ -200,7 +189,6 @@ def _verify(searches, cfg: OptimizerConfig | None, notes: tuple[str, ...] = ()) 
             "duality_gap": gaps,
             "opt_seed": first.seed,
         },
-        notes=notes,
     )
 
 
@@ -244,7 +232,7 @@ def verify_theorem1(
         ("one_use", optimize.maximize_avg_chi, periodic, m, closed),
         ("two_use", optimize.maximize_avg_chi, pairs, None, 2.0 * closed),
     ]
-    return _verify(searches, cfg, _dimension_note(d))
+    return _verify(searches, cfg)
 
 
 def verify_theorem2(
@@ -273,4 +261,4 @@ def verify_theorem2(
         ("one_use", optimize.maximize_min_chi, convex, m, closed),
         ("two_use", optimize.maximize_min_chi, doubled, None, 2.0 * closed),
     ]
-    return _verify(searches, cfg, _dimension_note(d))
+    return _verify(searches, cfg)

@@ -18,12 +18,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
-from .params import check_depolarizing, check_gammas, check_integer, check_weights
-from .states import DensityMatrix
+from .params import check_depolarizing, check_gammas, check_integer, check_positive_integer, check_weights
+from .states import DensityMatrix, check_identity_sum
 
-COMPLETENESS_TOL = 1e-9
 # Product channels are materialized on demand; this caps their total input
-# dimension, checked before any Kronecker product is formed.
+# dimension, and the input dimension of every search, as `check_product_size`
+# checks before any Kronecker product or transfer matrix is formed.
 MAX_PRODUCT_DIM = 16
 
 
@@ -48,12 +48,7 @@ class KrausChannel:
         kraus = np.stack(terms)
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
-        gram = sum(k.conj().T @ k for k in kraus)
-        defect = np.max(np.abs(gram - np.eye(self.din)))
-        if not defect <= COMPLETENESS_TOL:
-            raise ValueError(
-                f"Kraus terms are not trace preserving (sum K^dag K defect {defect:.3e})"
-            )
+        check_identity_sum(sum(k.conj().T @ k for k in kraus), "K^dag K of trace preserving Kraus terms")
 
     @property
     def din(self) -> int:
@@ -134,6 +129,7 @@ def _weyl_operators(d: int) -> list[np.ndarray]:
 
 
 def identity_channel(d: int) -> KrausChannel:
+    check_positive_integer("d", d)
     return KrausChannel((np.eye(d, dtype=np.complex128),))
 
 
@@ -168,31 +164,25 @@ def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one channel")
-    dim = math.prod(c.din for c in channels)
-    if dim > MAX_PRODUCT_DIM:
-        raise CapabilityError(
-            f"product channel of input dimension {dim} exceeds the desk-scale cap "
-            f"{MAX_PRODUCT_DIM}"
-        )
+    check_product_size(math.prod(c.din for c in channels))
     combos = itertools.product(*(c.kraus for c in channels))
     return KrausChannel(tuple(reduce(np.kron, combo) for combo in combos))
 
 
-def check_product_size(d: int, n: int):
-    """Refuse n uses of dimension d unless n is a positive integer and
-    d^n <= MAX_PRODUCT_DIM."""
+def check_product_size(d: int, n: int = 1):
+    """Refuse n uses of dimension d unless n is a positive integer and the
+    input dimension d^n is at most MAX_PRODUCT_DIM: the one size rule, for
+    products and searches alike."""
     check_integer("n", n)
     if n < 1:
         raise ValueError(f"number of uses must be positive, got {n}")
     if d**n > MAX_PRODUCT_DIM:
-        raise CapabilityError(
-            f"{n}-fold product on dimension {d} exceeds the desk-scale cap "
-            f"(need d^n <= {MAX_PRODUCT_DIM})"
-        )
+        raise CapabilityError(f"input dimension {d**n} exceeds the desk-scale cap {MAX_PRODUCT_DIM}")
 
 
 def periodic_branch(ch: PeriodicChannel, i: int, n: int) -> KrausChannel:
     """Product of n consecutive branches starting at index i (cyclic)."""
+    check_integer("i", i)
     if not 0 <= i < ch.period:
         raise IndexError(f"branch index {i} out of range for period {ch.period}")
     check_product_size(ch.d, n)
@@ -204,6 +194,9 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     channels = list(channels)
     weights = np.asarray(weights, dtype=np.float64)
     check_weights(weights, len(channels), "weight")
+    shapes = sorted({(c.din, c.dout) for c in channels})
+    if len(shapes) > 1:
+        raise DimensionMismatchError(f"channels to mix must share one (din, dout), got {shapes}")
     terms = [np.sqrt(w) * k for w, c in zip(weights, channels) for k in c.kraus]
     return KrausChannel(tuple(terms))
 

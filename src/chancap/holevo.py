@@ -12,10 +12,7 @@ from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .entropy import shannon_entropy, von_neumann_entropy, relative_entropy
 from .errors import DimensionMismatchError
 from .params import check_weights
-from .states import HERMITICITY_TOL, DensityMatrix, basis_state
-
-POVM_COMPLETENESS_TOL = 1e-9
-POVM_EIGENVALUE_FLOOR = -1e-10
+from .states import DensityMatrix, basis_state, check_identity_sum, check_positive_semidefinite
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +55,9 @@ class Povm:
         shape = elems[0].shape
         if len(shape) != 2 or shape[0] != shape[1] or any(e.shape != shape for e in elems):
             raise ValueError("POVM elements must be square matrices of equal dimension")
-        defect = np.max(np.abs(sum(elems) - np.eye(shape[0])))
-        if not defect <= POVM_COMPLETENESS_TOL:
-            raise ValueError(f"POVM elements do not sum to identity (defect {defect:.3e})")
+        check_identity_sum(sum(elems), "POVM elements")
         for e in elems:
-            if not np.max(np.abs(e - e.conj().T)) <= HERMITICITY_TOL:
-                raise ValueError("POVM element is not Hermitian")
-            if not np.linalg.eigvalsh(e)[0] >= POVM_EIGENVALUE_FLOOR:
-                raise ValueError("POVM element has a negative eigenvalue")
+            check_positive_semidefinite(e, "POVM element")
 
     @property
     def dim(self) -> int:

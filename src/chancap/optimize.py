@@ -53,10 +53,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import holevo
-from .channels import MAX_PRODUCT_DIM, ConvexCombinationChannel, KrausChannel, PeriodicChannel
-from .errors import CapabilityError
+from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel, check_product_size
 from .holevo import Ensemble
-from .params import check_integer
+from .params import check_integer, check_positive_integer
 from .sampling import random_unit_vectors
 from .states import DensityMatrix
 
@@ -84,14 +83,12 @@ class OptimizerConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("restarts", "iters", "seed"):
-            value = getattr(self, name)
-            if value is not None or name != "seed":
-                check_integer(name, value)
-        if self.restarts < 1 or self.iters < 1:
-            raise ValueError("restarts and iters must be positive")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        check_positive_integer("restarts", self.restarts)
+        check_positive_integer("iters", self.iters)
+        if self.seed is not None:
+            check_integer("seed", self.seed)
+            if self.seed < 0:
+                raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def seeded(self) -> OptimizerConfig:
         """This budget with a seed: its own, or a freshly drawn one."""
@@ -293,8 +290,7 @@ def _maximize(
     # checked before the transfer matrices, which grow as the input
     # dimension to the fourth power, are built
     dim = branches[0].din
-    if dim > MAX_PRODUCT_DIM:
-        raise CapabilityError(f"input dimension {dim} exceeds the optimizer cap {MAX_PRODUCT_DIM}")
+    check_product_size(dim)
     # an optimal ensemble needs at most dim^2 pure states (Davies), and m
     # sizes every restart's cached outputs
     if m is None:

@@ -25,6 +25,13 @@ def check_integer(name: str, value):
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def check_positive_integer(name: str, value):
+    """check_integer, then raise ValueError unless `value` is at least 1."""
+    check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def check_depolarizing(d: int, lam: float):
     """Raise unless rho -> lam*rho + (1-lam)*I/d is a channel: TypeError
     for a d that is not an integer, ValueError for d < 2, CPViolationError

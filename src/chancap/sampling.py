@@ -7,12 +7,13 @@ from __future__ import annotations
 import numpy as np
 
 from .holevo import Povm
-from .params import check_integer
+from .params import check_positive_integer
 from .states import DensityMatrix
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    check_positive_integer("dim", dim)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -21,6 +22,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_unit_vectors(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m Haar-random state vectors as the rows of an (m, dim) array:
     normalized complex Gaussians, the real parts drawn before the imaginary."""
+    check_positive_integer("dim", dim)
+    check_positive_integer("m", m)
     psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
@@ -42,11 +45,10 @@ def random_density_matrix(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> DensityMatrix:
     """Normalized Wishart state G G^dag / tr, full rank by default."""
+    check_positive_integer("dim", dim)
     if rank is None:
         rank = dim
-    check_integer("rank", rank)
-    if rank < 1:
-        raise ValueError(f"a density matrix needs rank at least 1, got rank={rank}")
+    check_positive_integer("rank", rank)
     rho = wishart(dim, rank, rng)
     return DensityMatrix(rho / np.trace(rho))
 

@@ -9,19 +9,39 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .params import check_integer
+from .params import check_integer, check_positive_integer
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+IDENTITY_SUM_TOL = 1e-9
+
+
+def check_identity_sum(total: np.ndarray, what: str):
+    """Raise ValueError unless the square matrix `total` is the identity
+    within IDENTITY_SUM_TOL, entry by entry."""
+    defect = np.max(np.abs(total - np.eye(total.shape[0])))
+    if not defect <= IDENTITY_SUM_TOL:
+        raise ValueError(f"{what} must sum to the identity (defect {defect:.3e})")
+
+
+def check_positive_semidefinite(mat: np.ndarray, what: str):
+    """Raise ValueError unless the square matrix `mat` is Hermitian within
+    HERMITICITY_TOL, entry by entry, with no eigenvalue below EIGENVALUE_FLOOR."""
+    herm_defect = np.max(np.abs(mat - mat.conj().T))
+    if not herm_defect <= HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian (defect {herm_defect:.3e})")
+    w = np.linalg.eigvalsh(mat)
+    if not w[0] >= EIGENVALUE_FLOOR:
+        raise ValueError(f"{what} has a negative eigenvalue {w[0]:.3e} below tolerance")
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace positive semidefinite operator.
 
-    Validated on construction: Hermitian to 1e-10, trace 1 to 1e-10, and no
-    eigenvalue below -1e-10.
+    Validated on construction: Hermitian to 1e-10, no eigenvalue below
+    -1e-10, and trace 1 to 1e-10.
     """
 
     mat: np.ndarray
@@ -32,15 +52,10 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if not herm_defect <= HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
+        check_positive_semidefinite(mat, "density matrix")
         tr = mat.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
-        w = np.linalg.eigvalsh(mat)
-        if not w[0] >= EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {w[0]:.3e} below tolerance")
 
     @property
     def dim(self) -> int:
@@ -49,6 +64,7 @@ class DensityMatrix:
 
 def basis_state(dim: int, k: int) -> DensityMatrix:
     """Computational basis state |k><k| on a dim-dimensional space."""
+    check_positive_integer("dim", dim)
     check_integer("k", k)
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dim {dim}")
@@ -58,6 +74,7 @@ def basis_state(dim: int, k: int) -> DensityMatrix:
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
+    check_positive_integer("dim", dim)
     return DensityMatrix(np.eye(dim) / dim)
 
 

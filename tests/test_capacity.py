@@ -27,9 +27,11 @@ from chancap import (
     verify_theorem2,
 )
 from chancap.capacity import CapacityReport, report_convex, report_depolarizing, report_periodic
+from chancap.channels import identity_channel
 from chancap.optimize import OptimizerConfig
 from chancap.params import check_depolarizing, check_integer
-from chancap.states import basis_state
+from chancap.sampling import haar_unitary, random_density_matrix, random_unit_vectors
+from chancap.states import basis_state, maximally_mixed
 
 FAST = OptimizerConfig(restarts=3, iters=300, seed=13)
 
@@ -172,9 +174,6 @@ def test_capacity_reports():
     assert rep.extras["s_min"] == pytest.approx(S_MIN_HALF, abs=1e-12)
     rep = report_periodic(2, [0.9, 0.5])
     assert rep.closed_form == pytest.approx(PERIODIC_09_05, abs=1e-12)
-    assert not rep.notes
-    rep = report_periodic(3, [0.9, 0.5])
-    assert rep.notes  # flags the d > 2 reading of the noiseless term
     rep = report_convex(2, [0.9, 0.5], [0.3, 0.7])
     assert rep.closed_form == pytest.approx(CHI_HALF, abs=1e-12)
 
@@ -191,20 +190,45 @@ def test_check_integer_is_the_integral_test(value):
             check_integer("x", value)
 
 
+PER = PeriodicChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)))
+RNG = np.random.default_rng(0)
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call,error,message",
     [
-        lambda: chi_star_depolarizing(2.5, 0.5),
-        lambda: capacity_periodic_depolarizing(2.0, [0.5]),
-        lambda: capacity_convex_depolarizing(3.7, [0.5]),
-        lambda: depolarizing(np.True_, 0.5),
-        lambda: basis_state(2, True),
-        lambda: OptimizerConfig(restarts=2.0),
+        (lambda: chi_star_depolarizing(2.5, 0.5), TypeError, "d must be an integer, got 2.5"),
+        (lambda: capacity_periodic_depolarizing(2.0, [0.5]), TypeError, "d must be an integer, got 2.0"),
+        (lambda: capacity_convex_depolarizing(3.7, [0.5]), TypeError, "d must be an integer, got 3.7"),
+        (lambda: depolarizing(np.True_, 0.5), TypeError, f"d must be an integer, got {np.True_!r}"),
+        (lambda: basis_state(2, True), TypeError, "k must be an integer, got True"),
+        (lambda: OptimizerConfig(restarts=2.0), TypeError, "restarts must be an integer, got 2.0"),
+        (lambda: periodic_branch(PER, 1.0, 2), TypeError, "i must be an integer, got 1.0"),
+        (lambda: periodic_branch(PER, True, 2), TypeError, "i must be an integer, got True"),
+        (lambda: basis_state(2.0, 0), TypeError, "dim must be an integer, got 2.0"),
+        (lambda: basis_state(0, 0), ValueError, "dim must be positive, got 0"),
+        (lambda: maximally_mixed(2.0), TypeError, "dim must be an integer, got 2.0"),
+        (lambda: maximally_mixed(0), ValueError, "dim must be positive, got 0"),
+        (lambda: identity_channel(2.0), TypeError, "d must be an integer, got 2.0"),
+        (lambda: identity_channel(0), ValueError, "d must be positive, got 0"),
+        (lambda: random_unit_vectors(2, 2.0, RNG), TypeError, "m must be an integer, got 2.0"),
+        (lambda: random_unit_vectors(2, 0, RNG), ValueError, "m must be positive, got 0"),
+        (lambda: random_unit_vectors(2.0, 2, RNG), TypeError, "dim must be an integer, got 2.0"),
+        (lambda: haar_unitary(2.0, RNG), TypeError, "dim must be an integer, got 2.0"),
+        (lambda: haar_unitary(-1, RNG), ValueError, "dim must be positive, got -1"),
+        (lambda: random_density_matrix(2.0, RNG), TypeError, "dim must be an integer, got 2.0"),
+        (lambda: random_density_matrix(0, RNG), ValueError, "dim must be positive, got 0"),
     ],
-    ids=["chi_star", "periodic", "convex", "depolarizing", "basis_state", "config"],
+    ids=["chi_star", "periodic", "convex", "depolarizing", "basis_state", "config",
+         "branch_index_float", "branch_index_bool", "basis_state_dim", "basis_state_dim_0",
+         "maximally_mixed", "maximally_mixed_0", "identity_channel", "identity_channel_0",
+         "unit_vectors_m", "unit_vectors_m_0", "unit_vectors_dim", "haar_unitary",
+         "haar_unitary_neg", "density_matrix", "density_matrix_0"],
 )
-def test_non_integer_rejected(call):
-    with pytest.raises(TypeError, match="must be an integer"):
+def test_non_integer_rejected(call, error, message):
+    # the error names the parameter at fault, an integer parameter that must
+    # also be positive among them
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -26,6 +26,7 @@ from chancap import (
     tensor,
     tensor_channels,
 )
+from chancap import capacity, channels, optimize
 from chancap.sampling import random_density_matrix, random_pure_state
 
 
@@ -185,7 +186,7 @@ def test_product_size_cap():
 def test_two_use_product_size_cap():
     # two uses count against the cap like any other number: 5^2 = 25 > 16
     per = PeriodicChannel((depolarizing(5, 0.5),))
-    with pytest.raises(CapabilityError, match=r"need d\^n <= 16"):
+    with pytest.raises(CapabilityError, match="^input dimension 25 exceeds the desk-scale cap 16$"):
         periodic_branch(per, 0, 2)
     with pytest.raises(CapabilityError):
         periodic_uses(per, 2)
@@ -199,7 +200,7 @@ def test_two_use_product_size_cap():
         (0, ValueError, "number of uses must be positive, got 0"),
         (-1, ValueError, "number of uses must be positive, got -1"),
         (2.0, TypeError, "n must be an integer, got 2.0"),
-        (5, CapabilityError, "5-fold product on dimension 2 exceeds the desk-scale cap"),
+        (5, CapabilityError, "input dimension 32 exceeds the desk-scale cap 16"),
     ],
 )
 @pytest.mark.parametrize(
@@ -228,6 +229,45 @@ def test_tensor_channels_size_cap(monkeypatch):
     monkeypatch.setattr(np, "kron", kron)
     with pytest.raises(CapabilityError, match="input dimension 25"):
         tensor_channels([depolarizing(5, 0.5)] * 2)
+
+
+# every entry point that the size cap guards: a builder of its input, the call
+# on that input, and the input dimension the call would reach
+OVER_CAP = {
+    "tensor_channels": (lambda: [depolarizing(5, 0.5)] * 2, tensor_channels, 25),
+    "periodic_uses": (lambda: PeriodicChannel((depolarizing(2, 0.9), depolarizing(2, 0.5))),
+                      lambda ch: periodic_uses(ch, 5), 32),
+    "convex_uses": (lambda: ConvexCombinationChannel((depolarizing(2, 0.9),), [1.0]),
+                    lambda ch: convex_uses(ch, 5), 32),
+    "verify_additivity": (lambda: None, lambda _: capacity.verify_additivity(5, 0.5), 25),
+    "verify_theorem1": (lambda: None, lambda _: capacity.verify_theorem1(5, [0.9, 0.5]), 25),
+    "verify_theorem2": (lambda: None, lambda _: capacity.verify_theorem2(5, [0.9, 0.5]), 25),
+    "maximize_chi": (lambda: depolarizing(17, 0.5), optimize.maximize_chi, 17),
+}
+
+
+@pytest.mark.parametrize("entry", OVER_CAP)
+def test_every_over_cap_entry_point_refuses_alike(monkeypatch, entry):
+    # one message, raised before any Kronecker product, channel, transfer
+    # matrix or start state is built
+    build, call, dim = OVER_CAP[entry]
+    arg = build()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work done before the size check")
+
+    for owner, name in [(np, "kron"), (channels, "depolarizing"), (optimize, "random_unit_vectors"),
+                        (optimize, "_ascend")]:
+        monkeypatch.setattr(owner, name, fail)
+    monkeypatch.setattr(KrausChannel, "transfer", property(fail))
+    with pytest.raises(CapabilityError, match=f"^input dimension {dim} exceeds the desk-scale cap 16$"):
+        call(arg)
+
+
+def test_mix_channels_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape("channels to mix must share one (din, dout), got [(2, 2), (3, 3)]")):
+        mix_channels([depolarizing(3, 0.5), depolarizing(2, 0.5)], [0.5, 0.5])
 
 
 def test_apply_periodic_single_branch():

@@ -314,7 +314,7 @@ def test_verify_refuses_two_use_over_cap_before_any_work(capsys, monkeypatch, ch
     monkeypatch.setattr(optimize, "_ascend", fail)
     code, out, err = run(capsys, ["verify", channel[0], "--d", "5", *channel[1:], "--seed", "7"])
     assert code == 2 and out == ""
-    assert err == "error: 2-fold product on dimension 5 exceeds the desk-scale cap (need d^n <= 16)\n"
+    assert err == "error: input dimension 25 exceeds the desk-scale cap 16\n"
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):

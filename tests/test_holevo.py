@@ -145,7 +145,7 @@ def test_random_density_matrix_rank_checked(monkeypatch, rank):
 
     monkeypatch.setattr(sampling, "wishart", fail)
     if isinstance(rank, int) and not isinstance(rank, bool):
-        with pytest.raises(ValueError, match=f"rank at least 1, got rank={rank}"):
+        with pytest.raises(ValueError, match=f"^rank must be positive, got {rank}$"):
             random_density_matrix(2, np.random.default_rng(0), rank)
     else:
         with pytest.raises(TypeError, match=f"rank must be an integer, got {rank!r}"):

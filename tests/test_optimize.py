@@ -264,7 +264,7 @@ def test_min_chi_degenerate_branches():
 
 def test_dimension_cap():
     big = identity_channel(32)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match="^input dimension 32 exceeds the desk-scale cap 16$"):
         maximize_chi(big, 2, FAST)
     assert "transfer" not in vars(big), "the cap is checked before the transfer matrix is built"
 
