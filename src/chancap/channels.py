@@ -9,7 +9,6 @@ density matrices, which the optimizer uses; `apply` keeps the Kraus sum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -158,15 +157,21 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=True))
 
 
+def _kron_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every Kronecker product kron(a[i], b[j]) of two stacks of matrices,
+    i varying slowest, from one broadcast product of the two stacks."""
+    (n, p, r), (n2, q, s) = a.shape, b.shape
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(n * n2, p * q, r * s)
+
+
 def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
     """Tensor product channel; Kraus terms are all Kronecker products of
-    the factors' terms."""
+    the factors' terms, the first factor's term varying slowest."""
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one channel")
     check_product_size(math.prod(c.din for c in channels))
-    combos = itertools.product(*(c.kraus for c in channels))
-    return KrausChannel(tuple(reduce(np.kron, combo) for combo in combos))
+    return KrausChannel(reduce(_kron_terms, (c.kraus for c in channels)))
 
 
 def check_product_size(d: int, n: int = 1):

@@ -11,31 +11,38 @@ worst branch for the branch minimum ("min" mode, maximin).
 One iteration moves every member of a restart at once.  Let
 G_j = sum_i w_i Phi_i^dag(log2 sigma_ij - log2 sigma_bar_i), where Phi_i^dag,
 the adjoint of branch i, is the conjugate transpose of its transfer matrix,
-and g_j = <psi_j|G_j|psi_j> = sum_i w_i D(sigma_ij || sigma_bar_i).  The
-states step along the sphere, psi_j <- normalize(psi_j + eta d_j) with
-d_j = G_j psi_j - g_j psi_j + 0.85 v_j: the objective's gradient in psi_j is
-p_j G_j psi_j, and the step leaves out the factor p_j.  The heavy-ball
-momentum v_j is d_j of the restart's last kept iteration less its component
-along the current psi_j, and 0 at the start and after a rejected iteration,
-which is retried along the gradient alone.  The probabilities take one
+and g_j = <psi_j|G_j|psi_j> = sum_i w_i D(sigma_ij || sigma_bar_i).  Member
+j's tangent gradient is G_j psi_j - g_j psi_j: the objective's gradient in
+psi_j is p_j G_j psi_j, and the step leaves out the factor p_j.  The states
+take a limited-memory quasi-Newton step along the sphere (L-BFGS: Liu &
+Nocedal, Math. Prog. 45:503, 1989; on a product of spheres, Huang, Gallivan
+& Absil, SIAM J. Optim. 25:1660, 2015), psi_j <- normalize(psi_j + eta d_j).
+The direction d is the two-loop recursion applied to the restart's tangent
+gradients, stacked as one real vector, with its last _MEMORY curvature pairs
+(s, y), then projected onto the tangent space at every member (its
+component along psi_j removed).  A kept iteration gives the pair s, the
+change of the stacked states, and y, the fall of the stacked tangent
+gradients; it is stored only when <s, y> > 0, which keeps the recursion's
+inverse-Hessian estimate positive definite, and the oldest pair then drops
+out.  With no pair, d is the tangent gradient.  The probabilities take one
 Blahut-Arimoto update p_j <- p_j 2^g_j, normalized.  A restart keeps the
-iteration only if its value rises (at a stationary point an unchanged value
-would grow eta without bound); eta starts at 1, grows 1.5x on a kept
-iteration and halves on a rejected one.  Like eta, the momentum belongs to
-one restart: another restart's rejection does not reset it, so a restart's
-path is the same in any batch.  The duality gap max_j g_j - sum_j p_j g_j
-bounds what any reweighting of the states could add (in min mode to the
-branch minimum as well).  A restart stops, converged, once it is stationary
-to first order: that gap is below 1e-6 bits and every member's tangent
-gradient G_j psi_j - g_j psi_j, before the momentum, has norm below 1e-6.
-eta plays no part, as at a maximum it keeps growing.  Otherwise the
-iteration cap stops it.
+iteration only if its value rises.  eta starts at the unit quasi-Newton
+step, 1, and never exceeds it: it grows 1.5x toward 1 on a kept iteration
+and halves on a rejected one, which leaves the pairs as they were.  Like
+eta, the pairs belong to one restart and every inner product is taken row
+by row, so a restart's path is the same in any batch.  The duality gap
+max_j g_j - sum_j p_j g_j bounds what any reweighting of the states could
+add (in min mode to the branch minimum as well).  A restart stops,
+converged, once it is stationary to first order: that gap is below 1e-6
+bits and every member's tangent gradient has norm below 1e-6.  Otherwise
+the iteration cap stops it.
 
 All restarts of a chunk run in lockstep as one numpy batch, and a restart
 leaves the batch when it stops.  `_Ascent` owns every per-restart array, eta
-and the momentum among them, so a stopped restart leaves them all at once.
-Chunks hold as many restarts as keep their member outputs within 8 MiB, the
-step holding a few arrays of that size.
+and the curvature pairs among them, so a stopped restart leaves them all at
+once.  Chunks hold as many restarts as keep their member outputs and
+curvature pairs within 8 MiB, the step holding a few arrays of the outputs'
+size.
 Every restart starts from m random pure states, none at a known optimum,
 drawn from the r-th child of SeedSequence(seed) (numpy's PCG64) for restart
 r; nothing else is random, so runs are reproducible and each restart's
@@ -62,8 +69,8 @@ from .states import DensityMatrix
 _EIG_FLOOR = 1e-30  # keeps the logs of rank-deficient outputs finite
 _FINAL_GAP = 1e-6  # duality gap (bits) below which a restart may stop
 _GRAD_DONE = 1e-6  # tangent gradient norm below which a member is stationary
-_MOMENTUM = 0.85  # share of a restart's last kept direction added to its next
-_CHUNK_BYTES = 8 << 20  # member outputs of the restarts run as one batch
+_MEMORY = 3  # curvature pairs each restart keeps for its quasi-Newton direction
+_CHUNK_BYTES = 8 << 20  # member outputs and curvature pairs of the restarts run as one batch
 _CROSS_CHECK_TOL = 1e-9  # bits between the ascent's value and the Kraus form's
 
 
@@ -128,6 +135,13 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a.real, a.real) + _dot(a.imag, a.imag))
 
 
+def _real(a: np.ndarray) -> np.ndarray:
+    """A stack (R, ...) of complex arrays as real vectors (R, n): each
+    row's real and imaginary parts interleaved, so _dot of two rows is the
+    real part of their inner product."""
+    return a.reshape(len(a), -1).view(np.float64)
+
+
 def _entropies(w: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits of a stack (..., d) of spectra;
     round-off negatives contribute 0."""
@@ -155,15 +169,16 @@ def _apply_pure(transfer: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 class _Ascent:
     """The state of a batch of restarts, each array with a leading restart
-    axis: its row in the batch it started in, its eta, its momentum and
-    states psis (R, m, din), probabilities (R, m), the spectra and
-    eigenvectors of the member outputs (R, m, branches, dout[, dout]), log2
-    of each branch's average output, the branches' Holevo quantities and the
-    objective's value.  The branches come as one (branches, dout^2, din^2)
-    stack of transfer matrices."""
+    axis: its row in the batch it started in, its eta, its curvature pairs
+    s and y (R, _MEMORY, 2 m din) as real vectors, oldest first, with rho =
+    1 / <s, y> (R, _MEMORY), 0 in a slot not yet filled, and its evaluated
+    ensemble: states psis (R, m, din), probabilities (R, m), the objective's
+    value, each member's tangent gradient G_j psi_j - g_j psi_j (R, m, din),
+    g (R, m) and the duality gap.  The branches come as one (branches,
+    dout^2, din^2) stack of transfer matrices."""
 
-    _EVALUATED = ("psis", "probs", "evals", "evecs", "logr", "chis", "value")
-    _PER_RESTART = ("row", "eta", "mom") + _EVALUATED
+    _EVALUATED = ("psis", "probs", "value", "grad", "g", "gap")
+    _PER_RESTART = ("row", "eta", "s", "y", "rho") + _EVALUATED
 
     def __init__(self, transfer: np.ndarray, mode: str, psis, probs):
         self.transfer = transfer
@@ -174,9 +189,12 @@ class _Ascent:
         state = self._evaluate(np.array(psis, dtype=np.complex128), np.array(probs, dtype=np.float64))
         for name, x in zip(self._EVALUATED, state):
             setattr(self, name, x)
-        self.row = np.arange(len(self.psis))
-        self.eta = np.ones(len(self.psis))
-        self.mom = np.zeros(self.psis.shape, dtype=np.complex128)  # each restart's last kept direction
+        restarts = len(self.psis)
+        self.row = np.arange(restarts)
+        self.eta = np.ones(restarts)
+        self.s = np.zeros((restarts, _MEMORY, 2 * self.psis[0].size))
+        self.y = np.zeros_like(self.s)
+        self.rho = np.zeros((restarts, _MEMORY))
 
     def select(self, rows: np.ndarray):
         """Keep only the restarts selected by the boolean mask `rows`."""
@@ -192,59 +210,76 @@ class _Ascent:
         return np.full(chis.shape, 1.0 / chis.shape[1])
 
     def _evaluate(self, psis: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The `_EVALUATED` arrays of the ensembles `psis`, `probs`."""
+        """The `_EVALUATED` arrays of the ensembles `psis`, `probs`, with G_j,
+        g_j and the gap as in the module docstring."""
+        restarts, m, din = psis.shape
         outs = _apply_pure(self.transfer, psis)
         # sum_j probs[:, j] outs[:, j] per branch, in order: a BLAS product
         # would split the sum by thread count
         flat = outs.reshape(outs.shape[:3] + (-1,))
         rbar = np.einsum("rj,rjbk->rbk", probs, flat).reshape(outs.shape[:1] + outs.shape[2:])
         evals, evecs = np.linalg.eigh(outs)
-        del outs
+        del outs, flat  # the outputs, which the logs below match in size
         rw, rv = np.linalg.eigh(rbar)
         chis = _entropies(rw) - _dot(probs[:, None, :], _entropies(evals).swapaxes(1, 2))
-        value = (self._weights(chis) * chis).sum(axis=1)
-        return psis, probs, evals, evecs, _log2m(rw, rv), chis, value
-
-    def gradient(self) -> tuple[np.ndarray, ...]:
-        """Each member's ascent direction G_j psi_j - g_j psi_j (R, m, din),
-        g (R, m) and each restart's duality gap, as in the module docstring."""
-        restarts, m, din = self.psis.shape
-        logs = _log2m(self.evals, self.evecs)
-        logs -= self.logr[:, None]
-        logs *= self._weights(self.chis)[:, None, :, None, None]
+        weights = self._weights(chis)
+        value = (weights * chis).sum(axis=1)
+        logs = _log2m(evals, evecs)
+        del evecs
+        logs -= _log2m(rw, rv)[:, None]
+        logs *= weights[:, None, :, None, None]
         big_g = (logs.reshape(restarts * m, -1) @ self.adjoint).reshape(restarts, m, din, din)
         del logs
-        g_psi = (big_g @ self.psis[..., None])[..., 0]
-        g = _dot(self.psis.conj(), g_psi).real
+        g_psi = (big_g @ psis[..., None])[..., 0]
+        g = _dot(psis.conj(), g_psi).real
         # probs @ g is a convex combination of g, so it can exceed max(g)
         # only by round-off
-        gap = np.maximum(0.0, g.max(axis=1) - _dot(self.probs, g))
-        return g_psi - g[..., None] * self.psis, g, gap
+        gap = np.maximum(0.0, g.max(axis=1) - _dot(probs, g))
+        return psis, probs, value, g_psi - g[..., None] * psis, g, gap
 
-    @staticmethod
-    def stationary(direction: np.ndarray, gap: np.ndarray) -> np.ndarray:
-        """The mask of restarts stationary at `gradient`'s `direction` and
-        `gap`, the stop test of the module docstring."""
-        return (gap < _FINAL_GAP) & (_norms(direction).max(axis=1) < _GRAD_DONE)
+    def stationary(self) -> np.ndarray:
+        """The mask of restarts that meet the stop test of the module
+        docstring."""
+        return (self.gap < _FINAL_GAP) & (_norms(self.grad).max(axis=1) < _GRAD_DONE)
 
-    def step(self, direction: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """One iteration from `gradient`'s `direction` and `g`, with the
-        momentum, keep rule and eta schedule of the module docstring; a kept
-        step's direction becomes the momentum.  Returns the kept mask."""
-        # heavy ball, projected onto the tangent space at the states
-        self.mom -= _dot(self.psis.conj(), self.mom)[..., None] * self.psis
-        direction = direction + _MOMENTUM * self.mom
-        v = self.psis + self.eta[:, None, None] * direction
+    def direction(self) -> np.ndarray:
+        """Each member's step direction (R, m, din): the two-loop recursion
+        on the stacked tangent gradients with the restart's curvature pairs,
+        scaled by <s, y> / <y, y> of the newest (1 with none), less each
+        member's component along its state.  An empty slot adds nothing."""
+        q = _real(self.grad).copy()
+        alpha = np.zeros(self.rho.shape)
+        for i in reversed(range(_MEMORY)):
+            alpha[:, i] = self.rho[:, i] * _dot(self.s[:, i], q)
+            q -= alpha[:, i, None] * self.y[:, i]
+        s, y = self.s[:, -1], self.y[:, -1]
+        q *= np.divide(_dot(s, y), _dot(y, y), out=np.ones(len(q)), where=self.rho[:, -1] > 0)[:, None]
+        for i in range(_MEMORY):
+            q += (alpha[:, i] - self.rho[:, i] * _dot(self.y[:, i], q))[:, None] * self.s[:, i]
+        d = q.view(np.complex128).reshape(self.psis.shape)
+        return d - _dot(self.psis.conj(), d)[..., None] * self.psis
+
+    def step(self) -> np.ndarray:
+        """One iteration along `direction`, with the keep rule, curvature
+        pairs and eta schedule of the module docstring.  Returns the kept
+        mask."""
+        v = self.psis + self.eta[:, None, None] * self.direction()
         psis = v / _norms(v)[..., None]
-        probs = self.probs * np.exp2(g - g.max(axis=1, keepdims=True))
+        probs = self.probs * np.exp2(self.g - self.g.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
-        state = self._evaluate(psis, probs)
-        keep = state[-1] > self.value
-        for name, x in zip(self._EVALUATED, state):
+        state = dict(zip(self._EVALUATED, self._evaluate(psis, probs)))
+        keep = state["value"] > self.value
+        s, y = _real(psis - self.psis), _real(self.grad - state["grad"])
+        sy = _dot(s, y)
+        new = keep & (sy > 0)
+        # the restart's oldest pair drops out
+        for pairs, pair in ((self.s, s), (self.y, y), (self.rho, 1.0 / np.where(new, sy, 1.0))):
+            pairs[new, :-1] = pairs[new, 1:]
+            pairs[new, -1] = pair[new]
+        for name, x in state.items():
             old = getattr(self, name)
             np.copyto(old, x, where=keep.reshape((-1,) + (1,) * (old.ndim - 1)))
-        self.mom = np.where(keep[:, None, None], direction, 0.0)
-        self.eta = np.where(keep, 1.5 * self.eta, 0.5 * self.eta)
+        self.eta = np.where(keep, np.minimum(1.0, 1.5 * self.eta), 0.5 * self.eta)
         return keep
 
 
@@ -252,10 +287,12 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> di
     """Run one restart per row of `psis` (R, m, din) from uniform
     probabilities on the branches' (branches, dout^2, din^2) transfer
     matrices, for at most `iters` iterations each, in chunks of restarts
-    whose member outputs fit _CHUNK_BYTES.  Returns, indexed by restart, the
-    final value, psis, probs, iterations, converged and duality_gap."""
-    restarts, m, _ = psis.shape
-    size = max(1, _CHUNK_BYTES // (16 * m * transfer.shape[0] * transfer.shape[1]))
+    whose member outputs and curvature pairs fit _CHUNK_BYTES.  Returns,
+    indexed by restart, the final value, psis, probs, iterations, converged
+    and duality_gap."""
+    restarts, m, din = psis.shape
+    # per restart: its member outputs, and its curvature pairs
+    size = max(1, _CHUNK_BYTES // (16 * m * (transfer.shape[0] * transfer.shape[1] + 2 * _MEMORY * din)))
     out = {"value": np.empty(restarts), "psis": np.empty(psis.shape, dtype=np.complex128),
            "probs": np.empty((restarts, m)), "iterations": np.empty(restarts, dtype=int),
            "converged": np.empty(restarts, dtype=bool), "duality_gap": np.empty(restarts)}
@@ -263,20 +300,18 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> di
         chunk = psis[first : first + size]
         ascent = _Ascent(transfer, mode, chunk, np.full(chunk.shape[:2], 1.0 / m))
         for t in range(iters + 1):
-            direction, g, gap = ascent.gradient()
-            converged = ascent.stationary(direction, gap)
+            converged = ascent.stationary()
             stop = converged | (t == iters)
             if stop.any():
                 rows = first + ascent.row[stop]
                 for name, x in (("value", ascent.value), ("psis", ascent.psis), ("probs", ascent.probs),
-                                ("converged", converged), ("duality_gap", gap)):
+                                ("converged", converged), ("duality_gap", ascent.gap)):
                     out[name][rows] = x[stop]
                 out["iterations"][rows] = t
                 if stop.all():
                     break
                 ascent.select(~stop)
-                direction, g = direction[~stop], g[~stop]
-            ascent.step(direction, g)
+            ascent.step()
     return out
 
 
