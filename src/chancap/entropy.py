@@ -28,8 +28,7 @@ def shannon_entropy(p: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho)."""
-    w = np.linalg.eigvalsh(rho.mat)
-    return shannon_entropy(w)
+    return shannon_entropy(rho._eigvals)
 
 
 def relative_entropy(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -46,7 +45,6 @@ def relative_entropy(a: DensityMatrix, b: DensityMatrix) -> float:
     unsupported = wb < SUPPORT_TOL
     if np.any(weights[unsupported] > ABS_WEIGHT_TOL):
         return math.inf
-    wa = np.linalg.eigvalsh(a.mat)
-    tr_a_log_a = -shannon_entropy(wa)
+    tr_a_log_a = -shannon_entropy(a._eigvals)
     tr_a_log_b = float(np.sum(weights[~unsupported] * np.log2(wb[~unsupported])))
     return tr_a_log_a - tr_a_log_b

@@ -64,17 +64,19 @@ class Povm:
         return self.elements[0].shape[0]
 
 
-def _check_dims(ch: KrausChannel, ens: Ensemble):
+def _outputs(ch: KrausChannel, ens: Ensemble) -> list[DensityMatrix]:
+    """The channel outputs of the ensemble's states, in order, once the
+    ensemble is checked to fit the channel's input."""
     if ens.dim != ch.din:
         raise DimensionMismatchError(
             f"ensemble dim {ens.dim} does not match channel input dim {ch.din}"
         )
+    return [channels.apply(ch, s) for s in ens.states]
 
 
 def chi(ch: KrausChannel, ens: Ensemble) -> float:
     """Holevo quantity S(sum_j p_j out_j) - sum_j p_j S(out_j) in bits."""
-    _check_dims(ch, ens)
-    outputs = [channels.apply(ch, s) for s in ens.states]
+    outputs = _outputs(ch, ens)
     avg = sum(p * o.mat for p, o in zip(ens.probs, outputs))
     member = sum(p * von_neumann_entropy(o) for p, o in zip(ens.probs, outputs))
     return float(von_neumann_entropy(DensityMatrix(avg)) - member)
@@ -88,8 +90,7 @@ def chi_via_relative_entropy(ch: KrausChannel, ens: Ensemble) -> float:
     are skipped (they contribute nothing and may lie outside the average's
     support).
     """
-    _check_dims(ch, ens)
-    outputs = [channels.apply(ch, s) for s in ens.states]
+    outputs = _outputs(ch, ens)
     avg = DensityMatrix(sum(p * o.mat for p, o in zip(ens.probs, outputs)))
     total = 0.0
     for p, o in zip(ens.probs, outputs):
@@ -101,12 +102,11 @@ def chi_via_relative_entropy(ch: KrausChannel, ens: Ensemble) -> float:
 def mutual_information(ch: KrausChannel, ens: Ensemble, m: Povm) -> float:
     """Classical mutual information of the input letter and the measurement
     outcome, P(k|j) = tr(Phi(rho_j) E_k)."""
-    _check_dims(ch, ens)
     if m.dim != ch.dout:
         raise DimensionMismatchError(
             f"POVM dim {m.dim} does not match channel output dim {ch.dout}"
         )
-    outputs = [channels.apply(ch, s) for s in ens.states]
+    outputs = _outputs(ch, ens)
     joint = np.empty((len(outputs), len(m.elements)))
     for j, out in enumerate(outputs):
         for k, e in enumerate(m.elements):

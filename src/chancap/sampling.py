@@ -56,6 +56,7 @@ def random_density_matrix(
 def random_povm(dim: int, rng: np.random.Generator) -> Povm:
     """Random POVM from dim + 1 Wishart matrices, so the measurement is
     non-projective, normalized by the inverse square root of their sum."""
+    check_positive_integer("dim", dim)
     raw = [wishart(dim, dim, rng) for _ in range(dim + 1)]
     w, v = np.linalg.eigh(sum(raw))
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T

@@ -3,7 +3,7 @@ tensor/trace plumbing and spectra as read-only arrays."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,15 +25,17 @@ def check_identity_sum(total: np.ndarray, what: str):
         raise ValueError(f"{what} must sum to the identity (defect {defect:.3e})")
 
 
-def check_positive_semidefinite(mat: np.ndarray, what: str):
+def check_positive_semidefinite(mat: np.ndarray, what: str) -> np.ndarray:
     """Raise ValueError unless the square matrix `mat` is Hermitian within
-    HERMITICITY_TOL, entry by entry, with no eigenvalue below EIGENVALUE_FLOOR."""
+    HERMITICITY_TOL, entry by entry, with no eigenvalue below EIGENVALUE_FLOOR;
+    return its spectrum, eigvalsh's ascending one."""
     herm_defect = np.max(np.abs(mat - mat.conj().T))
     if not herm_defect <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian (defect {herm_defect:.3e})")
     w = np.linalg.eigvalsh(mat)
     if not w[0] >= EIGENVALUE_FLOOR:
         raise ValueError(f"{what} has a negative eigenvalue {w[0]:.3e} below tolerance")
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +43,12 @@ class DensityMatrix:
     """Unit-trace positive semidefinite operator.
 
     Validated on construction: Hermitian to 1e-10, no eigenvalue below
-    -1e-10, and trace 1 to 1e-10.
+    -1e-10, and trace 1 to 1e-10.  The spectrum that check computes is kept,
+    read-only and ascending, so no reader of it diagonalises again.
     """
 
     mat: np.ndarray
+    _eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=np.complex128, order="C")
@@ -52,7 +56,9 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        check_positive_semidefinite(mat, "density matrix")
+        w = check_positive_semidefinite(mat, "density matrix")
+        w.setflags(write=False)
+        object.__setattr__(self, "_eigvals", w)
         tr = mat.trace()
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
@@ -92,12 +98,15 @@ def partial_trace(
     dimension of `rho`.  Kept factors appear in their original order.
     """
     dims = list(dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
+    for d in dims:
+        check_positive_integer("dims entry", d)
     if int(np.prod(dims)) != rho.dim:
         raise DimensionMismatchError(
             f"product of dims {dims} is {int(np.prod(dims))}, expected {rho.dim}"
         )
+    keep = list(keep)
+    for i in keep:
+        check_integer("keep entry", i)
     keep = sorted(set(keep))
     n = len(dims)
     if any(i < 0 or i >= n for i in keep):
@@ -117,7 +126,7 @@ def partial_trace(
 def eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Read-only real spectrum in descending order; round-off negatives in
     [-1e-10, 0) clamp to 0."""
-    w = np.linalg.eigvalsh(rho.mat)[::-1].copy()
+    w = rho._eigvals[::-1].copy()
     w[w < 0] = 0.0
     w.setflags(write=False)
     return w

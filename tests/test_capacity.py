@@ -30,8 +30,8 @@ from chancap.capacity import CapacityReport, report_convex, report_depolarizing,
 from chancap.channels import identity_channel
 from chancap.optimize import OptimizerConfig
 from chancap.params import check_depolarizing, check_integer
-from chancap.sampling import haar_unitary, random_density_matrix, random_unit_vectors
-from chancap.states import basis_state, maximally_mixed
+from chancap.sampling import haar_unitary, random_density_matrix, random_povm, random_unit_vectors
+from chancap.states import basis_state, maximally_mixed, partial_trace
 
 FAST = OptimizerConfig(restarts=3, iters=300, seed=13)
 
@@ -192,6 +192,7 @@ def test_check_integer_is_the_integral_test(value):
 
 PER = PeriodicChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)))
 RNG = np.random.default_rng(0)
+MIXED_4 = maximally_mixed(4)
 
 
 @pytest.mark.parametrize(
@@ -218,12 +219,24 @@ RNG = np.random.default_rng(0)
         (lambda: haar_unitary(-1, RNG), ValueError, "dim must be positive, got -1"),
         (lambda: random_density_matrix(2.0, RNG), TypeError, "dim must be an integer, got 2.0"),
         (lambda: random_density_matrix(0, RNG), ValueError, "dim must be positive, got 0"),
+        (lambda: random_povm(0, RNG), ValueError, "dim must be positive, got 0"),
+        (lambda: random_povm(-1, RNG), ValueError, "dim must be positive, got -1"),
+        (lambda: random_povm(2.0, RNG), TypeError, "dim must be an integer, got 2.0"),
+        (lambda: partial_trace(MIXED_4, [2, 2], [True]), TypeError,
+         "keep entry must be an integer, got True"),
+        (lambda: partial_trace(MIXED_4, [2, 2], [0.0]), TypeError,
+         "keep entry must be an integer, got 0.0"),
+        (lambda: partial_trace(MIXED_4, [2.0, 2.0], [0]), TypeError,
+         "dims entry must be an integer, got 2.0"),
+        (lambda: partial_trace(MIXED_4, [4, 1, 0], [0]), ValueError,
+         "dims entry must be positive, got 0"),
     ],
     ids=["chi_star", "periodic", "convex", "depolarizing", "basis_state", "config",
          "branch_index_float", "branch_index_bool", "basis_state_dim", "basis_state_dim_0",
          "maximally_mixed", "maximally_mixed_0", "identity_channel", "identity_channel_0",
          "unit_vectors_m", "unit_vectors_m_0", "unit_vectors_dim", "haar_unitary",
-         "haar_unitary_neg", "density_matrix", "density_matrix_0"],
+         "haar_unitary_neg", "density_matrix", "density_matrix_0", "povm_0", "povm_neg",
+         "povm_float", "keep_bool", "keep_float", "dims_float", "dims_0"],
 )
 def test_non_integer_rejected(call, error, message):
     # the error names the parameter at fault, an integer parameter that must

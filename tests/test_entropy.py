@@ -6,9 +6,16 @@ import pytest
 from chancap import (
     DensityMatrix,
     DimensionMismatchError,
+    Ensemble,
     basis_state,
+    chi,
+    chi_via_relative_entropy,
+    depolarizing,
+    eigenvalues,
     maximally_mixed,
     relative_entropy,
+    shannon_entropy,
+    uniform_orthonormal_ensemble,
     von_neumann_entropy,
 )
 from chancap.sampling import random_density_matrix
@@ -82,3 +89,58 @@ def test_relative_entropy_jointly_convex():
         mix_b = DensityMatrix(sum(wi * b.mat for wi, (_, b) in zip(w, pairs)))
         avg = sum(wi * relative_entropy(a, b) for wi, (a, b) in zip(w, pairs))
         assert relative_entropy(mix_a, mix_b) <= avg + 1e-9
+
+
+MIXED_3 = maximally_mixed(3)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """A one-entry list counting np.linalg.eigvalsh calls from here on."""
+    calls = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(mat):
+        calls[0] += 1
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "read",
+    [von_neumann_entropy, eigenvalues, lambda a: relative_entropy(a, MIXED_3)],
+    ids=["von_neumann_entropy", "eigenvalues", "relative_entropy"],
+)
+def test_spectrum_readers_reuse_the_construction_eigensolve(eigvalsh_calls, read):
+    a = random_density_matrix(3, np.random.default_rng(29))
+    before = eigvalsh_calls[0]
+    read(a)
+    # relative_entropy takes its second argument's eigenvectors from eigh
+    assert eigvalsh_calls[0] == before
+
+
+def test_chi_diagonalises_each_matrix_once(eigvalsh_calls):
+    ch, ens = depolarizing(2, 0.5), uniform_orthonormal_ensemble(2)
+    before = eigvalsh_calls[0]
+    chi(ch, ens)
+    assert eigvalsh_calls[0] - before == 3  # two outputs and their average
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_chi_via_relative_entropy_diagonalises_each_matrix_once(eigvalsh_calls, m):
+    rng = np.random.default_rng(31 + m)
+    ens = Ensemble(rng.dirichlet(np.ones(m)), tuple(random_density_matrix(3, rng) for _ in range(m)))
+    ch = depolarizing(3, 0.4)
+    before = eigvalsh_calls[0]
+    chi_via_relative_entropy(ch, ens)
+    assert eigvalsh_calls[0] - before == m + 1  # m outputs and their average
+
+
+def test_stored_spectrum_is_the_fresh_one_and_read_only():
+    rng = np.random.default_rng(37)
+    for d in range(2, 17):
+        rho = random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
+        assert von_neumann_entropy(rho) == shannon_entropy(np.linalg.eigvalsh(rho.mat))
+        assert not rho._eigvals.flags.writeable
