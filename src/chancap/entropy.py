@@ -6,6 +6,7 @@ All logarithms are base 2 and 0*log(0) is taken as 0 by continuity.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -19,16 +20,20 @@ SUPPORT_TOL = 1e-12
 ABS_WEIGHT_TOL = 1e-9
 
 
+def _entropies(w: np.ndarray) -> np.ndarray:
+    """Entropies in bits over the last axis of a stack (..., d) of spectra
+    or distributions; zeros and round-off negatives contribute 0."""
+    return -(w * np.log2(w, out=np.zeros(w.shape), where=w > 0)).sum(axis=-1)
+
+
 def shannon_entropy(p: np.ndarray) -> float:
     """Shannon entropy in bits of a nonnegative vector (zeros contribute 0)."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    pos = p[p > 0]
-    return float(-np.sum(pos * np.log2(pos)))
+    return float(_entropies(np.asarray(p, dtype=np.float64).ravel()))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho)."""
-    return shannon_entropy(rho._eigvals)
+    return float(_entropies(rho._eigvals))
 
 
 def relative_entropy(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -37,14 +42,23 @@ def relative_entropy(a: DensityMatrix, b: DensityMatrix) -> float:
     Returns math.inf when `a` has weight above 1e-9 on a direction where `b`
     has eigenvalue below 1e-12 (support mismatch).
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
+    return float(_relative_entropies((a,), b)[0])
+
+
+def _relative_entropies(states: Sequence[DensityMatrix], b: DensityMatrix) -> np.ndarray:
+    """S(a||b) for each state a, as `relative_entropy` gives it: `b` is
+    diagonalised once for all of them, and each row's bits do not depend on
+    the other states."""
+    for a in states:
+        if a.dim != b.dim:
+            raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
     wb, vb = np.linalg.eigh(b.mat)
-    # weight of a along each eigenvector of b
-    weights = np.real(np.einsum("ik,ij,jk->k", vb.conj(), a.mat, vb))
+    # weight of each a along each eigenvector of b: the diagonal of vb^H a vb,
+    # one matrix product per state
+    rotated = vb.conj().T @ np.array([a.mat for a in states]) @ vb
+    weights = np.diagonal(rotated, axis1=-2, axis2=-1).real
     unsupported = wb < SUPPORT_TOL
-    if np.any(weights[unsupported] > ABS_WEIGHT_TOL):
-        return math.inf
-    tr_a_log_a = -shannon_entropy(a._eigvals)
-    tr_a_log_b = float(np.sum(weights[~unsupported] * np.log2(wb[~unsupported])))
-    return tr_a_log_a - tr_a_log_b
+    tr_a_log_a = -_entropies(np.array([a._eigvals for a in states]))
+    tr_a_log_b = (weights[:, ~unsupported] * np.log2(wb[~unsupported])).sum(axis=-1)
+    mismatch = (weights[:, unsupported] > ABS_WEIGHT_TOL).any(axis=-1)
+    return np.where(mismatch, math.inf, tr_a_log_a - tr_a_log_b)

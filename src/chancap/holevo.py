@@ -9,7 +9,7 @@ import numpy as np
 
 from . import channels
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
-from .entropy import shannon_entropy, von_neumann_entropy, relative_entropy
+from .entropy import _relative_entropies, shannon_entropy, von_neumann_entropy
 from .errors import DimensionMismatchError
 from .params import check_weights
 from .states import DensityMatrix, basis_state, check_identity_sum, check_positive_semidefinite
@@ -92,11 +92,9 @@ def chi_via_relative_entropy(ch: KrausChannel, ens: Ensemble) -> float:
     """
     outputs = _outputs(ch, ens)
     avg = DensityMatrix(sum(p * o.mat for p, o in zip(ens.probs, outputs)))
-    total = 0.0
-    for p, o in zip(ens.probs, outputs):
-        if p > 0:
-            total += p * relative_entropy(o, avg)
-    return float(total)
+    live = ens.probs > 0
+    members = [o for o, keep in zip(outputs, live) if keep]
+    return float((ens.probs[live] * _relative_entropies(members, avg)).sum())
 
 
 def mutual_information(ch: KrausChannel, ens: Ensemble, m: Povm) -> float:
@@ -106,11 +104,10 @@ def mutual_information(ch: KrausChannel, ens: Ensemble, m: Povm) -> float:
         raise DimensionMismatchError(
             f"POVM dim {m.dim} does not match channel output dim {ch.dout}"
         )
-    outputs = _outputs(ch, ens)
-    joint = np.empty((len(outputs), len(m.elements)))
-    for j, out in enumerate(outputs):
-        for k, e in enumerate(m.elements):
-            joint[j, k] = ens.probs[j] * max(float(np.real(np.trace(out.mat @ e))), 0.0)
+    outputs = np.array([o.mat for o in _outputs(ch, ens)])
+    # tr(out_j E_k) for every pair in one contraction
+    traces = np.einsum("jil,kli->jk", outputs, np.array(m.elements))
+    joint = ens.probs[:, None] * np.maximum(traces.real, 0.0)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)
     return shannon_entropy(px) + shannon_entropy(py) - shannon_entropy(joint)

@@ -61,6 +61,7 @@ import numpy as np
 
 from . import holevo
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel, check_product_size
+from .entropy import _entropies
 from .holevo import Ensemble
 from .params import check_integer, check_positive_integer
 from .sampling import random_unit_vectors
@@ -140,12 +141,6 @@ def _real(a: np.ndarray) -> np.ndarray:
     row's real and imaginary parts interleaved, so _dot of two rows is the
     real part of their inner product."""
     return a.reshape(len(a), -1).view(np.float64)
-
-
-def _entropies(w: np.ndarray) -> np.ndarray:
-    """Von Neumann entropies in bits of a stack (..., d) of spectra;
-    round-off negatives contribute 0."""
-    return -(w * np.log2(w, out=np.zeros(w.shape), where=w > 0)).sum(axis=-1)
 
 
 def _log2m(w: np.ndarray, v: np.ndarray) -> np.ndarray:

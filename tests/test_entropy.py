@@ -18,6 +18,7 @@ from chancap import (
     uniform_orthonormal_ensemble,
     von_neumann_entropy,
 )
+from chancap.entropy import _relative_entropies
 from chancap.sampling import random_density_matrix
 
 # binary entropy H(0.25) = -0.75*log2(0.75) - 0.25*log2(0.25), frozen
@@ -66,6 +67,8 @@ def test_relative_entropy_example():
 def test_relative_entropy_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         relative_entropy(maximally_mixed(2), maximally_mixed(3))
+    with pytest.raises(DimensionMismatchError):
+        _relative_entropies([maximally_mixed(3), maximally_mixed(2)], maximally_mixed(3))
 
 
 def test_relative_entropy_nonnegative():
@@ -95,16 +98,21 @@ MIXED_3 = maximally_mixed(3)
 
 
 @pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """A one-entry list counting np.linalg.eigvalsh calls from here on."""
-    calls = [0]
-    eigvalsh = np.linalg.eigvalsh
+def linalg_calls(monkeypatch):
+    """Counts of np.linalg.eigvalsh and np.linalg.eigh calls from here on."""
+    calls = {"eigvalsh": 0, "eigh": 0}
 
-    def counted(mat):
-        calls[0] += 1
-        return eigvalsh(mat)
+    def counting(name):
+        solve = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        def counted(mat):
+            calls[name] += 1
+            return solve(mat)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     return calls
 
 
@@ -113,29 +121,53 @@ def eigvalsh_calls(monkeypatch):
     [von_neumann_entropy, eigenvalues, lambda a: relative_entropy(a, MIXED_3)],
     ids=["von_neumann_entropy", "eigenvalues", "relative_entropy"],
 )
-def test_spectrum_readers_reuse_the_construction_eigensolve(eigvalsh_calls, read):
+def test_spectrum_readers_reuse_the_construction_eigensolve(linalg_calls, read):
     a = random_density_matrix(3, np.random.default_rng(29))
-    before = eigvalsh_calls[0]
+    before = linalg_calls["eigvalsh"]
     read(a)
     # relative_entropy takes its second argument's eigenvectors from eigh
-    assert eigvalsh_calls[0] == before
+    assert linalg_calls["eigvalsh"] == before
 
 
-def test_chi_diagonalises_each_matrix_once(eigvalsh_calls):
+def test_chi_diagonalises_each_matrix_once(linalg_calls):
     ch, ens = depolarizing(2, 0.5), uniform_orthonormal_ensemble(2)
-    before = eigvalsh_calls[0]
+    before = linalg_calls["eigvalsh"]
     chi(ch, ens)
-    assert eigvalsh_calls[0] - before == 3  # two outputs and their average
+    assert linalg_calls["eigvalsh"] - before == 3  # two outputs and their average
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
-def test_chi_via_relative_entropy_diagonalises_each_matrix_once(eigvalsh_calls, m):
+def test_chi_via_relative_entropy_diagonalises_each_matrix_once(linalg_calls, m):
     rng = np.random.default_rng(31 + m)
     ens = Ensemble(rng.dirichlet(np.ones(m)), tuple(random_density_matrix(3, rng) for _ in range(m)))
     ch = depolarizing(3, 0.4)
-    before = eigvalsh_calls[0]
+    before = dict(linalg_calls)
     chi_via_relative_entropy(ch, ens)
-    assert eigvalsh_calls[0] - before == m + 1  # m outputs and their average
+    assert linalg_calls["eigvalsh"] - before["eigvalsh"] == m + 1  # m outputs and their average
+    assert linalg_calls["eigh"] - before["eigh"] == 1  # the average's eigenvectors, for every member
+
+
+def _embedded(rho: DensityMatrix, d: int) -> DensityMatrix:
+    """rho on the first rho.dim basis vectors of a d-dimensional space."""
+    mat = np.zeros((d, d), dtype=complex)
+    mat[: rho.dim, : rho.dim] = rho.mat
+    return DensityMatrix(mat)
+
+
+def test_relative_entropies_rows_are_relative_entropy():
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4):
+        for b in (random_density_matrix(d, rng), _embedded(random_density_matrix(d - 1, rng), d)):
+            states = [random_density_matrix(d, rng)]
+            states += [random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1))) for _ in range(3)]
+            states += [_embedded(random_density_matrix(d - 1, rng), d), b]
+            rows = _relative_entropies(states, b)
+            assert rows.shape == (len(states),)
+            for a, row in zip(states, rows):
+                assert row == relative_entropy(a, b)
+    # the last b has rank d - 1, so the full-rank first state is a support mismatch
+    assert math.isinf(rows[0]) and rows[0] > 0
+    assert rows[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stored_spectrum_is_the_fresh_one_and_read_only():

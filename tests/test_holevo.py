@@ -7,6 +7,7 @@ from chancap import (
     Ensemble,
     PeriodicChannel,
     Povm,
+    apply,
     chi,
     chi_branch_min,
     chi_periodic_average,
@@ -17,6 +18,7 @@ from chancap import (
     mix_channels,
     mutual_information,
     random_povm,
+    shannon_entropy,
     uniform_orthonormal_ensemble,
 )
 from chancap import sampling
@@ -103,7 +105,8 @@ def test_zero_probability_members_contribute_nothing():
         np.array([0.5, 0.5, 0.0]),
         base.states + (random_pure_state(2, np.random.default_rng(1)),),
     )
-    for fn in (chi, chi_via_relative_entropy):
+    povm = random_povm(2, rng=np.random.default_rng(2))
+    for fn in (chi, chi_via_relative_entropy, lambda c, e: mutual_information(c, e, povm)):
         val = fn(ch, padded)
         assert np.isfinite(val)
         assert val == pytest.approx(fn(ch, base), abs=1e-12)
@@ -121,6 +124,26 @@ def test_mutual_information_binary_symmetric_channel():
     povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     val = mutual_information(depolarizing(2, 0.5), uniform_orthonormal_ensemble(2), povm)
     assert val == pytest.approx(CHI_HALF, abs=1e-12)
+
+
+def _mutual_information_loop(ch, ens, povm):
+    """mutual_information written out one (member, element) pair at a time."""
+    outputs = [apply(ch, s) for s in ens.states]
+    joint = np.empty((len(outputs), len(povm.elements)))
+    for j, out in enumerate(outputs):
+        for k, e in enumerate(povm.elements):
+            joint[j, k] = ens.probs[j] * max(float(np.real(np.trace(out.mat @ e))), 0.0)
+    return shannon_entropy(joint.sum(axis=1)) + shannon_entropy(joint.sum(axis=0)) - shannon_entropy(joint)
+
+
+def test_mutual_information_matches_the_pairwise_loop():
+    rng = np.random.default_rng(47)
+    for d in (2, 3, 4):
+        for _ in range(20):
+            ch = depolarizing(d, rng.uniform(-1 / (d * d - 1), 1.0))
+            ens = random_ensemble(d, int(rng.integers(1, 6)), rng, pure=bool(rng.integers(2)))
+            povm = random_povm(d, rng=rng)
+            assert abs(mutual_information(ch, ens, povm) - _mutual_information_loop(ch, ens, povm)) <= 1e-15
 
 
 def test_holevo_bound_random_povms():
