@@ -32,9 +32,9 @@ if TYPE_CHECKING:
 
 # Check tolerance in bits: how far any search may rise above or fall below
 # its closed-form target.  A power of ten that the small budgets of the
-# tests and CI clear (2 restarts x 60 iterations at m = 4 end at most 2.0e-8
-# short on seeds 3 and 7, and 1 x 20 at seed 3 ends 1.1e-5 short, failing);
-# at the default budget the three d = 2 commands end within 4e-13 of it on
+# tests and CI clear (2 restarts x 60 iterations at m = 4 end at most 1.1e-12
+# short on seeds 3 and 7, and 1 x 15 at seed 3 ends 2.8e-5 short, failing);
+# at the default budget the three d = 2 commands end within 2.2e-13 of it on
 # seeds 1, 2, 3, 7, 11 and 42.
 MATCH_TOL = 1e-5
 

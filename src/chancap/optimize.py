@@ -8,47 +8,49 @@ objective weighs the branches' Holevo quantities chi_i by weights w: uniform
 for the Holevo quantity and its branch average ("mean" mode), one-hot on the
 worst branch for the branch minimum ("min" mode, maximin).
 
-One iteration moves every member of a restart at once.  Let
-G_j = sum_i w_i Phi_i^dag(log2 sigma_ij - log2 sigma_bar_i), where Phi_i^dag,
-the adjoint of branch i, is the conjugate transpose of its transfer matrix,
-and g_j = <psi_j|G_j|psi_j> = sum_i w_i D(sigma_ij || sigma_bar_i).  Member
-j's tangent gradient is G_j psi_j - g_j psi_j: the objective's gradient in
-psi_j is p_j G_j psi_j, and the step leaves out the factor p_j.  The states
-take a limited-memory quasi-Newton step along the sphere (L-BFGS: Liu &
-Nocedal, Math. Prog. 45:503, 1989; on a product of spheres, Huang, Gallivan
-& Absil, SIAM J. Optim. 25:1660, 2015), psi_j <- normalize(psi_j + eta d_j).
-The direction d is the two-loop recursion applied to the restart's tangent
-gradients, stacked as one real vector, with its last _MEMORY curvature pairs
-(s, y), then projected onto the tangent space at every member (its
-component along psi_j removed).  A kept iteration gives the pair s, the
-change of the stacked states, and y, the fall of the stacked tangent
-gradients; it is stored only when <s, y> > 0, which keeps the recursion's
-inverse-Hessian estimate positive definite, and the oldest pair then drops
-out.  With no pair, d is the tangent gradient.  The probabilities take one
-Blahut-Arimoto update p_j <- p_j 2^g_j, normalized.  A restart keeps the
-iteration only if its value rises.  eta starts at the unit quasi-Newton
-step, 1, and never exceeds it: it grows 1.5x toward 1 on a kept iteration
-and halves on a rejected one, which leaves the pairs as they were.  Like
-eta, the pairs belong to one restart and every inner product is taken row
-by row, so a restart's path is the same in any batch.  The duality gap
-max_j g_j - sum_j p_j g_j bounds what any reweighting of the states could
-add (in min mode to the branch minimum as well).  A restart stops,
-converged, once it is stationary to first order: that gap is below 1e-6
-bits and every member's tangent gradient has norm below 1e-6.  Otherwise
-the iteration cap stops it.
+A restart holds its ensemble as one unit vector Phi = (phi_1, ..., phi_m) in
+C^(m din), phi_j = sqrt(p_j) psi_j, and reads p_j = |phi_j|^2 and psi_j off
+it.  Let G_j = sum_i w_i Phi_i^dag(log2 sigma_ij - log2 sigma_bar_i), with
+Phi_i^dag the adjoint of branch i (the conjugate transpose of its transfer
+matrix), and g_j = <psi_j|G_j|psi_j> = sum_i w_i D(sigma_ij || sigma_bar_i);
+the value is sum_j p_j g_j.  Each Phi_i^dag is unital, so Phi's tangent
+gradient is G_j phi_j - value phi_j, zero where every member with p_j > 0
+has g_j = value and a stationary state: the capacity's optimality
+conditions.  One L-BFGS step (Liu & Nocedal, Math. Prog. 45:503, 1989; on
+manifolds, Huang, Gallivan & Absil, SIAM J. Optim. 25:1660, 2015) moves
+states and probabilities together, Phi <- normalize(Phi + eta d): d is the
+two-loop recursion on the tangent gradient with the restart's last _MEMORY
+curvature pairs (s, y), less its component along Phi.  A kept iteration
+gives s, the change of Phi, and y, the fall of its tangent gradient, stored
+in place of the oldest pair when <s, y> > 0 (which keeps the
+inverse-Hessian estimate positive definite); with no pair, d is the tangent
+gradient.  A restart keeps an iteration only if its value rises; eta starts
+at 1, grows 1.5x toward 1 on a kept iteration and halves on a rejected one.
+Like eta, the pairs belong to one restart and every inner product is taken
+row by row, so a restart's path is the same in any batch.
+
+Each chi_i is concave in p with gradient g up to a constant, so the duality
+gap max_j g_j - sum_j p_j g_j bounds what any reweighting of the states
+could add (in min mode to the branch minimum as well), whatever stopped the
+restart.  A restart stops, converged, once that gap is below 1e-6 bits and
+Phi's tangent gradient has norm below 5e-7; otherwise the iteration cap
+stops it.  That norm squared is sum_j p_j (|G_j psi_j - g_j psi_j|^2 +
+(g_j - value)^2): it weighs each member's own tangent gradient by sqrt(p_j),
+so it is looser than a test of each member for members of small p_j.  It is
+what the step drives to zero, and twice it bounds the value's first-order
+rise along any unit move of Phi; as the step moves a light member's state
+only through sqrt(p_j), a test of each member would hold restarts at the cap
+over states that carry no weight.  The gap still catches any member, however
+light, whose g_j exceeds the value.
 
 All restarts of a chunk run in lockstep as one numpy batch, and a restart
-leaves the batch when it stops.  `_Ascent` owns every per-restart array, eta
-and the curvature pairs among them, so a stopped restart leaves them all at
-once.  Chunks hold as many restarts as keep their member outputs and
-curvature pairs within 8 MiB, the step holding a few arrays of the outputs'
-size.
-Every restart starts from m random pure states, none at a known optimum,
-drawn from the r-th child of SeedSequence(seed) (numpy's PCG64) for restart
-r; nothing else is random, so runs are reproducible and each restart's
-outcome depends on its start states alone.  The reported value is the best
-restart's ensemble re-evaluated through the channels' Kraus form; a search
-whose two values differ by more than 1e-9 bits raises ArithmeticError.
+leaves the batch when it stops.  Each starts from m random pure states at
+uniform probabilities, none at a known optimum, drawn from the r-th child of
+SeedSequence(seed) (numpy's PCG64) for restart r; nothing else is random, so
+runs are reproducible and each restart's outcome depends on its start states
+alone.  The reported value is the best restart's ensemble re-evaluated
+through the channels' Kraus form; a search whose two values differ by more
+than 1e-9 bits raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from .states import DensityMatrix
 
 _EIG_FLOOR = 1e-30  # keeps the logs of rank-deficient outputs finite
 _FINAL_GAP = 1e-6  # duality gap (bits) below which a restart may stop
-_GRAD_DONE = 1e-6  # tangent gradient norm below which a member is stationary
+_GRAD_DONE = 5e-7  # norm of Phi's tangent gradient below which a restart may stop
 _MEMORY = 3  # curvature pairs each restart keeps for its quasi-Newton direction
 _CHUNK_BYTES = 8 << 20  # member outputs and curvature pairs of the restarts run as one batch
 _CROSS_CHECK_TOL = 1e-9  # bits between the ascent's value and the Kraus form's
@@ -80,10 +82,9 @@ class OptimizerConfig:
     """The search budget, one field per `verify` flag; defaults hit the
     package's verification tolerances in seconds at d = 2.
 
-    Each of the `restarts` takes at most `iters` iterations, each moving all
-    its members and probabilities; a restart stops sooner once it has
-    converged.  `seed` picks the start states (None draws one per run, see
-    `seeded`).
+    Each of the `restarts` takes at most `iters` iterations, each one step
+    of its whole ensemble; a restart stops sooner once it has converged.
+    `seed` picks the start states (None draws one per run, see `seeded`).
     """
 
     restarts: int = 32
@@ -111,12 +112,12 @@ class OptResult:
     the best restart's diagnostics.
 
     `converged` says whether that restart stopped with a duality gap below
-    1e-6 bits and every member's tangent gradient below 1e-6 in norm, rather
-    than at the iteration cap.
-    `seed` is the seed the run drew from (the generated one when the config
-    gave none).  `duality_gap` is that restart's final gap in bits: no
-    reweighting of its states raises the value by more.  In min mode it is
-    the worst branch's gap, which bounds the branch minimum as well."""
+    1e-6 bits and the tangent gradient of its ensemble, as one unit vector,
+    below 5e-7 in norm, rather than at the iteration cap.  `seed` is the
+    seed the run drew from (the generated one when the config gave none).
+    `duality_gap` is that restart's final gap in bits: no reweighting of its
+    states raises the value by more.  In min mode it is the worst branch's
+    gap, which bounds the branch minimum as well."""
 
     value: float
     ensemble: Ensemble
@@ -136,11 +137,9 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a.real, a.real) + _dot(a.imag, a.imag))
 
 
-def _real(a: np.ndarray) -> np.ndarray:
-    """A stack (R, ...) of complex arrays as real vectors (R, n): each
-    row's real and imaginary parts interleaved, so _dot of two rows is the
-    real part of their inner product."""
-    return a.reshape(len(a), -1).view(np.float64)
+def _phis(psis: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Rows (R, m din) of sqrt(p_j) psi_j: Phi for the ensembles `psis`, `probs`."""
+    return (np.sqrt(probs)[..., None] * psis).reshape(len(psis), -1)
 
 
 def _log2m(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -163,25 +162,27 @@ def _apply_pure(transfer: np.ndarray, psis: np.ndarray) -> np.ndarray:
 
 
 class _Ascent:
-    """The state of a batch of restarts, each array with a leading restart
-    axis: its row in the batch it started in, its eta, its curvature pairs
+    """The state of a batch of restarts run in lockstep, each array with a
+    leading restart axis, so that a stopped restart leaves them all at
+    once: its row in the batch it started in, its eta, its curvature pairs
     s and y (R, _MEMORY, 2 m din) as real vectors, oldest first, with rho =
     1 / <s, y> (R, _MEMORY), 0 in a slot not yet filled, and its evaluated
-    ensemble: states psis (R, m, din), probabilities (R, m), the objective's
-    value, each member's tangent gradient G_j psi_j - g_j psi_j (R, m, din),
-    g (R, m) and the duality gap.  The branches come as one (branches,
-    dout^2, din^2) stack of transfer matrices."""
+    ensemble: the states psis (R, m, din) and probabilities (R, m) read off
+    Phi, the objective's value, Phi's tangent gradient (R, m din), g (R, m)
+    and the duality gap.  The branches come as one (branches, dout^2, din^2)
+    stack of transfer matrices."""
 
     _EVALUATED = ("psis", "probs", "value", "grad", "g", "gap")
     _PER_RESTART = ("row", "eta", "s", "y", "rho") + _EVALUATED
 
-    def __init__(self, transfer: np.ndarray, mode: str, psis, probs):
+    def __init__(self, transfer: np.ndarray, mode: str, psis):
         self.transfer = transfer
-        # rows vec(L) of stacked branches times this give vec(sum_i Phi_i^dag(L_i))
-        self.adjoint = transfer.conj().reshape(-1, transfer.shape[-1])
+        # each branch's rows vec(L) times its slice give vec(Phi_i^dag(L))
+        self.adjoint = transfer.conj()
         self.mode = mode
-        # copies: the batch writes its kept iterations in place
-        state = self._evaluate(np.array(psis, dtype=np.complex128), np.array(probs, dtype=np.float64))
+        # a copy: the batch writes its kept iterations in place
+        psis = np.array(psis, dtype=np.complex128)
+        state = self._evaluate(psis, np.full(psis.shape[:2], 1.0 / psis.shape[1]))
         for name, x in zip(self._EVALUATED, state):
             setattr(self, name, x)
         restarts = len(self.psis)
@@ -223,26 +224,29 @@ class _Ascent:
         del evecs
         logs -= _log2m(rw, rv)[:, None]
         logs *= weights[:, None, :, None, None]
-        big_g = (logs.reshape(restarts * m, -1) @ self.adjoint).reshape(restarts, m, din, din)
+        logs = logs.reshape(restarts * m, len(self.adjoint), -1)
+        # one product per branch, added in branch order: one product over
+        # all branches would split that sum by thread count
+        big_g = sum(logs[:, i] @ adjoint for i, adjoint in enumerate(self.adjoint))
         del logs
-        g_psi = (big_g @ psis[..., None])[..., 0]
+        g_psi = (big_g.reshape(restarts, m, din, din) @ psis[..., None])[..., 0]
         g = _dot(psis.conj(), g_psi).real
-        # probs @ g is a convex combination of g, so it can exceed max(g)
-        # only by round-off
-        gap = np.maximum(0.0, g.max(axis=1) - _dot(probs, g))
-        return psis, probs, value, g_psi - g[..., None] * psis, g, gap
+        # probs @ g, the value up to round-off, is a convex combination of
+        # g, so it can exceed max(g) only by round-off
+        mean = _dot(probs, g)
+        gap = np.maximum(0.0, g.max(axis=1) - mean)
+        return psis, probs, value, _phis(g_psi - mean[:, None, None] * psis, probs), g, gap
 
     def stationary(self) -> np.ndarray:
-        """The mask of restarts that meet the stop test of the module
-        docstring."""
-        return (self.gap < _FINAL_GAP) & (_norms(self.grad).max(axis=1) < _GRAD_DONE)
+        """The mask of restarts that meet the module docstring's stop test."""
+        return (self.gap < _FINAL_GAP) & (_norms(self.grad) < _GRAD_DONE)
 
     def direction(self) -> np.ndarray:
-        """Each member's step direction (R, m, din): the two-loop recursion
-        on the stacked tangent gradients with the restart's curvature pairs,
-        scaled by <s, y> / <y, y> of the newest (1 with none), less each
-        member's component along its state.  An empty slot adds nothing."""
-        q = _real(self.grad).copy()
+        """Phi's step direction (R, m din): the two-loop recursion on the
+        tangent gradient with the restart's curvature pairs, scaled by
+        <s, y> / <y, y> of the newest (1 with none), less its component
+        along Phi.  An empty slot adds nothing."""
+        q = self.grad.view(np.float64).copy()
         alpha = np.zeros(self.rho.shape)
         for i in reversed(range(_MEMORY)):
             alpha[:, i] = self.rho[:, i] * _dot(self.s[:, i], q)
@@ -251,20 +255,22 @@ class _Ascent:
         q *= np.divide(_dot(s, y), _dot(y, y), out=np.ones(len(q)), where=self.rho[:, -1] > 0)[:, None]
         for i in range(_MEMORY):
             q += (alpha[:, i] - self.rho[:, i] * _dot(self.y[:, i], q))[:, None] * self.s[:, i]
-        d = q.view(np.complex128).reshape(self.psis.shape)
-        return d - _dot(self.psis.conj(), d)[..., None] * self.psis
+        d = q.view(np.complex128)
+        phis = _phis(self.psis, self.probs)
+        return d - _dot(phis.conj(), d)[:, None] * phis
 
     def step(self) -> np.ndarray:
         """One iteration along `direction`, with the keep rule, curvature
         pairs and eta schedule of the module docstring.  Returns the kept
         mask."""
-        v = self.psis + self.eta[:, None, None] * self.direction()
-        psis = v / _norms(v)[..., None]
-        probs = self.probs * np.exp2(self.g - self.g.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        state = dict(zip(self._EVALUATED, self._evaluate(psis, probs)))
+        phis = _phis(self.psis, self.probs)
+        v = (phis + self.eta[:, None] * self.direction()).reshape(self.psis.shape)
+        norms = _norms(v)
+        probs = norms**2 / _dot(norms, norms)[:, None]
+        state = dict(zip(self._EVALUATED, self._evaluate(v / norms[..., None], probs)))
         keep = state["value"] > self.value
-        s, y = _real(psis - self.psis), _real(self.grad - state["grad"])
+        s = (_phis(state["psis"], probs) - phis).view(np.float64)
+        y = (self.grad - state["grad"]).view(np.float64)
         sy = _dot(s, y)
         new = keep & (sy > 0)
         # the restart's oldest pair drops out
@@ -292,8 +298,7 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> di
            "probs": np.empty((restarts, m)), "iterations": np.empty(restarts, dtype=int),
            "converged": np.empty(restarts, dtype=bool), "duality_gap": np.empty(restarts)}
     for first in range(0, restarts, size):
-        chunk = psis[first : first + size]
-        ascent = _Ascent(transfer, mode, chunk, np.full(chunk.shape[:2], 1.0 / m))
+        ascent = _Ascent(transfer, mode, psis[first : first + size])
         for t in range(iters + 1):
             converged = ascent.stationary()
             stop = converged | (t == iters)
@@ -310,13 +315,8 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> di
     return out
 
 
-def _maximize(
-    branches: Sequence[KrausChannel],
-    mode: str,
-    m: int | None,
-    cfg: OptimizerConfig,
-    evaluate: Callable[[Ensemble], float],
-) -> OptResult:
+def _maximize(branches: Sequence[KrausChannel], mode: str, m: int | None, cfg: OptimizerConfig,
+              evaluate: Callable[[Ensemble], float]) -> OptResult:
     # checked before the transfer matrices, which grow as the input
     # dimension to the fourth power, are built
     dim = branches[0].din
@@ -365,9 +365,7 @@ def maximize_avg_chi(
 
 
 def maximize_min_chi(
-    ch: ConvexCombinationChannel,
-    m: int | None = None,
-    cfg: OptimizerConfig = OptimizerConfig(),
+    ch: ConvexCombinationChannel, m: int | None = None, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptResult:
     """Maximize the worst-branch Holevo quantity (maximin): each iteration
     follows the worst branch, ties resolved toward the lowest branch index,
