@@ -42,17 +42,17 @@ def relative_entropy(a: DensityMatrix, b: DensityMatrix) -> float:
     Returns math.inf when `a` has weight above 1e-9 on a direction where `b`
     has eigenvalue below 1e-12 (support mismatch).
     """
-    return float(_relative_entropies((a,), b)[0])
+    return float(_relative_entropies((a,), b.mat)[0])
 
 
-def _relative_entropies(states: Sequence[DensityMatrix], b: DensityMatrix) -> np.ndarray:
-    """S(a||b) for each state a, as `relative_entropy` gives it: `b` is
-    diagonalised once for all of them, and each row's bits do not depend on
-    the other states."""
+def _relative_entropies(states: Sequence[DensityMatrix], b: np.ndarray) -> np.ndarray:
+    """S(a||b) for each state a, as `relative_entropy` gives it, to the
+    Hermitian positive semidefinite matrix `b`, which is diagonalised once
+    for all of them; each row's bits do not depend on the other states."""
     for a in states:
-        if a.dim != b.dim:
-            raise DimensionMismatchError(f"dims differ: {a.dim} vs {b.dim}")
-    wb, vb = np.linalg.eigh(b.mat)
+        if a.dim != len(b):
+            raise DimensionMismatchError(f"dims differ: {a.dim} vs {len(b)}")
+    wb, vb = np.linalg.eigh(b)
     # weight of each a along each eigenvector of b: the diagonal of vb^H a vb,
     # one matrix product per state
     rotated = vb.conj().T @ np.array([a.mat for a in states]) @ vb

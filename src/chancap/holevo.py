@@ -91,7 +91,8 @@ def chi_via_relative_entropy(ch: KrausChannel, ens: Ensemble) -> float:
     support).
     """
     outputs = _outputs(ch, ens)
-    avg = DensityMatrix(sum(p * o.mat for p, o in zip(ens.probs, outputs)))
+    # a mixture of checked outputs with checked weights, so not checked again
+    avg = sum(p * o.mat for p, o in zip(ens.probs, outputs))
     live = ens.probs > 0
     members = [o for o, keep in zip(outputs, live) if keep]
     return float((ens.probs[live] * _relative_entropies(members, avg)).sum())

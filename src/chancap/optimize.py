@@ -168,11 +168,11 @@ class _Ascent:
     s and y (R, _MEMORY, 2 m din) as real vectors, oldest first, with rho =
     1 / <s, y> (R, _MEMORY), 0 in a slot not yet filled, and its evaluated
     ensemble: the states psis (R, m, din) and probabilities (R, m) read off
-    Phi, the objective's value, Phi's tangent gradient (R, m din), g (R, m)
-    and the duality gap.  The branches come as one (branches, dout^2, din^2)
-    stack of transfer matrices."""
+    Phi, Phi itself and its tangent gradient (R, m din), the objective's
+    value and the duality gap.  The branches come as one (branches, dout^2,
+    din^2) stack of transfer matrices."""
 
-    _EVALUATED = ("psis", "probs", "value", "grad", "g", "gap")
+    _EVALUATED = ("psis", "probs", "phis", "value", "grad", "gap")
     _PER_RESTART = ("row", "eta", "s", "y", "rho") + _EVALUATED
 
     def __init__(self, transfer: np.ndarray, mode: str, psis):
@@ -212,17 +212,18 @@ class _Ascent:
         outs = _apply_pure(self.transfer, psis)
         # sum_j probs[:, j] outs[:, j] per branch, in order: a BLAS product
         # would split the sum by thread count
-        flat = outs.reshape(outs.shape[:3] + (-1,))
-        rbar = np.einsum("rj,rjbk->rbk", probs, flat).reshape(outs.shape[:1] + outs.shape[2:])
+        rbar = np.einsum("rj,rjbk->rbk", probs, outs.reshape(outs.shape[:3] + (-1,)))
+        # each branch's average joins as member m; the rebinding frees the outputs
+        outs = np.concatenate((outs, rbar.reshape(outs[:, :1].shape)), axis=1)
         evals, evecs = np.linalg.eigh(outs)
-        del outs, flat  # the outputs, which the logs below match in size
-        rw, rv = np.linalg.eigh(rbar)
-        chis = _entropies(rw) - _dot(probs[:, None, :], _entropies(evals).swapaxes(1, 2))
+        del outs  # the logs below match it in size
+        ents = _entropies(evals)
+        chis = ents[:, m] - _dot(probs[:, None, :], ents[:, :m].swapaxes(1, 2))
         weights = self._weights(chis)
         value = (weights * chis).sum(axis=1)
         logs = _log2m(evals, evecs)
         del evecs
-        logs -= _log2m(rw, rv)[:, None]
+        logs = logs[:, :m] - logs[:, m:]
         logs *= weights[:, None, :, None, None]
         logs = logs.reshape(restarts * m, len(self.adjoint), -1)
         # one product per branch, added in branch order: one product over
@@ -235,7 +236,7 @@ class _Ascent:
         # g, so it can exceed max(g) only by round-off
         mean = _dot(probs, g)
         gap = np.maximum(0.0, g.max(axis=1) - mean)
-        return psis, probs, value, _phis(g_psi - mean[:, None, None] * psis, probs), g, gap
+        return psis, probs, _phis(psis, probs), value, _phis(g_psi - mean[:, None, None] * psis, probs), gap
 
     def stationary(self) -> np.ndarray:
         """The mask of restarts that meet the module docstring's stop test."""
@@ -256,20 +257,18 @@ class _Ascent:
         for i in range(_MEMORY):
             q += (alpha[:, i] - self.rho[:, i] * _dot(self.y[:, i], q))[:, None] * self.s[:, i]
         d = q.view(np.complex128)
-        phis = _phis(self.psis, self.probs)
-        return d - _dot(phis.conj(), d)[:, None] * phis
+        return d - _dot(self.phis.conj(), d)[:, None] * self.phis
 
     def step(self) -> np.ndarray:
         """One iteration along `direction`, with the keep rule, curvature
         pairs and eta schedule of the module docstring.  Returns the kept
         mask."""
-        phis = _phis(self.psis, self.probs)
-        v = (phis + self.eta[:, None] * self.direction()).reshape(self.psis.shape)
+        v = (self.phis + self.eta[:, None] * self.direction()).reshape(self.psis.shape)
         norms = _norms(v)
         probs = norms**2 / _dot(norms, norms)[:, None]
         state = dict(zip(self._EVALUATED, self._evaluate(v / norms[..., None], probs)))
         keep = state["value"] > self.value
-        s = (_phis(state["psis"], probs) - phis).view(np.float64)
+        s = (state["phis"] - self.phis).view(np.float64)
         y = (self.grad - state["grad"]).view(np.float64)
         sy = _dot(s, y)
         new = keep & (sy > 0)

@@ -242,7 +242,8 @@ def test_missing_dimension_is_usage_error(capsys):
 
 @pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf"])
 def test_bad_tol_is_usage_error(capsys, tol):
-    # the final probability step stops at a fixed gap, so every --tol is rejected
+    # the stop test uses fixed bounds on the duality gap and the tangent
+    # gradient, and no --tol flag exists, so every --tol is rejected
     argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--seed", "7", "--tol", tol]
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -536,10 +536,25 @@ def test_pauli_periodic_two_use_search_converges():
     assert res.value == pytest.approx(2 * 0.2691149762, abs=1e-9)
 
 
+@pytest.mark.parametrize("channels", [(depolarizing(2, 0.5),), (depolarizing(2, 0.9), _damping(0.6))],
+                         ids=["one-branch", "two-branch"])
+def test_one_eigensolve_per_evaluation(monkeypatch, channels):
+    # the 4 member outputs and the average of each branch, for all 3
+    # restarts, are decomposed in one call, at the start and at each
+    # iteration alike
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    ascent = _Ascent(_transfers(channels), "mean", _starts(5, 3, 2, 4))
+    ascent._evaluate(ascent.psis.copy(), ascent.probs.copy())
+    ascent.step()
+    assert calls == [(3, 5, len(channels), 2, 2)] * 3
+
+
 def test_incremental_caches_match_rebuild():
-    # after kept and rejected iterations alike, the cached values, tangent
-    # gradients, g and gaps equal a fresh evaluation of the states and
-    # probabilities read off Phi
+    # after kept and rejected iterations alike, the cached values, Phi, its
+    # tangent gradients and the gaps equal a fresh evaluation of the states
+    # and probabilities read off Phi
     for mode, channels, dim, m in [
         ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
         ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
