@@ -36,18 +36,19 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        terms = [np.asarray(k, dtype=np.complex128) for k in self.kraus]
-        if not terms:
+        try:
+            kraus = np.array(self.kraus, dtype=np.complex128)
+        except ValueError as err:  # ragged terms
+            raise ValueError("all Kraus terms must share one shape") from err
+        if not len(kraus):
             raise ValueError("channel needs at least one Kraus term")
-        shape = terms[0].shape
-        if len(shape) != 2:
-            raise ValueError(f"Kraus terms must be matrices, got shape {shape}")
-        if any(k.shape != shape for k in terms):
-            raise ValueError("all Kraus terms must share one shape")
-        kraus = np.stack(terms)
+        if kraus.ndim != 3:
+            raise ValueError(f"Kraus terms must be matrices, got shape {kraus.shape[1:]}")
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
-        check_identity_sum(sum(k.conj().T @ k for k in kraus), "K^dag K of trace preserving Kraus terms")
+        # sum_k K_k^dag K_k as one product of the terms stacked row-wise
+        rows = kraus.reshape(-1, kraus.shape[2])
+        check_identity_sum(rows.conj().T @ rows, "K^dag K of trace preserving Kraus terms")
 
     @property
     def din(self) -> int:
@@ -114,17 +115,13 @@ class ConvexCombinationChannel:
         check_gammas(gammas, len(branches))
 
 
-def _weyl_operators(d: int) -> list[np.ndarray]:
-    """The d^2 shift-and-phase unitaries X^a Z^b."""
-    omega = np.exp(2j * np.pi / d)
-    shift = np.roll(np.eye(d), 1, axis=0)  # X|j> = |j+1 mod d>
-    phase = np.diag(omega ** np.arange(d))  # Z|j> = omega^j |j>
-    ops = []
-    for a in range(d):
-        xa = np.linalg.matrix_power(shift, a)
-        for b in range(d):
-            ops.append(xa @ np.linalg.matrix_power(phase, b))
-    return ops
+def _weyl_operators(d: int) -> np.ndarray:
+    """The (d^2, d, d) stack of shift-and-phase unitaries X^a Z^b, term
+    a*d + b, from X^a Z^b|k> = omega^(b k)|k + a mod d> with omega = e^(2 pi i/d)."""
+    a, b, k = np.ogrid[:d, :d, :d]
+    ops = np.zeros((d, d, d, d), dtype=np.complex128)
+    ops[a, b, (k + a) % d, k] = np.exp(2j * np.pi / d) ** (b * k)
+    return ops.reshape(d * d, d, d)
 
 
 def identity_channel(d: int) -> KrausChannel:
@@ -135,16 +132,16 @@ def identity_channel(d: int) -> KrausChannel:
 def depolarizing(d: int, lam: float) -> KrausChannel:
     """Operator-sum form of rho -> lam*rho + (1-lam)*I/d.
 
-    Uses the discrete Weyl conjugations with weights lam + (1-lam)/d^2 on
-    the identity and (1-lam)/d^2 elsewhere; both are nonnegative exactly on
-    the completely positive range of lam.
+    Its Kraus terms are the one stack of d^2 Weyl operators X^a Z^b,
+    X^a Z^b|k> = omega^(b k)|k + a mod d>, scaled by the square roots of the
+    weights lam + (1-lam)/d^2 on the identity and (1-lam)/d^2 elsewhere; both
+    are nonnegative exactly on the completely positive range of lam.
     """
     check_depolarizing(d, lam)
-    # at lam = -1/(d^2-1) round-off can leave w_id just below 0 (e.g. d = 6)
-    w_id = max(0.0, lam + (1.0 - lam) / d**2)
-    w_other = (1.0 - lam) / d**2
-    ops = _weyl_operators(d)
-    return KrausChannel(tuple(np.sqrt(w_id if idx == 0 else w_other) * op for idx, op in enumerate(ops)))
+    # at lam = -1/(d^2-1) round-off can leave the identity weight just below 0 (e.g. d = 6)
+    weights = np.full(d * d, (1.0 - lam) / d**2)
+    weights[0] = max(0.0, lam + (1.0 - lam) / d**2)
+    return KrausChannel(np.sqrt(weights)[:, None, None] * _weyl_operators(d))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -195,15 +192,15 @@ def periodic_branch(ch: PeriodicChannel, i: int, n: int) -> KrausChannel:
 
 
 def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> KrausChannel:
-    """The channel rho -> sum_i w_i Phi_i(rho) as a single Kraus list."""
+    """The channel rho -> sum_i w_i Phi_i(rho): the channels' Kraus stacks,
+    each scaled by sqrt(w_i), concatenated in order."""
     channels = list(channels)
     weights = np.asarray(weights, dtype=np.float64)
     check_weights(weights, len(channels), "weight")
     shapes = sorted({(c.din, c.dout) for c in channels})
     if len(shapes) > 1:
         raise DimensionMismatchError(f"channels to mix must share one (din, dout), got {shapes}")
-    terms = [np.sqrt(w) * k for w, c in zip(weights, channels) for k in c.kraus]
-    return KrausChannel(tuple(terms))
+    return KrausChannel(np.concatenate([np.sqrt(w) * c.kraus for w, c in zip(weights, channels)]))
 
 
 def periodic_uses(ch: PeriodicChannel, n: int) -> KrausChannel:

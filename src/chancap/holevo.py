@@ -9,7 +9,7 @@ import numpy as np
 
 from . import channels
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
-from .entropy import _relative_entropies, shannon_entropy, von_neumann_entropy
+from .entropy import _entropies, _relative_entropies, shannon_entropy, von_neumann_entropy
 from .errors import DimensionMismatchError
 from .params import check_weights
 from .states import DensityMatrix, basis_state, check_identity_sum, check_positive_semidefinite
@@ -77,9 +77,10 @@ def _outputs(ch: KrausChannel, ens: Ensemble) -> list[DensityMatrix]:
 def chi(ch: KrausChannel, ens: Ensemble) -> float:
     """Holevo quantity S(sum_j p_j out_j) - sum_j p_j S(out_j) in bits."""
     outputs = _outputs(ch, ens)
+    # a mixture of checked outputs with checked weights, so not checked again
     avg = sum(p * o.mat for p, o in zip(ens.probs, outputs))
     member = sum(p * von_neumann_entropy(o) for p, o in zip(ens.probs, outputs))
-    return float(von_neumann_entropy(DensityMatrix(avg)) - member)
+    return float(_entropies(np.linalg.eigvalsh(avg)) - member)
 
 
 def chi_via_relative_entropy(ch: KrausChannel, ens: Ensemble) -> float:

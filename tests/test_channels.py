@@ -74,6 +74,56 @@ def test_kraus_completeness_checked():
         KrausChannel((np.eye(2) * 0.5,))
 
 
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        ((), "at least one Kraus term"),
+        ((np.ones(2),), re.escape("must be matrices, got shape (2,)")),
+        ((np.eye(2), np.eye(3)), "share one shape"),
+    ],
+    ids=["empty", "vector", "ragged"],
+)
+def test_kraus_terms_checked(terms, message):
+    with pytest.raises(ValueError, match=message):
+        KrausChannel(terms)
+
+
+def _weyl_reference(d):
+    """X^a Z^b, term a*d + b, as matrix powers of shift and phase and their
+    product."""
+    omega = np.exp(2j * np.pi / d)
+    shift = np.roll(np.eye(d), 1, axis=0)  # X|j> = |j+1 mod d>
+    phase = np.diag(omega ** np.arange(d))  # Z|j> = omega^j |j>
+    return np.array([
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b)
+        for a in range(d) for b in range(d)
+    ])
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_weyl_operators_closed_form(d):
+    ops, reference = channels._weyl_operators(d), _weyl_reference(d)
+    assert ops.shape == (d * d, d, d)
+    if d <= 4:
+        assert np.array_equal(ops, reference)
+    else:
+        assert np.max(np.abs(ops - reference)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_depolarizing_needs_no_matrix_power(monkeypatch, d):
+    lam = 0.3
+    weights = np.full(d * d, (1 - lam) / d**2)
+    weights[0] += lam
+    expected = np.sqrt(weights)[:, None, None] * _weyl_reference(d)
+
+    def refuse(*args):
+        raise AssertionError("matrix_power called")
+
+    monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+    assert np.array_equal(depolarizing(d, lam).kraus, expected)
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         apply(depolarizing(2, 0.5), maximally_mixed(3))

@@ -680,9 +680,10 @@ def test_verify_output_independent_of_blas_threads():
     # the average outputs sum their members, and G_j its branches, in a
     # fixed order: as one BLAS product either sum, and with it the value and
     # the duality gap, moved in the last digits with the thread count at
-    # d = 3
+    # d = 3; theorem2 runs the min-mode (maximin) search
     src = os.path.dirname(os.path.dirname(os.path.abspath(optimize.__file__)))
-    for search in (["additivity", "--lambda", "0.5"], ["theorem1", "--lambdas", "0.9,0.5"]):
+    for search in (["additivity", "--lambda", "0.5"], ["theorem1", "--lambdas", "0.9,0.5"],
+                   ["theorem2", "--lambdas", "0.9,0.5"]):
         argv = [sys.executable, "-m", "chancap", "verify", *search, "--d", "3",
                 "--restarts", "8", "--iters", "30", "--seed", "7"]
         runs = []
