@@ -29,7 +29,6 @@ without numpy it exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -313,6 +312,7 @@ def _render(payload: dict, fmt: str, command: str) -> str:
         raise _NumericalFailure(f"{key} is {value}")
     if fmt == "json":
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    import csv  # a JSON report does not load it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if command == "sweep":

@@ -74,11 +74,15 @@ def _outputs(ch: KrausChannel, ens: Ensemble) -> list[DensityMatrix]:
     return [channels.apply(ch, s) for s in ens.states]
 
 
+def _mixture(ch: KrausChannel, ens: Ensemble) -> tuple[list[DensityMatrix], np.ndarray]:
+    """`_outputs` and their average, unchecked: a mixture of checked outputs with checked weights."""
+    outputs = _outputs(ch, ens)
+    return outputs, sum(p * o.mat for p, o in zip(ens.probs, outputs))
+
+
 def chi(ch: KrausChannel, ens: Ensemble) -> float:
     """Holevo quantity S(sum_j p_j out_j) - sum_j p_j S(out_j) in bits."""
-    outputs = _outputs(ch, ens)
-    # a mixture of checked outputs with checked weights, so not checked again
-    avg = sum(p * o.mat for p, o in zip(ens.probs, outputs))
+    outputs, avg = _mixture(ch, ens)
     member = sum(p * von_neumann_entropy(o) for p, o in zip(ens.probs, outputs))
     return float(_entropies(np.linalg.eigvalsh(avg)) - member)
 
@@ -91,9 +95,7 @@ def chi_via_relative_entropy(ch: KrausChannel, ens: Ensemble) -> float:
     are skipped (they contribute nothing and may lie outside the average's
     support).
     """
-    outputs = _outputs(ch, ens)
-    # a mixture of checked outputs with checked weights, so not checked again
-    avg = sum(p * o.mat for p, o in zip(ens.probs, outputs))
+    outputs, avg = _mixture(ch, ens)
     live = ens.probs > 0
     members = [o for o, keep in zip(outputs, live) if keep]
     return float((ens.probs[live] * _relative_entropies(members, avg)).sum())

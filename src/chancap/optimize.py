@@ -22,12 +22,12 @@ states and probabilities together, Phi <- normalize(Phi + eta d): d is the
 two-loop recursion on the tangent gradient with the restart's last _MEMORY
 curvature pairs (s, y), less its component along Phi.  A kept iteration
 gives s, the change of Phi, and y, the fall of its tangent gradient, stored
-in place of the oldest pair when <s, y> > 0 (which keeps the
-inverse-Hessian estimate positive definite); with no pair, d is the tangent
-gradient.  A restart keeps an iteration only if its value rises; eta starts
-at 1, grows 1.5x toward 1 on a kept iteration and halves on a rejected one.
-Like eta, the pairs belong to one restart and every inner product is taken
-row by row, so a restart's path is the same in any batch.
+in place of the oldest pair when <s, y> > 0 (keeping the inverse-Hessian
+estimate positive definite); with no pair, d is the tangent gradient.  A
+restart keeps an iteration, replacing its arrays, only if its value rises;
+eta starts at 1, grows 1.5x toward 1 on a kept iteration and halves on a
+rejected one.  Like eta, the pairs belong to one restart and every inner
+product is taken row by row, so a restart's path is the same in any batch.
 
 Each chi_i is concave in p with gradient g up to a constant, so the duality
 gap max_j g_j - sum_j p_j g_j bounds what any reweighting of the states
@@ -165,23 +165,21 @@ class _Ascent:
     """The state of a batch of restarts run in lockstep, each array with a
     leading restart axis, so that a stopped restart leaves them all at
     once: its row in the batch it started in, its eta, its curvature pairs
-    s and y (R, _MEMORY, 2 m din) as real vectors, oldest first, with rho =
-    1 / <s, y> (R, _MEMORY), 0 in a slot not yet filled, and its evaluated
-    ensemble: the states psis (R, m, din) and probabilities (R, m) read off
+    s and y (R, _MEMORY, 2 m din) as real vectors, oldest first, zero in a
+    slot not yet filled, and its evaluated ensemble, which a kept iteration
+    replaces: the states psis (R, m, din) and probabilities (R, m) read off
     Phi, Phi itself and its tangent gradient (R, m din), the objective's
     value and the duality gap.  The branches come as one (branches, dout^2,
     din^2) stack of transfer matrices."""
 
     _EVALUATED = ("psis", "probs", "phis", "value", "grad", "gap")
-    _PER_RESTART = ("row", "eta", "s", "y", "rho") + _EVALUATED
+    _PER_RESTART = ("row", "eta", "s", "y") + _EVALUATED
 
-    def __init__(self, transfer: np.ndarray, mode: str, psis):
+    def __init__(self, transfer: np.ndarray, mode: str, psis: np.ndarray):
         self.transfer = transfer
         # each branch's rows vec(L) times its slice give vec(Phi_i^dag(L))
         self.adjoint = transfer.conj()
         self.mode = mode
-        # a copy: the batch writes its kept iterations in place
-        psis = np.array(psis, dtype=np.complex128)
         state = self._evaluate(psis, np.full(psis.shape[:2], 1.0 / psis.shape[1]))
         for name, x in zip(self._EVALUATED, state):
             setattr(self, name, x)
@@ -190,7 +188,6 @@ class _Ascent:
         self.eta = np.ones(restarts)
         self.s = np.zeros((restarts, _MEMORY, 2 * self.psis[0].size))
         self.y = np.zeros_like(self.s)
-        self.rho = np.zeros((restarts, _MEMORY))
 
     def select(self, rows: np.ndarray):
         """Keep only the restarts selected by the boolean mask `rows`."""
@@ -246,16 +243,18 @@ class _Ascent:
         """Phi's step direction (R, m din): the two-loop recursion on the
         tangent gradient with the restart's curvature pairs, scaled by
         <s, y> / <y, y> of the newest (1 with none), less its component
-        along Phi.  An empty slot adds nothing."""
+        along Phi.  A slot whose <s, y> is 0 is empty and adds nothing."""
+        sy = _dot(self.s, self.y)
+        rho = np.divide(1.0, sy, out=np.zeros(sy.shape), where=sy > 0)
         q = self.grad.view(np.float64).copy()
-        alpha = np.zeros(self.rho.shape)
+        alpha = np.zeros(sy.shape)
         for i in reversed(range(_MEMORY)):
-            alpha[:, i] = self.rho[:, i] * _dot(self.s[:, i], q)
+            alpha[:, i] = rho[:, i] * _dot(self.s[:, i], q)
             q -= alpha[:, i, None] * self.y[:, i]
-        s, y = self.s[:, -1], self.y[:, -1]
-        q *= np.divide(_dot(s, y), _dot(y, y), out=np.ones(len(q)), where=self.rho[:, -1] > 0)[:, None]
+        y = self.y[:, -1]
+        q *= np.divide(sy[:, -1], _dot(y, y), out=np.ones(len(q)), where=sy[:, -1] > 0)[:, None]
         for i in range(_MEMORY):
-            q += (alpha[:, i] - self.rho[:, i] * _dot(self.y[:, i], q))[:, None] * self.s[:, i]
+            q += (alpha[:, i] - rho[:, i] * _dot(self.y[:, i], q))[:, None] * self.s[:, i]
         d = q.view(np.complex128)
         return d - _dot(self.phis.conj(), d)[:, None] * self.phis
 
@@ -270,15 +269,13 @@ class _Ascent:
         keep = state["value"] > self.value
         s = (state["phis"] - self.phis).view(np.float64)
         y = (self.grad - state["grad"]).view(np.float64)
-        sy = _dot(s, y)
-        new = keep & (sy > 0)
+        new = keep & (_dot(s, y) > 0)
         # the restart's oldest pair drops out
-        for pairs, pair in ((self.s, s), (self.y, y), (self.rho, 1.0 / np.where(new, sy, 1.0))):
+        for pairs, pair in ((self.s, s), (self.y, y)):
             pairs[new, :-1] = pairs[new, 1:]
             pairs[new, -1] = pair[new]
         for name, x in state.items():
-            old = getattr(self, name)
-            np.copyto(old, x, where=keep.reshape((-1,) + (1,) * (old.ndim - 1)))
+            setattr(self, name, np.where(keep.reshape((-1,) + (1,) * (x.ndim - 1)), x, getattr(self, name)))
         self.eta = np.where(keep, np.minimum(1.0, 1.5 * self.eta), 0.5 * self.eta)
         return keep
 

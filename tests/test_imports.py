@@ -46,7 +46,9 @@ _SWEEP = ["sweep", "--d", "3", "--lambda-from", "0", "--lambda-to", "0.999", "--
     ],
 )
 def test_closed_form_commands_load_no_numpy(argv):
-    assert _fresh(_CLI, *argv) == "0 False False False"
+    # and only a CSV report loads csv
+    loaded = _fresh(_CLI + 'print("csv" in sys.modules)\n', *argv).splitlines()
+    assert loaded == ["0 False False False", str(argv[-1] == "csv")]
 
 
 def test_verify_loads_numpy():

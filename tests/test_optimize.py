@@ -372,10 +372,32 @@ def test_iteration_monotone(monkeypatch, mode, channels, dim, m):
     assert np.isfinite(out["value"]).all() and np.isfinite(out["duality_gap"]).all()
 
 
-def _phi(ascent):
-    """Each restart's ensemble as one unit vector, rows (R, m din) of the
-    members sqrt(p_j) psi_j."""
-    return (np.sqrt(ascent.probs)[..., None] * ascent.psis).reshape(len(ascent.psis), -1)
+@pytest.mark.parametrize(
+    "mode,channels,dim,m",
+    [
+        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+    ],
+    ids=["mean-two-use", "min-damping"],
+)
+def test_ascend_leaves_start_states_unwritten(monkeypatch, mode, channels, dim, m):
+    # the batch holds the start states it is given, uncopied, so neither a
+    # kept nor a rejected iteration may write into them
+    step = _Ascent.step
+    kept = []
+    monkeypatch.setattr(_Ascent, "step", lambda self: kept.append(step(self)) or kept[-1])
+    psis = _starts(23, 3, dim, m)
+    before = psis.tobytes()
+    _ascend(_transfers(channels), mode, psis, 300)
+    assert psis.tobytes() == before
+    kept = np.concatenate(kept)
+    assert kept.any() and not kept.all()
+
+
+def _filled(ascent):
+    """The mask (R, _MEMORY) of curvature-pair slots with <s, y> > 0, the
+    slots that hold a pair."""
+    return optimize._dot(ascent.s, ascent.y) > 0
 
 
 @pytest.mark.parametrize(
@@ -398,10 +420,10 @@ def test_curvature_pairs_and_step_schedule(monkeypatch, mode, channels, dim, m):
     kept, stored = [], []
 
     def checked(self):
-        before = {name: getattr(self, name).copy() for name in ("grad", "eta", "s", "y", "rho")}
-        phis, direction = _phi(self), self.direction()
+        before = {name: getattr(self, name).copy() for name in ("phis", "grad", "eta", "s", "y")}
+        direction = self.direction()
         keep = step(self)
-        s = (_phi(self) - phis).view(np.float64)
+        s = (self.phis - before["phis"]).view(np.float64)
         y = (before["grad"] - self.grad).reshape(len(keep), -1).view(np.float64)
         sy = (s * y).sum(axis=1)
         new = keep & (sy > 0)
@@ -409,22 +431,23 @@ def test_curvature_pairs_and_step_schedule(monkeypatch, mode, channels, dim, m):
             if new[r]:
                 np.testing.assert_array_equal(self.s[r, :-1], before["s"][r, 1:])
                 np.testing.assert_array_equal(self.y[r, :-1], before["y"][r, 1:])
-                np.testing.assert_array_equal(self.rho[r, :-1], before["rho"][r, 1:])
                 np.testing.assert_allclose(self.s[r, -1], s[r], rtol=0, atol=1e-15)
                 np.testing.assert_allclose(self.y[r, -1], y[r], rtol=0, atol=1e-15)
-                assert self.rho[r, -1] == pytest.approx(1 / sy[r], rel=1e-12)
             else:
-                for name in ("s", "y", "rho"):
+                for name in ("s", "y"):
                     np.testing.assert_array_equal(getattr(self, name)[r], before[name][r])
+        # a slot is filled, with a nonzero pair, exactly when its <s, y> > 0
+        np.testing.assert_array_equal(_filled(self), self.s.any(axis=2))
+        np.testing.assert_array_equal(_filled(self), self.y.any(axis=2))
         np.testing.assert_array_equal(self.eta, np.where(keep, np.minimum(1.0, 1.5 * before["eta"]),
                                                          0.5 * before["eta"]))
-        v = phis + before["eta"][:, None] * direction
+        v = before["phis"] + before["eta"][:, None] * direction
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        np.testing.assert_allclose(_phi(self)[keep], v[keep], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(self.phis[keep], v[keep], rtol=0, atol=1e-14)
         np.testing.assert_allclose(np.linalg.norm(self.psis, axis=-1), 1.0, rtol=0, atol=1e-14)
         np.testing.assert_allclose(self.probs.sum(axis=1), 1.0, rtol=0, atol=1e-14)
         kept.append(keep)
-        stored.append((self.rho > 0).sum(axis=1))
+        stored.append(_filled(self).sum(axis=1))
         return keep
 
     monkeypatch.setattr(_Ascent, "step", checked)
@@ -434,10 +457,30 @@ def test_curvature_pairs_and_step_schedule(monkeypatch, mode, channels, dim, m):
     assert max(n.max() for n in stored) == optimize._MEMORY, "some restart should fill its memory"
 
 
+def _two_loop(grad, s, y, phis):
+    """One restart's direction from its tangent gradient, its pair slots
+    (oldest first) and Phi, written out as in Nocedal & Wright, Algorithm
+    7.4: the slots with <s, y> > 0, rho = 1 / <s, y>, the newest pair's
+    scale, and the result projected off Phi."""
+    q = grad.view(np.float64).copy()
+    pairs = [(si, yi, 1 / (si @ yi)) for si, yi in zip(s, y) if si @ yi > 0]
+    alphas = []
+    for si, yi, rho in reversed(pairs):
+        alphas.insert(0, rho * (si @ q))
+        q -= alphas[0] * yi
+    if pairs:
+        si, yi, _ = pairs[-1]
+        q *= (si @ yi) / (yi @ yi)
+    for (si, yi, rho), alpha in zip(pairs, alphas):
+        q += (alpha - rho * (yi @ q)) * si
+    d = q.view(np.complex128)
+    return d - np.vdot(phis, d) * phis
+
+
 def test_direction_without_pairs_is_the_tangent_gradient():
     transfer = _transfers([tensor_channels([depolarizing(2, 0.5)] * 2)])
     ascent = _Ascent(transfer, "mean", _starts(5, 4, 4, 16))
-    assert not ascent.rho.any()
+    assert not ascent.s.any() and not ascent.y.any() and not _filled(ascent).any()
     np.testing.assert_allclose(ascent.direction(), ascent.grad, rtol=0, atol=1e-15)
 
 
@@ -451,16 +494,19 @@ def test_direction_without_pairs_is_the_tangent_gradient():
 )
 def test_directions_are_tangent(monkeypatch, mode, channels, dim, m):
     # the tangent gradient and the quasi-Newton direction have no component
-    # along Phi, the whole ensemble as one unit vector
+    # along Phi, the whole ensemble as one unit vector, and the direction is
+    # the textbook two-loop recursion over the pairs held, rho = 1 / <s, y>
     direction = _Ascent.direction
     seen = []
 
     def checked(self):
         d = direction(self)
-        phis = _phi(self)
-        assert np.abs((phis.conj() * d).sum(axis=1)).max() <= 1e-14
-        assert np.abs((phis.conj() * self.grad).sum(axis=1)).max() <= 1e-14
-        seen.append((self.rho > 0).any())
+        assert np.abs((self.phis.conj() * d).sum(axis=1)).max() <= 1e-14
+        assert np.abs((self.phis.conj() * self.grad).sum(axis=1)).max() <= 1e-14
+        for r in range(len(d)):
+            ref = _two_loop(self.grad[r], self.s[r], self.y[r], self.phis[r])
+            np.testing.assert_allclose(d[r], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        seen.append(_filled(self).any())
         return d
 
     monkeypatch.setattr(_Ascent, "direction", checked)
