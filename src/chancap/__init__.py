@@ -37,10 +37,9 @@ _EXPORTS = {
     # holevo
     **dict.fromkeys(
         ("Ensemble", "Povm", "chi", "chi_via_relative_entropy", "mutual_information",
-         "chi_periodic_average", "chi_branch_min", "uniform_orthonormal_ensemble"),
+         "chi_periodic_average", "chi_branch_min", "uniform_orthonormal_ensemble", "random_povm"),
         "holevo",
     ),
-    "random_povm": "sampling",
     # optimize
     **dict.fromkeys(
         ("OptimizerConfig", "OptResult", "maximize_chi", "maximize_avg_chi", "maximize_min_chi"),
@@ -60,8 +59,8 @@ _EXPORTS = {
 __all__ = ["__version__", *_EXPORTS]
 
 # the submodules that attribute access imports, every export's among them
-_SUBMODULES = ("states", "entropy", "channels", "params", "holevo", "sampling", "optimize",
-               "capacity", "errors")
+_SUBMODULES = ("states", "entropy", "channels", "params", "holevo", "optimize", "capacity",
+               "errors")
 
 
 def __getattr__(name: str):

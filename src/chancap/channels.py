@@ -107,12 +107,11 @@ class ConvexCombinationChannel:
     gammas: np.ndarray
 
     def __post_init__(self):
-        gammas = np.array(self.gammas, dtype=np.float64)
-        gammas.setflags(write=False)
         branches = _check_branches(self.branches, "convex combination needs at least one branch")
+        gammas = np.array(check_gammas(self.gammas, len(branches)))
+        gammas.setflags(write=False)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "gammas", gammas)
-        check_gammas(gammas, len(branches))
 
 
 def _weyl_operators(d: int) -> np.ndarray:
@@ -195,8 +194,7 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     """The channel rho -> sum_i w_i Phi_i(rho): the channels' Kraus stacks,
     each scaled by sqrt(w_i), concatenated in order."""
     channels = list(channels)
-    weights = np.asarray(weights, dtype=np.float64)
-    check_weights(weights, len(channels), "weight")
+    weights = check_weights(weights, len(channels), "weight")
     shapes = sorted({(c.din, c.dout) for c in channels})
     if len(shapes) > 1:
         raise DimensionMismatchError(f"channels to mix must share one (din, dout), got {shapes}")

@@ -1,6 +1,7 @@
 """Ensembles, the Holevo quantity in its two equivalent forms, and POVM
 mutual information for testing the Holevo bound, of any `KrausChannel`:
-n uses of a channel with memory too (`channels.periodic_uses`, `convex_uses`)."""
+n uses of a channel with memory too (`channels.periodic_uses`, `convex_uses`).
+`random_povm` draws a non-projective POVM from Wishart matrices."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from . import channels
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .entropy import _entropies, _relative_entropies, shannon_entropy, von_neumann_entropy
 from .errors import DimensionMismatchError
-from .params import check_weights
+from .params import check_positive_integer, check_weights
 from .states import DensityMatrix, basis_state, check_identity_sum, check_positive_semidefinite
 
 
@@ -23,14 +24,13 @@ class Ensemble:
     states: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
-        probs.setflags(write=False)
         states = tuple(self.states)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", states)
         if not states:
             raise ValueError("ensemble needs at least one state")
-        check_weights(probs, len(states), "prob")
+        probs = np.array(check_weights(self.probs, len(states), "prob"))
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "states", states)
         if any(s.dim != states[0].dim for s in states):
             raise DimensionMismatchError("all ensemble states must share one dimension")
 
@@ -62,6 +62,22 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
+
+
+def _wishart(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Wishart matrix G G^dag of a dim x rank complex Gaussian G, real parts drawn first."""
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    return g @ g.conj().T
+
+
+def random_povm(dim: int, rng: np.random.Generator) -> Povm:
+    """Random POVM from dim + 1 Wishart matrices, so the measurement is
+    non-projective, normalized by the inverse square root of their sum."""
+    check_positive_integer("dim", dim)
+    raw = [_wishart(dim, dim, rng) for _ in range(dim + 1)]
+    w, v = np.linalg.eigh(sum(raw))
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    return Povm(tuple(inv_sqrt @ r @ inv_sqrt for r in raw))
 
 
 def _outputs(ch: KrausChannel, ens: Ensemble) -> list[DensityMatrix]:
@@ -119,14 +135,12 @@ def mutual_information(ch: KrausChannel, ens: Ensemble, m: Povm) -> float:
 
 def chi_periodic_average(ch: PeriodicChannel, ens: Ensemble) -> float:
     """Arithmetic mean over the period of the per-branch Holevo quantities."""
-    values = [chi(branch, ens) for branch in ch.branches]
-    return float(np.mean(values))
+    return float(np.mean([chi(branch, ens) for branch in ch.branches]))
 
 
 def chi_branch_min(ch: ConvexCombinationChannel, ens: Ensemble) -> float:
     """Minimum over the branches of the per-branch Holevo quantities."""
-    values = [chi(branch, ens) for branch in ch.branches]
-    return float(np.min(values))
+    return float(np.min([chi(branch, ens) for branch in ch.branches]))
 
 
 def uniform_orthonormal_ensemble(d: int) -> Ensemble:

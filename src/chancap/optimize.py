@@ -44,13 +44,13 @@ over states that carry no weight.  The gap still catches any member, however
 light, whose g_j exceeds the value.
 
 All restarts of a chunk run in lockstep as one numpy batch, and a restart
-leaves the batch when it stops.  Each starts from m random pure states at
-uniform probabilities, none at a known optimum, drawn from the r-th child of
-SeedSequence(seed) (numpy's PCG64) for restart r; nothing else is random, so
-runs are reproducible and each restart's outcome depends on its start states
-alone.  The reported value is the best restart's ensemble re-evaluated
-through the channels' Kraus form; a search whose two values differ by more
-than 1e-9 bits raises ArithmeticError.
+leaves the batch when it stops.  Each starts from m Haar-random pure states
+at uniform probabilities, none at a known optimum, that `random_unit_vectors`
+draws from the r-th child of SeedSequence(seed) (numpy's PCG64) for restart
+r; nothing else is random, so runs are reproducible and each restart's
+outcome depends on its start states alone.  The reported value is the best
+restart's ensemble re-evaluated through the channels' Kraus form; a search
+whose two values differ by more than 1e-9 bits raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel, c
 from .entropy import _entropies
 from .holevo import Ensemble
 from .params import check_integer, check_positive_integer
-from .sampling import random_unit_vectors
 from .states import DensityMatrix
 
 _EIG_FLOOR = 1e-30  # keeps the logs of rank-deficient outputs finite
@@ -311,6 +310,15 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> di
     return out
 
 
+def random_unit_vectors(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m Haar-random state vectors as the rows of an (m, dim) array:
+    normalized complex Gaussians, the real parts drawn before the imaginary."""
+    check_positive_integer("dim", dim)
+    check_positive_integer("m", m)
+    psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
+    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
+
+
 def _maximize(branches: Sequence[KrausChannel], mode: str, m: int | None, cfg: OptimizerConfig,
               evaluate: Callable[[Ensemble], float]) -> OptResult:
     # checked before the transfer matrices, which grow as the input
@@ -327,8 +335,7 @@ def _maximize(branches: Sequence[KrausChannel], mode: str, m: int | None, cfg: O
                          f"dimension squared, got {m}")
     cfg = cfg.seeded()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
-    psis = np.stack([random_unit_vectors(dim, m, rng) for rng in rngs])
+    psis = np.stack([random_unit_vectors(dim, m, np.random.default_rng(c)) for c in children])
     out = _ascend(np.stack([b.transfer for b in branches]), mode, psis, cfg.iters)
 
     best = int(np.argmax(out["value"]))  # the first of ties

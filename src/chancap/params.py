@@ -6,6 +6,7 @@ CLI commands built on them run without numpy.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from typing import Sequence
 
@@ -43,23 +44,28 @@ def check_depolarizing(d: int, lam: float):
         raise CPViolationError(d, lam)
 
 
-def check_weights(weights: Sequence[float], count: int, name: str):
-    """Raise ValueError unless `weights` is a flat sequence of `count`
-    nonnegative numbers summing to 1 within WEIGHT_SUM_TOL (NaN fails both
-    tests)."""
+def check_weights(weights: Sequence[float], count: int, name: str) -> list[float]:
+    """`weights` as floats; raise ValueError unless it is a flat sequence of
+    `count` real, nonnegative numbers summing to 1 within WEIGHT_SUM_TOL (NaN
+    fails both tests), rejecting a complex entry before float() drops its imaginary part."""
     try:
-        values = [float(w) for w in weights]
+        entries = list(weights)
+        if any(isinstance(w, numbers.Complex) and not isinstance(w, numbers.Real) for w in entries):
+            raise ValueError(f"{name}s must be real numbers, got {weights!r}")
+        values = [float(w) for w in entries]
     except TypeError:  # not iterable, or an entry that is itself a sequence
         raise ValueError(f"{name}s must be a flat sequence of numbers, got {weights!r}") from None
     if len(values) != count:
         raise ValueError(f"need {count} {name}s, got {len(values)}")
     if not (all(w >= 0 for w in values) and abs(sum(values) - 1.0) <= WEIGHT_SUM_TOL):
         raise ValueError(f"{name}s must be a probability vector, got {values}")
+    return values
 
 
-def check_gammas(gammas: Sequence[float], count: int):
+def check_gammas(gammas: Sequence[float], count: int) -> list[float]:
     """check_weights for mixing weights, which must also be positive: a
     branch of weight 0 is never applied, yet the worst-branch capacity counts it."""
-    check_weights(gammas, count, "gamma")
-    if not all(float(g) > 0 for g in gammas):
-        raise ValueError(f"gammas must be positive, got {[float(g) for g in gammas]}")
+    values = check_weights(gammas, count, "gamma")
+    if not all(g > 0 for g in values):
+        raise ValueError(f"gammas must be positive, got {values}")
+    return values

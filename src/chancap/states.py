@@ -115,10 +115,8 @@ def partial_trace(
         raise ValueError("must keep at least one factor")
 
     reshaped = rho.mat.reshape(dims + dims)
-    work_dims = list(dims)
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        reshaped = np.trace(reshaped, axis1=idx, axis2=idx + len(work_dims))
-        del work_dims[idx]
+        reshaped = np.trace(reshaped, axis1=idx, axis2=idx + reshaped.ndim // 2)
     d_kept = int(np.prod([dims[i] for i in keep]))
     return DensityMatrix(reshaped.reshape(d_kept, d_kept))
 

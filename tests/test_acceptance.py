@@ -37,7 +37,7 @@ from chancap import (
 )
 from chancap.cli import main as cli_main
 from chancap.optimize import OptimizerConfig
-from chancap.sampling import random_density_matrix, random_pure_state
+from random_inputs import random_density_matrix, random_pure_state
 
 # Frozen oracles: direct evaluation of the closed-form S_min expression
 # (binary entropies computed independently at high precision).

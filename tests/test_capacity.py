@@ -28,10 +28,11 @@ from chancap import (
 )
 from chancap.capacity import CapacityReport, report_convex, report_depolarizing, report_periodic
 from chancap.channels import identity_channel
-from chancap.optimize import OptimizerConfig
+from chancap.holevo import random_povm
+from chancap.optimize import OptimizerConfig, random_unit_vectors
 from chancap.params import check_depolarizing, check_integer
-from chancap.sampling import haar_unitary, random_density_matrix, random_povm, random_unit_vectors
 from chancap.states import basis_state, maximally_mixed, partial_trace
+from random_inputs import haar_unitary, random_density_matrix
 
 FAST = OptimizerConfig(restarts=3, iters=300, seed=13)
 

@@ -29,7 +29,7 @@ from chancap import (
     tensor_channels,
 )
 from chancap import capacity, channels, optimize
-from chancap.sampling import random_density_matrix, random_pure_state
+from random_inputs import random_density_matrix, random_pure_state
 
 
 def depolarize_directly(d, lam, rho):
@@ -405,6 +405,33 @@ def test_weights_reject_nan():
         ConvexCombinationChannel(branches, [float("nan"), float("nan")])
     with pytest.raises(ValueError, match="probability"):
         mix_channels(branches, [float("nan"), 1.0])
+
+
+_PAIR = (depolarizing(2, 0.9), depolarizing(2, 0.5))
+_FAST = optimize.OptimizerConfig(restarts=1, iters=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [np.array([0.5 + 1j, 0.5 - 1j]), np.array([0.5 + 1j, 0.5 - 1j], dtype=np.complex64),
+     [0.5 + 1j, 0.5 - 1j]],
+    ids=["complex128", "complex64", "python"],
+)
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda w: Ensemble(w, (basis_state(2, 0), basis_state(2, 1))), "probs"),
+        (lambda w: ConvexCombinationChannel(_PAIR, w), "gammas"),
+        (lambda w: mix_channels(_PAIR, w), "weights"),
+        (lambda w: capacity.report_convex(2, [0.5, 0.9], w), "gammas"),
+        (lambda w: capacity.verify_theorem2(2, [0.9, 0.5], w, None, _FAST), "gammas"),
+    ],
+    ids=["Ensemble", "ConvexCombinationChannel", "mix_channels", "report_convex", "verify_theorem2"],
+)
+def test_weights_reject_complex(call, name, weights):
+    # rejected before any cast to float could drop the imaginary parts
+    with pytest.raises(ValueError, match=f"^{name} must be real numbers, got "):
+        call(weights)
 
 
 NAN = float("nan")

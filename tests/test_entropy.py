@@ -19,7 +19,7 @@ from chancap import (
     von_neumann_entropy,
 )
 from chancap.entropy import _relative_entropies
-from chancap.sampling import random_density_matrix
+from random_inputs import random_density_matrix
 
 # binary entropy H(0.25) = -0.75*log2(0.75) - 0.25*log2(0.25), frozen
 H_QUARTER = 0.8112781244591328

@@ -21,8 +21,8 @@ from chancap import (
     shannon_entropy,
     uniform_orthonormal_ensemble,
 )
-from chancap import sampling
-from chancap.sampling import haar_unitary, random_density_matrix, random_pure_state
+from chancap import holevo
+from random_inputs import haar_unitary, random_density_matrix, random_pure_state
 
 # chi of Delta_0.5 on the uniform qubit basis: 1 - H(0.25), frozen
 CHI_HALF = 0.18872187554086717
@@ -166,7 +166,7 @@ def test_random_density_matrix_rank_checked(monkeypatch, rank):
     def fail(*args, **kwargs):
         raise AssertionError("drawn before the rank check")
 
-    monkeypatch.setattr(sampling, "wishart", fail)
+    monkeypatch.setattr(holevo, "_wishart", fail)
     if isinstance(rank, int) and not isinstance(rank, bool):
         with pytest.raises(ValueError, match=f"^rank must be positive, got {rank}$"):
             random_density_matrix(2, np.random.default_rng(0), rank)

@@ -1,8 +1,13 @@
 """What importing chancap loads: the lazy export table, the closed-form CLI
-commands running without numpy, and the README's library quick start."""
+commands running without numpy, and the README's library quick start and CLI
+examples."""
 
+import csv
+import glob
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -94,6 +99,15 @@ def test_first_export_access_loads_every_submodule():
     assert _fresh(code) == "[]"
 
 
+def test_submodule_table_matches_the_package_files():
+    # every module but the entry points is importable by attribute, and every
+    # export names one of them
+    stems = {os.path.basename(path)[:-3] for path in glob.glob(os.path.join(SRC, "chancap", "*.py"))}
+    assert set(chancap._SUBMODULES) == stems - {"__init__", "__main__", "cli"}
+    assert len(chancap._SUBMODULES) == len(set(chancap._SUBMODULES))
+    assert set(chancap._EXPORTS.values()) <= set(chancap._SUBMODULES)
+
+
 def test_every_export_is_its_defining_module_object():
     for name in chancap.__all__:
         value = getattr(chancap, name)
@@ -123,3 +137,25 @@ def test_readme_quick_start_runs():
     namespace = {}
     exec(block, namespace)
     assert namespace["rep"].passed
+
+
+def test_readme_cli_examples_run(capsys):
+    # each command of the README's CLI block exits 0 and prints a report
+    from chancap.cli import main
+
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    (block,) = re.findall(r"## CLI\n.*?```sh\n(.*?)```", text, re.S)
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert len(commands) == 7 and all(argv[0] == "chancap" for argv in commands)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        out = capsys.readouterr().out
+        if argv[1] == "sweep":
+            header, *rows = csv.reader(out.splitlines())
+            assert header == ["lambda", "s_min", "chi_star"] and rows
+            assert all(len(row) == 3 for row in rows)
+            [float(x) for row in rows for x in row]  # every entry is a number
+        else:
+            assert json.loads(out)["command"] == " ".join(argv[1:3])

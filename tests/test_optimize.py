@@ -33,8 +33,7 @@ from chancap import (
     verify_theorem2,
 )
 from chancap import optimize
-from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend
-from chancap.sampling import random_unit_vectors
+from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend, random_unit_vectors
 
 # small budgets keep the unit tests quick; the acceptance suite runs the
 # spec budgets

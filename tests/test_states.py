@@ -10,7 +10,7 @@ from chancap import (
     partial_trace,
     tensor,
 )
-from chancap.sampling import random_density_matrix
+from random_inputs import random_density_matrix
 
 
 def test_density_matrix_rejects_non_hermitian():
