@@ -4,7 +4,9 @@ whose n uses `periodic_uses` and `convex_uses` build as one mixture of
 product channels.
 
 A channel also carries its transfer matrix, the same map on vectorized
-density matrices, which the optimizer uses; `apply` keeps the Kraus sum.
+density matrices, which the optimizer uses; `apply` keeps the Kraus sum. It
+runs that sum in numpy's greedy contraction order, found once per channel at
+its first `apply`, so each output keeps the bits of `einsum(optimize=True)`.
 """
 
 from __future__ import annotations
@@ -37,18 +39,28 @@ class KrausChannel:
 
     def __post_init__(self):
         try:
-            kraus = np.array(self.kraus, dtype=np.complex128)
+            kraus = np.array(self.kraus, dtype=np.complex128, order="C")
         except ValueError as err:  # ragged terms
             raise ValueError("all Kraus terms must share one shape") from err
+        self._keep(kraus)
+
+    @classmethod
+    def _owning(cls, kraus: np.ndarray) -> KrausChannel:
+        """The channel of a complex (terms, dout, din) stack that this module
+        has just built and no caller holds, kept without a copy."""
+        ch = object.__new__(cls)
+        ch._keep(kraus)
+        return ch
+
+    def _keep(self, kraus: np.ndarray):
+        """Check `kraus`, freeze it and store it as this channel's stack."""
         if not len(kraus):
             raise ValueError("channel needs at least one Kraus term")
         if kraus.ndim != 3:
             raise ValueError(f"Kraus terms must be matrices, got shape {kraus.shape[1:]}")
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
-        # sum_k K_k^dag K_k as one product of the terms stacked row-wise
-        rows = kraus.reshape(-1, kraus.shape[2])
-        check_identity_sum(rows.conj().T @ rows, "K^dag K of trace preserving Kraus terms")
+        check_identity_sum(_gram(kraus.reshape(-1, kraus.shape[2])), "K^dag K of trace preserving Kraus terms")
 
     @property
     def din(self) -> int:
@@ -66,6 +78,22 @@ class KrausChannel:
         s = np.einsum("kia,kjb->ijab", k, k.conj()).reshape(self.dout**2, self.din**2)
         s.setflags(write=False)
         return s
+
+    @cached_property
+    def _apply_path(self) -> tuple:
+        """numpy's greedy contraction order for `apply`'s Kraus sum, which
+        depends only on the operand shapes."""
+        k = self.kraus
+        return tuple(np.einsum_path("kij,jl,kml->im", k, np.empty((self.din, self.din)), k, optimize=True)[0])
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """rows^dag rows of a complex (n, d) array, from one real product of its
+    (n, 2d) view of real and imaginary parts, with no conjugated copy."""
+    parts = rows.view(np.float64)
+    g = parts.T @ parts  # row and column 2a + 0 is Re rows[:, a], 2a + 1 is Im
+    re, im = g[0::2], g[1::2]
+    return (re[:, 0::2] + im[:, 1::2]) + 1j * (re[:, 1::2] - im[:, 0::2])
 
 
 def _check_branches(branches: Sequence[KrausChannel], empty_message: str) -> tuple[KrausChannel, ...]:
@@ -125,7 +153,7 @@ def _weyl_operators(d: int) -> np.ndarray:
 
 def identity_channel(d: int) -> KrausChannel:
     check_positive_integer("d", d)
-    return KrausChannel((np.eye(d, dtype=np.complex128),))
+    return KrausChannel._owning(np.eye(d, dtype=np.complex128)[None])
 
 
 def depolarizing(d: int, lam: float) -> KrausChannel:
@@ -140,17 +168,19 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
     # at lam = -1/(d^2-1) round-off can leave the identity weight just below 0 (e.g. d = 6)
     weights = np.full(d * d, (1.0 - lam) / d**2)
     weights[0] = max(0.0, lam + (1.0 - lam) / d**2)
-    return KrausChannel(np.sqrt(weights)[:, None, None] * _weyl_operators(d))
+    return KrausChannel._owning(np.sqrt(weights)[:, None, None] * _weyl_operators(d))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Channel output sum_k K rho K^dag."""
+    """Channel output sum_k K rho K^dag, contracted in numpy's greedy order,
+    which the channel finds at its first `apply` and keeps, so the output has
+    the bits of `einsum(optimize=True)` without its search on every call."""
     if rho.dim != ch.din:
         raise DimensionMismatchError(
             f"state dim {rho.dim} does not match channel input dim {ch.din}"
         )
     k = ch.kraus
-    return DensityMatrix(np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=True))
+    return DensityMatrix(np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=ch._apply_path))
 
 
 def _kron_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,7 +197,8 @@ def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
     if not channels:
         raise ValueError("need at least one channel")
     check_product_size(math.prod(c.din for c in channels))
-    return KrausChannel(reduce(_kron_terms, (c.kraus for c in channels)))
+    # one factor's stack is that channel's own frozen one, shared unchanged
+    return KrausChannel._owning(reduce(_kron_terms, (c.kraus for c in channels)))
 
 
 def check_product_size(d: int, n: int = 1):
@@ -198,7 +229,7 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     shapes = sorted({(c.din, c.dout) for c in channels})
     if len(shapes) > 1:
         raise DimensionMismatchError(f"channels to mix must share one (din, dout), got {shapes}")
-    return KrausChannel(np.concatenate([np.sqrt(w) * c.kraus for w, c in zip(weights, channels)]))
+    return KrausChannel._owning(np.concatenate([np.sqrt(w) * c.kraus for w, c in zip(weights, channels)]))
 
 
 def periodic_uses(ch: PeriodicChannel, n: int) -> KrausChannel:

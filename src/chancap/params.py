@@ -47,10 +47,14 @@ def check_depolarizing(d: int, lam: float):
 def check_weights(weights: Sequence[float], count: int, name: str) -> list[float]:
     """`weights` as floats; raise ValueError unless it is a flat sequence of
     `count` real, nonnegative numbers summing to 1 within WEIGHT_SUM_TOL (NaN
-    fails both tests), rejecting a complex entry before float() drops its imaginary part."""
+    fails both tests), rejecting a complex entry before float() drops its
+    imaginary part, and text before float() parses it."""
     try:
         entries = list(weights)
-        if any(isinstance(w, numbers.Complex) and not isinstance(w, numbers.Real) for w in entries):
+        if any(
+            isinstance(w, (str, bytes, bytearray)) or isinstance(w, numbers.Complex) and not isinstance(w, numbers.Real)
+            for w in entries
+        ):
             raise ValueError(f"{name}s must be real numbers, got {weights!r}")
         values = [float(w) for w in entries]
     except TypeError:  # not iterable, or an entry that is itself a sequence

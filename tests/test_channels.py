@@ -144,6 +144,69 @@ def test_apply_preserves_trace_randomly():
         assert abs(np.trace(out.mat) - 1) < 1e-12
 
 
+_GREEDY_ORDER_CASES = {
+    "depolarizing-2": (lambda: depolarizing(2, 0.7), [(0, 2), (0, 1)]),
+    "depolarizing-3": (lambda: depolarizing(3, -0.1), [(0, 2), (0, 1)]),
+    "two-use": (lambda: tensor_channels([depolarizing(2, 0.5)] * 2), [(0, 2), (0, 1)]),
+    "identity": (lambda: identity_channel(2), [(0, 1), (0, 1)]),
+    "identity-x-depolarizing": (
+        lambda: tensor_channels([identity_channel(2), depolarizing(2, 0.3)]), [(0, 1), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("build,order", _GREEDY_ORDER_CASES.values(), ids=_GREEDY_ORDER_CASES.keys())
+def test_apply_keeps_the_bits_of_the_greedy_einsum(build, order):
+    # greedy picks either order depending on the shapes; the kept one is the one it picks
+    ch = build()
+    rng = np.random.default_rng(8)
+    k = ch.kraus
+    for _ in range(3):
+        rho = random_density_matrix(ch.din, rng)
+        expected = np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=True)
+        assert np.array_equal(apply(ch, rho).mat, expected)
+    assert list(ch._apply_path) == ["einsum_path", *order]
+
+
+def test_apply_finds_the_contraction_order_once_per_channel(monkeypatch):
+    calls = []
+    search = np.einsum_path
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counting)
+    rng = np.random.default_rng(9)
+    ch = depolarizing(3, 0.4)
+    assert not calls  # built without a search
+    for _ in range(5):
+        apply(ch, random_density_matrix(3, rng))
+    assert len(calls) == 1
+    other = tensor_channels([depolarizing(2, 0.5)] * 2)
+    for _ in range(3):
+        apply(other, random_density_matrix(4, rng))
+    assert len(calls) == 2
+
+
+def test_kraus_channel_copies_a_given_stack_and_freezes_its_own():
+    given = np.stack([np.eye(2), np.zeros((2, 2))])
+    ch = KrausChannel(given)
+    assert given.flags.writeable and not np.shares_memory(given, ch.kraus)
+    given[0, 0, 0] = 7.0  # the channel does not see it
+    assert ch.kraus[0, 0, 0] == 1.0
+    for built in (ch, identity_channel(2), depolarizing(2, 0.5), tensor_channels([ch, ch]),
+                  mix_channels([ch, ch], [0.5, 0.5])):
+        assert not built.kraus.flags.writeable
+        assert built.kraus.flags.c_contiguous
+
+
+@pytest.mark.parametrize("terms,din", [(5, 2), (16, 4), (9, 3)])
+def test_kraus_gram_matches_the_conjugate_product(terms, din):
+    rng = np.random.default_rng(terms)
+    rows = rng.normal(size=(terms * din, din)) + 1j * rng.normal(size=(terms * din, din))
+    np.testing.assert_allclose(channels._gram(rows), rows.conj().T @ rows, rtol=0, atol=1e-12)
+
+
 def test_tensor_channels_identity():
     ch = tensor_channels([identity_channel(2), identity_channel(2)])
     rng = np.random.default_rng(5)
@@ -414,8 +477,8 @@ _FAST = optimize.OptimizerConfig(restarts=1, iters=2, seed=0)
 @pytest.mark.parametrize(
     "weights",
     [np.array([0.5 + 1j, 0.5 - 1j]), np.array([0.5 + 1j, 0.5 - 1j], dtype=np.complex64),
-     [0.5 + 1j, 0.5 - 1j]],
-    ids=["complex128", "complex64", "python"],
+     [0.5 + 1j, 0.5 - 1j], ["0.3", "0.7"], [b"0.3", b"0.7"], [0.3, "0.7"], np.array(["0.3", "0.7"])],
+    ids=["complex128", "complex64", "python", "str", "bytes", "float-and-str", "numpy-str"],
 )
 @pytest.mark.parametrize(
     "call,name",
@@ -429,7 +492,7 @@ _FAST = optimize.OptimizerConfig(restarts=1, iters=2, seed=0)
     ids=["Ensemble", "ConvexCombinationChannel", "mix_channels", "report_convex", "verify_theorem2"],
 )
 def test_weights_reject_complex(call, name, weights):
-    # rejected before any cast to float could drop the imaginary parts
+    # rejected before any cast to float could drop the imaginary parts or parse text
     with pytest.raises(ValueError, match=f"^{name} must be real numbers, got "):
         call(weights)
 
