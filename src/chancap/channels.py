@@ -87,13 +87,17 @@ class KrausChannel:
         return tuple(np.einsum_path("kij,jl,kml->im", k, np.empty((self.din, self.din)), k, optimize=True)[0])
 
 
+_U = np.array([1, 1j])  # x + iy = u . (x, y) for u = (1, i)
+
+
 def _gram(rows: np.ndarray) -> np.ndarray:
-    """rows^dag rows of a complex (n, d) array, from one real product of its
-    (n, 2d) view of real and imaginary parts, with no conjugated copy."""
+    """rows^dag rows of a complex (n, d) array, with no conjugated copy: from
+    the real product G of its (n, 2d) view of real and imaginary parts, entry
+    (a, b) is u^dag G_ab u for G's 2 x 2 block G_ab and u = (1, i)."""
+    d = rows.shape[1]
     parts = rows.view(np.float64)
-    g = parts.T @ parts  # row and column 2a + 0 is Re rows[:, a], 2a + 1 is Im
-    re, im = g[0::2], g[1::2]
-    return (re[:, 0::2] + im[:, 1::2]) + 1j * (re[:, 1::2] - im[:, 0::2])
+    g = (parts.T @ parts).reshape(d, 2, d, 2)
+    return np.einsum("p,apbq,q->ab", _U.conj(), g, _U)
 
 
 def _check_branches(branches: Sequence[KrausChannel], empty_message: str) -> tuple[KrausChannel, ...]:
