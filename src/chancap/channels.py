@@ -38,7 +38,7 @@ class KrausChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        try:
+        try:  # in C order, so that _gram can view its rows as floats
             kraus = np.array(self.kraus, dtype=np.complex128, order="C")
         except ValueError as err:  # ragged terms
             raise ValueError("all Kraus terms must share one shape") from err
@@ -60,7 +60,8 @@ class KrausChannel:
             raise ValueError(f"Kraus terms must be matrices, got shape {kraus.shape[1:]}")
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
-        check_identity_sum(_gram(kraus.reshape(-1, kraus.shape[2])), "K^dag K of trace preserving Kraus terms")
+        rows = kraus.reshape(-1, kraus.shape[2])
+        check_identity_sum(_gram(rows), "K^dag K of trace preserving Kraus terms")
 
     @property
     def din(self) -> int:

@@ -51,10 +51,8 @@ def check_weights(weights: Sequence[float], count: int, name: str) -> list[float
     imaginary part, and text before float() parses it."""
     try:
         entries = list(weights)
-        if any(
-            isinstance(w, (str, bytes, bytearray)) or isinstance(w, numbers.Complex) and not isinstance(w, numbers.Real)
-            for w in entries
-        ):
+        text = any(isinstance(w, (str, bytes, bytearray)) for w in entries)
+        if text or any(isinstance(w, numbers.Complex) and not isinstance(w, numbers.Real) for w in entries):
             raise ValueError(f"{name}s must be real numbers, got {weights!r}")
         values = [float(w) for w in entries]
     except TypeError:  # not iterable, or an entry that is itself a sequence

@@ -192,6 +192,7 @@ def test_kraus_channel_copies_a_given_stack_and_freezes_its_own():
     given = np.stack([np.eye(2), np.zeros((2, 2))])
     ch = KrausChannel(given)
     assert given.flags.writeable and not np.shares_memory(given, ch.kraus)
+    assert KrausChannel(np.asfortranarray(given)).kraus.flags.c_contiguous
     given[0, 0, 0] = 7.0  # the channel does not see it
     assert ch.kraus[0, 0, 0] == 1.0
     for built in (ch, identity_channel(2), depolarizing(2, 0.5), tensor_channels([ch, ch]),
