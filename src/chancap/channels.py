@@ -1,7 +1,8 @@
 """CPT maps in operator-sum form: depolarizing channels, tensor products,
 mixtures, and the periodic and convex-combination channels with memory,
 whose n uses `periodic_uses` and `convex_uses` build as one mixture of
-product channels.
+product channels. Every channel is a `KrausChannel`, built and checked by its
+one constructor, which copies each stack once, in C order, and freezes it.
 
 A channel also carries its transfer matrix, the same map on vectorized
 density matrices, which the optimizer uses; `apply` keeps the Kraus sum. It
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .params import check_depolarizing, check_gammas, check_integer, check_positive_integer, check_weights
-from .states import DensityMatrix, check_identity_sum
+from .states import DensityMatrix, check_finite, check_identity_sum
 
 # Product channels are materialized on demand; this caps their total input
 # dimension, and the input dimension of every search, as `check_product_size`
@@ -32,36 +33,29 @@ MAX_PRODUCT_DIM = 16
 class KrausChannel:
     """CPT map given by operator-sum terms.
 
-    Built from any sequence of dout x din matrices, which it keeps as one
-    read-only (terms, dout, din) complex array `kraus`."""
+    Built from any sequence of dout x din matrices, which it copies once,
+    in C order, into one read-only (terms, dout, din) complex array `kraus`;
+    the caller's array is never kept or frozen."""
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        try:  # in C order, so that _gram can view its rows as floats
+        try:
             kraus = np.array(self.kraus, dtype=np.complex128, order="C")
         except ValueError as err:  # ragged terms
             raise ValueError("all Kraus terms must share one shape") from err
-        self._keep(kraus)
-
-    @classmethod
-    def _owning(cls, kraus: np.ndarray) -> KrausChannel:
-        """The channel of a complex (terms, dout, din) stack that this module
-        has just built and no caller holds, kept without a copy."""
-        ch = object.__new__(cls)
-        ch._keep(kraus)
-        return ch
-
-    def _keep(self, kraus: np.ndarray):
-        """Check `kraus`, freeze it and store it as this channel's stack."""
-        if not len(kraus):
+        check_finite(kraus, "Kraus terms")
+        if kraus.shape[:1] == (0,):  # a scalar has no first axis
             raise ValueError("channel needs at least one Kraus term")
         if kraus.ndim != 3:
             raise ValueError(f"Kraus terms must be matrices, got shape {kraus.shape[1:]}")
+        if not kraus.size:
+            raise ValueError(f"Kraus terms must have nonzero dimensions, got shape {kraus.shape[1:]}")
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
+        # sum_k K_k^dag K_k as one product of the terms stacked row-wise
         rows = kraus.reshape(-1, kraus.shape[2])
-        check_identity_sum(_gram(rows), "K^dag K of trace preserving Kraus terms")
+        check_identity_sum(rows.conj().T @ rows, "K^dag K of trace preserving Kraus terms")
 
     @property
     def din(self) -> int:
@@ -86,19 +80,6 @@ class KrausChannel:
         depends only on the operand shapes."""
         k = self.kraus
         return tuple(np.einsum_path("kij,jl,kml->im", k, np.empty((self.din, self.din)), k, optimize=True)[0])
-
-
-_U = np.array([1, 1j])  # x + iy = u . (x, y) for u = (1, i)
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """rows^dag rows of a complex (n, d) array, with no conjugated copy: from
-    the real product G of its (n, 2d) view of real and imaginary parts, entry
-    (a, b) is u^dag G_ab u for G's 2 x 2 block G_ab and u = (1, i)."""
-    d = rows.shape[1]
-    parts = rows.view(np.float64)
-    g = (parts.T @ parts).reshape(d, 2, d, 2)
-    return np.einsum("p,apbq,q->ab", _U.conj(), g, _U)
 
 
 def _check_branches(branches: Sequence[KrausChannel], empty_message: str) -> tuple[KrausChannel, ...]:
@@ -158,7 +139,7 @@ def _weyl_operators(d: int) -> np.ndarray:
 
 def identity_channel(d: int) -> KrausChannel:
     check_positive_integer("d", d)
-    return KrausChannel._owning(np.eye(d, dtype=np.complex128)[None])
+    return KrausChannel(np.eye(d, dtype=np.complex128)[None])
 
 
 def depolarizing(d: int, lam: float) -> KrausChannel:
@@ -173,7 +154,7 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
     # at lam = -1/(d^2-1) round-off can leave the identity weight just below 0 (e.g. d = 6)
     weights = np.full(d * d, (1.0 - lam) / d**2)
     weights[0] = max(0.0, lam + (1.0 - lam) / d**2)
-    return KrausChannel._owning(np.sqrt(weights)[:, None, None] * _weyl_operators(d))
+    return KrausChannel(np.sqrt(weights)[:, None, None] * _weyl_operators(d))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -202,8 +183,7 @@ def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
     if not channels:
         raise ValueError("need at least one channel")
     check_product_size(math.prod(c.din for c in channels))
-    # one factor's stack is that channel's own frozen one, shared unchanged
-    return KrausChannel._owning(reduce(_kron_terms, (c.kraus for c in channels)))
+    return KrausChannel(reduce(_kron_terms, (c.kraus for c in channels)))
 
 
 def check_product_size(d: int, n: int = 1):
@@ -234,7 +214,7 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     shapes = sorted({(c.din, c.dout) for c in channels})
     if len(shapes) > 1:
         raise DimensionMismatchError(f"channels to mix must share one (din, dout), got {shapes}")
-    return KrausChannel._owning(np.concatenate([np.sqrt(w) * c.kraus for w, c in zip(weights, channels)]))
+    return KrausChannel(np.concatenate([np.sqrt(w) * c.kraus for w, c in zip(weights, channels)]))
 
 
 def periodic_uses(ch: PeriodicChannel, n: int) -> KrausChannel:

@@ -13,7 +13,7 @@ from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .entropy import _entropies, _relative_entropies, shannon_entropy, von_neumann_entropy
 from .errors import DimensionMismatchError
 from .params import check_positive_integer, check_weights
-from .states import DensityMatrix, basis_state, check_identity_sum, check_positive_semidefinite
+from .states import DensityMatrix, basis_state, check_finite, check_identity_sum, check_positive_semidefinite
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +48,7 @@ class Povm:
     def __post_init__(self):
         elems = tuple(np.array(e, dtype=np.complex128) for e in self.elements)
         for e in elems:
+            check_finite(e, "POVM elements")
             e.setflags(write=False)
         object.__setattr__(self, "elements", elems)
         if not elems:

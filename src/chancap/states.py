@@ -17,6 +17,13 @@ EIGENVALUE_FLOOR = -1e-10
 IDENTITY_SUM_TOL = 1e-9
 
 
+def check_finite(arr: np.ndarray, what: str):
+    """Raise ValueError unless every entry of `arr` is finite, before any
+    arithmetic on an infinite entry could warn."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must have finite entries")
+
+
 def check_identity_sum(total: np.ndarray, what: str):
     """Raise ValueError unless the square matrix `total` is the identity
     within IDENTITY_SUM_TOL, entry by entry."""
@@ -42,7 +49,7 @@ def check_positive_semidefinite(mat: np.ndarray, what: str) -> np.ndarray:
 class DensityMatrix:
     """Unit-trace positive semidefinite operator.
 
-    Validated on construction: Hermitian to 1e-10, no eigenvalue below
+    Validated on construction: finite, Hermitian to 1e-10, no eigenvalue below
     -1e-10, and trace 1 to 1e-10.  The spectrum that check computes is kept,
     read-only and ascending, so no reader of it diagonalises again.
     """
@@ -52,6 +59,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.mat, dtype=np.complex128, order="C")
+        check_finite(mat, "density matrix")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
