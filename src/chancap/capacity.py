@@ -93,7 +93,7 @@ class CapacityReport(namedtuple("CapacityReport", "closed_form optimizer_value c
 
 def s_min_depolarizing(d: int, lam: float) -> float:
     """Minimum output entropy in bits, attained on any pure input."""
-    check_depolarizing(d, lam)
+    lam = check_depolarizing(d, lam)
     big = lam + (1.0 - lam) / d
     small = (1.0 - lam) / d
     s = 0.0

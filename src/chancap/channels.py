@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
 from .params import check_depolarizing, check_gammas, check_integer, check_positive_integer, check_weights
-from .states import DensityMatrix, check_finite, check_identity_sum
+from .states import DensityMatrix, check_identity_sum, frozen_numbers
 
 # Product channels are materialized on demand; this caps their total input
 # dimension, and the input dimension of every search, as `check_product_size`
@@ -35,23 +35,19 @@ class KrausChannel:
 
     Built from any sequence of dout x din matrices, which it copies once,
     in C order, into one read-only (terms, dout, din) complex array `kraus`;
-    the caller's array is never kept or frozen."""
+    the caller's array is never kept or frozen.  Text, None and other
+    non-numbers are rejected as such."""
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        try:
-            kraus = np.array(self.kraus, dtype=np.complex128, order="C")
-        except ValueError as err:  # ragged terms
-            raise ValueError("all Kraus terms must share one shape") from err
-        check_finite(kraus, "Kraus terms")
+        kraus = frozen_numbers(self.kraus, "Kraus terms", "all Kraus terms must share one shape")
         if kraus.shape[:1] == (0,):  # a scalar has no first axis
             raise ValueError("channel needs at least one Kraus term")
         if kraus.ndim != 3:
             raise ValueError(f"Kraus terms must be matrices, got shape {kraus.shape[1:]}")
         if not kraus.size:
             raise ValueError(f"Kraus terms must have nonzero dimensions, got shape {kraus.shape[1:]}")
-        kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
         # sum_k K_k^dag K_k as one product of the terms stacked row-wise
         rows = kraus.reshape(-1, kraus.shape[2])
@@ -150,7 +146,7 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
     weights lam + (1-lam)/d^2 on the identity and (1-lam)/d^2 elsewhere; both
     are nonnegative exactly on the completely positive range of lam.
     """
-    check_depolarizing(d, lam)
+    lam = check_depolarizing(d, lam)
     # at lam = -1/(d^2-1) round-off can leave the identity weight just below 0 (e.g. d = 6)
     weights = np.full(d * d, (1.0 - lam) / d**2)
     weights[0] = max(0.0, lam + (1.0 - lam) / d**2)
@@ -210,6 +206,8 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     """The channel rho -> sum_i w_i Phi_i(rho): the channels' Kraus stacks,
     each scaled by sqrt(w_i), concatenated in order."""
     channels = list(channels)
+    if not channels:
+        raise ValueError("need at least one channel")
     weights = check_weights(weights, len(channels), "weight")
     shapes = sorted({(c.din, c.dout) for c in channels})
     if len(shapes) > 1:

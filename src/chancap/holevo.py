@@ -1,7 +1,9 @@
 """Ensembles, the Holevo quantity in its two equivalent forms, and POVM
 mutual information for testing the Holevo bound, of any `KrausChannel`:
 n uses of a channel with memory too (`channels.periodic_uses`, `convex_uses`).
-`random_povm` draws a non-projective POVM from Wishart matrices."""
+A POVM keeps its elements as one read-only (k, d, d) stack, which
+`mutual_information` contracts as it is.  `random_povm` draws a
+non-projective POVM from Wishart matrices."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .entropy import _entropies, _relative_entropies, shannon_entropy, von_neumann_entropy
 from .errors import DimensionMismatchError
 from .params import check_positive_integer, check_weights
-from .states import DensityMatrix, basis_state, check_finite, check_identity_sum, check_positive_semidefinite
+from .states import DensityMatrix, basis_state, check_identity_sum, check_positive_semidefinite, frozen_numbers
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,6 +29,9 @@ class Ensemble:
         states = tuple(self.states)
         if not states:
             raise ValueError("ensemble needs at least one state")
+        for s in states:
+            if not isinstance(s, DensityMatrix):
+                raise TypeError(f"ensemble states must be DensityMatrix, got {type(s).__name__}")
         probs = np.array(check_weights(self.probs, len(states), "prob"))
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -41,28 +46,29 @@ class Ensemble:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Hermitian positive operators summing to the identity."""
+    """Hermitian positive operators summing to the identity.
 
-    elements: tuple[np.ndarray, ...]
+    Built from any sequence of d x d matrices, which it copies once, in C
+    order, into one read-only (k, d, d) complex array `elements`; the
+    caller's array is never kept or frozen.  Text, None and other
+    non-numbers are rejected as such."""
+
+    elements: np.ndarray
 
     def __post_init__(self):
-        elems = tuple(np.array(e, dtype=np.complex128) for e in self.elements)
-        for e in elems:
-            check_finite(e, "POVM elements")
-            e.setflags(write=False)
+        square = "POVM elements must be square matrices of equal dimension"
+        elems = frozen_numbers(self.elements, "POVM elements", square)
         object.__setattr__(self, "elements", elems)
-        if not elems:
+        if elems.shape[:1] == (0,):  # a scalar has no first axis
             raise ValueError("POVM needs at least one element")
-        shape = elems[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(e.shape != shape for e in elems):
-            raise ValueError("POVM elements must be square matrices of equal dimension")
-        check_identity_sum(sum(elems), "POVM elements")
-        for e in elems:
-            check_positive_semidefinite(e, "POVM element")
+        if elems.ndim != 3 or elems.shape[1] != elems.shape[2]:
+            raise ValueError(square)
+        check_identity_sum(elems.sum(axis=0), "POVM elements")
+        check_positive_semidefinite(elems, "POVM element")
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
 
 def _wishart(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,7 +133,7 @@ def mutual_information(ch: KrausChannel, ens: Ensemble, m: Povm) -> float:
         )
     outputs = np.array([o.mat for o in _outputs(ch, ens)])
     # tr(out_j E_k) for every pair in one contraction
-    traces = np.einsum("jil,kli->jk", outputs, np.array(m.elements))
+    traces = np.einsum("jil,kli->jk", outputs, m.elements)
     joint = ens.probs[:, None] * np.maximum(traces.real, 0.0)
     px = joint.sum(axis=1)
     py = joint.sum(axis=0)

@@ -33,18 +33,21 @@ def check_positive_integer(name: str, value):
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def check_depolarizing(d: int, lam: float):
-    """Raise unless rho -> lam*rho + (1-lam)*I/d is a channel: TypeError
-    for a d that is not an integer, ValueError for d < 2 or a lam that is
-    not a real number (numpy orders complex ones, and text fails to compare),
-    CPViolationError for lam outside [-1/(d^2-1), 1]."""
+def check_depolarizing(d: int, lam: float) -> float:
+    """`lam` as a float once rho -> lam*rho + (1-lam)*I/d is a channel, so a
+    reduced-precision lam is computed with in double precision; raise
+    TypeError for a d that is not an integer, ValueError for d < 2 or a lam
+    that is not a real number (numpy orders complex ones, text fails to
+    compare, and a bool or NaN is no lambda), CPViolationError for lam
+    outside [-1/(d^2-1), 1]."""
     check_integer("d", d)
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    if not isinstance(lam, numbers.Real):
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or lam != lam:  # NaN != NaN
         raise ValueError(f"lambda must be a real number, got {lam!r}")
     if not -1.0 / (d**2 - 1) <= lam <= 1.0:
         raise CPViolationError(d, lam)
+    return float(lam)
 
 
 def check_weights(weights: Sequence[float], count: int, name: str) -> list[float]:

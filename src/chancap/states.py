@@ -17,11 +17,21 @@ EIGENVALUE_FLOOR = -1e-10
 IDENTITY_SUM_TOL = 1e-9
 
 
-def check_finite(arr: np.ndarray, what: str):
-    """Raise ValueError unless every entry of `arr` is finite, before any
-    arithmetic on an infinite entry could warn."""
+def frozen_numbers(x, what: str, ragged: str) -> np.ndarray:
+    """`x` copied into a new read-only, C-order complex array; ValueError with
+    `ragged` for ragged input, "<what> must be numbers" for text, None or any
+    other non-number, "<what> must have finite entries" before arithmetic can warn."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:
+        raise ValueError(ragged) from None
+    if arr.dtype.kind not in "biufc":
+        raise ValueError(f"{what} must be numbers, got {x!r}")
+    arr = np.array(arr, dtype=np.complex128, order="C")
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must have finite entries")
+    arr.setflags(write=False)
+    return arr
 
 
 def check_identity_sum(total: np.ndarray, what: str):
@@ -32,16 +42,17 @@ def check_identity_sum(total: np.ndarray, what: str):
         raise ValueError(f"{what} must sum to the identity (defect {defect:.3e})")
 
 
-def check_positive_semidefinite(mat: np.ndarray, what: str) -> np.ndarray:
-    """Raise ValueError unless the square matrix `mat` is Hermitian within
-    HERMITICITY_TOL, entry by entry, with no eigenvalue below EIGENVALUE_FLOOR;
-    return its spectrum, eigvalsh's ascending one."""
-    herm_defect = np.max(np.abs(mat - mat.conj().T))
+def check_positive_semidefinite(mats: np.ndarray, what: str) -> np.ndarray:
+    """Raise ValueError unless the square matrix, or every matrix of the
+    stack, `mats` is Hermitian within HERMITICITY_TOL, entry by entry, with no
+    eigenvalue below EIGENVALUE_FLOOR; return the spectra, eigvalsh's ascending ones."""
+    herm_defect = np.max(np.abs(mats - mats.conj().swapaxes(-1, -2)))
     if not herm_defect <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian (defect {herm_defect:.3e})")
-    w = np.linalg.eigvalsh(mat)
-    if not w[0] >= EIGENVALUE_FLOOR:
-        raise ValueError(f"{what} has a negative eigenvalue {w[0]:.3e} below tolerance")
+    w = np.linalg.eigvalsh(mats)
+    low = min(w[..., 0].flat)  # a numpy reduction would add a microsecond to every state
+    if not low >= EIGENVALUE_FLOOR:
+        raise ValueError(f"{what} has a negative eigenvalue {low:.3e} below tolerance")
     return w
 
 
@@ -49,18 +60,18 @@ def check_positive_semidefinite(mat: np.ndarray, what: str) -> np.ndarray:
 class DensityMatrix:
     """Unit-trace positive semidefinite operator.
 
-    Validated on construction: finite, Hermitian to 1e-10, no eigenvalue below
-    -1e-10, and trace 1 to 1e-10.  The spectrum that check computes is kept,
-    read-only and ascending, so no reader of it diagonalises again.
+    Copied on construction into a read-only, C-order complex array and
+    validated: numbers (text, None and other non-numbers are rejected as
+    such), finite, Hermitian to 1e-10, no eigenvalue below -1e-10, and trace
+    1 to 1e-10.  The spectrum that check computes is kept, read-only and
+    ascending, so no reader of it diagonalises again.
     """
 
     mat: np.ndarray
     _eigvals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=np.complex128, order="C")
-        check_finite(mat, "density matrix")
-        mat.setflags(write=False)
+        mat = frozen_numbers(self.mat, "density matrix", "density matrix must be square, got ragged rows")
         object.__setattr__(self, "mat", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"density matrix must be square, got shape {mat.shape}")

@@ -252,7 +252,7 @@ def test_records_are_validated_immutable_values():
     assert a.extras == {} and a.extras is not b.extras  # no shared default dict
     with pytest.raises(AttributeError):
         a.closed_form = 2.0
-    assert check_depolarizing(d=3, lam=0.5) is None and check_depolarizing(2, -1 / 3) is None
+    assert check_depolarizing(d=3, lam=0.5) == 0.5 and check_depolarizing(2, -1 / 3) == -1 / 3
     with pytest.raises(CPViolationError):
         check_depolarizing(d=2, lam=1.5)
     with pytest.raises(CPViolationError):

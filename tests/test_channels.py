@@ -497,8 +497,8 @@ def test_weights_reject_complex(call, name, weights):
 
 @pytest.mark.parametrize(
     "lam",
-    [np.complex128(0.5 + 0.3j), 0.5 + 0j, "0.5", np.str_("0.5")],
-    ids=["numpy-complex", "python-complex", "str", "numpy-str"],
+    [np.complex128(0.5 + 0.3j), 0.5 + 0j, "0.5", np.str_("0.5"), True, float("nan")],
+    ids=["numpy-complex", "python-complex", "str", "numpy-str", "bool", "nan"],
 )
 @pytest.mark.parametrize(
     "call",
@@ -512,9 +512,30 @@ def test_weights_reject_complex(call, name, weights):
 )
 def test_lambda_must_be_real(call, lam):
     # numpy orders complex numbers, so the range test alone would pass a
-    # complex lambda on to a complex "capacity"; text fails to compare
+    # complex lambda on to a complex "capacity"; text fails to compare, True
+    # would pass as 1 and NaN would read as a completely positive violation
     with pytest.raises(ValueError, match=r"^lambda must be a real number, got "):
         call(lam)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_reduced_precision_lambda_is_computed_in_double(dtype):
+    lam = dtype(0.3)
+    exact = float(lam)
+    for call in (lambda x: capacity.s_min_depolarizing(2, x),
+                 lambda x: capacity.chi_star_depolarizing(2, x),
+                 lambda x: capacity.capacity_periodic_depolarizing(2, [x, 0.5])):
+        value = call(lam)
+        assert type(value) is float and value == call(exact)
+    # in lam's own precision the Kraus weights miss the identity sum by 1e-8 (float32)
+    np.testing.assert_array_equal(depolarizing(2, lam).kraus, depolarizing(2, exact).kraus)
+    report = capacity.verify_additivity(2, lam, None, _FAST)
+    assert report.results_dict() == capacity.verify_additivity(2, exact, None, _FAST).results_dict()
+
+
+def test_mix_channels_needs_a_channel():
+    with pytest.raises(ValueError, match="^need at least one channel$"):
+        mix_channels([], [])
 
 
 NAN = float("nan")
@@ -539,6 +560,18 @@ def test_constructors_reject_nan(build):
     # rejected before arithmetic on an infinite entry could warn
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("value", ["ab", None, [["a", "b"], ["c", "d"]]], ids=["str", "None", "str-matrix"])
+@pytest.mark.parametrize(
+    "build,what",
+    [(DensityMatrix, "density matrix"), (KrausChannel, "Kraus terms"), (Povm, "POVM elements")],
+    ids=["DensityMatrix", "KrausChannel", "Povm"],
+)
+def test_constructors_reject_non_numbers(build, what, value):
+    # not read as ragged, non-finite or numpy's malformed complex string
+    with pytest.raises(ValueError, match=f"^{what} must be numbers, got "):
+        build(value)
 
 
 @pytest.mark.parametrize(

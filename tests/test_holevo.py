@@ -44,6 +44,27 @@ def test_ensemble_validation():
         Ensemble([0.5, 0.5], (maximally_mixed(2), maximally_mixed(3)))
 
 
+def test_ensemble_states_must_be_density_matrices():
+    with pytest.raises(TypeError, match="^ensemble states must be DensityMatrix, got ndarray$"):
+        Ensemble([1.0], (np.eye(2),))
+
+
+def test_povm_copies_the_given_elements_into_one_frozen_stack():
+    given = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    povm = Povm(given)
+    assert given.flags.writeable and not np.shares_memory(given, povm.elements)
+    assert Povm(np.asfortranarray(given)).elements.flags.c_contiguous
+    given[0, 0, 0] = 7.0  # the POVM does not see it
+    assert povm.elements[0, 0, 0] == 1.0
+    for built, shape in ((povm, (2, 2, 2)), (Povm((np.eye(3),)), (1, 3, 3)),
+                         (random_povm(3, np.random.default_rng(0)), (4, 3, 3))):
+        elements = built.elements
+        assert type(elements) is np.ndarray and elements.dtype == np.complex128
+        assert elements.shape == shape and built.dim == shape[1]
+        assert not elements.flags.writeable
+        assert elements.flags.c_contiguous
+
+
 def test_povm_validation():
     with pytest.raises(ValueError, match="identity"):
         Povm((np.eye(2) * 0.5,))
