@@ -63,6 +63,8 @@ class Povm:
             raise ValueError("POVM needs at least one element")
         if elems.ndim != 3 or elems.shape[1] != elems.shape[2]:
             raise ValueError(square)
+        if not elems.size:
+            raise ValueError(f"POVM elements must have nonzero dimensions, got shape {elems.shape[1:]}")
         check_identity_sum(elems.sum(axis=0), "POVM elements")
         check_positive_semidefinite(elems, "POVM element")
 

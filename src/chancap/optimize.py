@@ -4,9 +4,9 @@ Independent numerical maximization of Holevo-quantity objectives: the check
 against every closed form, and the probe for any gain from entangled inputs.
 An ensemble is m pure states psi_j with probabilities p_j.  Branch i of the
 channel maps them to outputs sigma_ij with average sigma_bar_i, and the
-objective weighs the branches' Holevo quantities chi_i by weights w: uniform
-for the Holevo quantity and its branch average ("mean" mode), one-hot on the
-worst branch for the branch minimum ("min" mode, maximin).
+objective weighs the branches' Holevo quantities chi_i by the weights w that
+its rule reads off them: `_uniform_weights` for the Holevo quantity and its
+branch average, `_worst_branch_weights` for the branch minimum (maximin).
 
 A restart holds its ensemble as one unit vector Phi = (phi_1, ..., phi_m) in
 C^(m din), phi_j = sqrt(p_j) psi_j, and reads p_j = |phi_j|^2 and psi_j off
@@ -31,7 +31,7 @@ product is taken row by row, so a restart's path is the same in any batch.
 
 Each chi_i is concave in p with gradient g up to a constant, so the duality
 gap max_j g_j - sum_j p_j g_j bounds what any reweighting of the states
-could add (in min mode to the branch minimum as well), whatever stopped the
+could add (also to the worst-branch rule's minimum), whatever stopped the
 restart.  A restart stops, converged, once that gap is below 1e-6 bits and
 Phi's tangent gradient has norm below 5e-7; otherwise the iteration cap
 stops it.  That norm squared is sum_j p_j (|G_j psi_j - g_j psi_j|^2 +
@@ -115,8 +115,7 @@ class OptResult:
     below 5e-7 in norm, rather than at the iteration cap.  `seed` is the
     seed the run drew from (the generated one when the config gave none).
     `duality_gap` is that restart's final gap in bits: no reweighting of its
-    states raises the value by more.  In min mode it is the worst branch's
-    gap, which bounds the branch minimum as well."""
+    states raises the value, or the worst-branch rule's minimum, by more."""
 
     value: float
     ensemble: Ensemble
@@ -160,6 +159,16 @@ def _apply_pure(transfer: np.ndarray, psis: np.ndarray) -> np.ndarray:
     return out.reshape(psis.shape[:-1] + (branches, dout, dout))
 
 
+def _uniform_weights(chis: np.ndarray) -> np.ndarray:
+    """Branch weights (R, branches), all equal whatever the Holevo quantities `chis`."""
+    return np.full(chis.shape, 1.0 / chis.shape[1])
+
+
+def _worst_branch_weights(chis: np.ndarray) -> np.ndarray:
+    """Branch weights (R, branches) one-hot on the least of `chis`, the lowest index of ties."""
+    return np.eye(chis.shape[1])[np.argmin(chis, axis=1)]
+
+
 class _Ascent:
     """The state of a batch of restarts run in lockstep, each array with a
     leading restart axis, so that a stopped restart leaves them all at
@@ -169,16 +178,16 @@ class _Ascent:
     replaces: the states psis (R, m, din) and probabilities (R, m) read off
     Phi, Phi itself and its tangent gradient (R, m din), the objective's
     value and the duality gap.  The branches come as one (branches, dout^2,
-    din^2) stack of transfer matrices."""
+    din^2) stack of transfer matrices; `rule` reads their weights off the chi_i."""
 
     _EVALUATED = ("psis", "probs", "phis", "value", "grad", "gap")
     _PER_RESTART = ("row", "eta", "s", "y") + _EVALUATED
 
-    def __init__(self, transfer: np.ndarray, mode: str, psis: np.ndarray):
+    def __init__(self, transfer: np.ndarray, rule: Callable[[np.ndarray], np.ndarray], psis: np.ndarray):
         self.transfer = transfer
         # each branch's rows vec(L) times its slice give vec(Phi_i^dag(L))
         self.adjoint = transfer.conj()
-        self.mode = mode
+        self.rule = rule
         state = self._evaluate(psis, np.full(psis.shape[:2], 1.0 / psis.shape[1]))
         for name, x in zip(self._EVALUATED, state):
             setattr(self, name, x)
@@ -192,14 +201,6 @@ class _Ascent:
         """Keep only the restarts selected by the boolean mask `rows`."""
         for name in self._PER_RESTART:
             setattr(self, name, getattr(self, name)[rows])
-
-    def _weights(self, chis: np.ndarray) -> np.ndarray:
-        """The branch weights (R, branches) at the Holevo quantities `chis`:
-        uniform in mean mode, one-hot on the worst branch (the lowest index
-        of ties) in min mode."""
-        if self.mode == "min":
-            return np.eye(chis.shape[1])[np.argmin(chis, axis=1)]
-        return np.full(chis.shape, 1.0 / chis.shape[1])
 
     def _evaluate(self, psis: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, ...]:
         """The `_EVALUATED` arrays of the ensembles `psis`, `probs`, with G_j,
@@ -215,7 +216,7 @@ class _Ascent:
         del outs  # the logs below match it in size
         ents = _entropies(evals)
         chis = ents[:, m] - _dot(probs[:, None, :], ents[:, :m].swapaxes(1, 2))
-        weights = self._weights(chis)
+        weights = self.rule(chis)
         value = (weights * chis).sum(axis=1)
         logs = _log2m(evals, evecs)
         del evecs
@@ -279,13 +280,13 @@ class _Ascent:
         return keep
 
 
-def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> dict[str, np.ndarray]:
+def _ascend(transfer: np.ndarray, rule: Callable, psis: np.ndarray, iters: int) -> dict[str, np.ndarray]:
     """Run one restart per row of `psis` (R, m, din) from uniform
     probabilities on the branches' (branches, dout^2, din^2) transfer
-    matrices, for at most `iters` iterations each, in chunks of restarts
-    whose member outputs and curvature pairs fit _CHUNK_BYTES.  Returns,
-    indexed by restart, the final value, psis, probs, iterations, converged
-    and duality_gap."""
+    matrices, weighed by the branch-weight `rule`, for at most `iters`
+    iterations each, in chunks of restarts whose member outputs and
+    curvature pairs fit _CHUNK_BYTES.  Returns, indexed by restart, the
+    final value, psis, probs, iterations, converged and duality_gap."""
     restarts, m, din = psis.shape
     # per restart: its member outputs, and its curvature pairs
     size = max(1, _CHUNK_BYTES // (16 * m * (transfer.shape[0] * transfer.shape[1] + 2 * _MEMORY * din)))
@@ -293,7 +294,7 @@ def _ascend(transfer: np.ndarray, mode: str, psis: np.ndarray, iters: int) -> di
            "probs": np.empty((restarts, m)), "iterations": np.empty(restarts, dtype=int),
            "converged": np.empty(restarts, dtype=bool), "duality_gap": np.empty(restarts)}
     for first in range(0, restarts, size):
-        ascent = _Ascent(transfer, mode, psis[first : first + size])
+        ascent = _Ascent(transfer, rule, psis[first : first + size])
         for t in range(iters + 1):
             converged = ascent.stationary()
             stop = converged | (t == iters)
@@ -319,8 +320,8 @@ def random_unit_vectors(dim: int, m: int, rng: np.random.Generator) -> np.ndarra
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
 
-def _maximize(branches: Sequence[KrausChannel], mode: str, m: int | None, cfg: OptimizerConfig,
-              evaluate: Callable[[Ensemble], float]) -> OptResult:
+def _maximize(branches: Sequence[KrausChannel], rule: Callable[[np.ndarray], np.ndarray], m: int | None,
+              cfg: OptimizerConfig, evaluate: Callable[[Ensemble], float]) -> OptResult:
     # checked before the transfer matrices, which grow as the input
     # dimension to the fourth power, are built
     dim = branches[0].din
@@ -336,7 +337,7 @@ def _maximize(branches: Sequence[KrausChannel], mode: str, m: int | None, cfg: O
     cfg = cfg.seeded()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     psis = np.stack([random_unit_vectors(dim, m, np.random.default_rng(c)) for c in children])
-    out = _ascend(np.stack([b.transfer for b in branches]), mode, psis, cfg.iters)
+    out = _ascend(np.stack([b.transfer for b in branches]), rule, psis, cfg.iters)
 
     best = int(np.argmax(out["value"]))  # the first of ties
     ensemble = Ensemble(out["probs"][best],
@@ -357,21 +358,20 @@ def maximize_chi(
     ch: KrausChannel, m: int | None = None, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptResult:
     """Lower-bound the Holevo capacity by ascent over size-m pure ensembles."""
-    return _maximize([ch], "mean", m, cfg, lambda ens: holevo.chi(ch, ens))
+    return _maximize([ch], _uniform_weights, m, cfg, lambda ens: holevo.chi(ch, ens))
 
 
 def maximize_avg_chi(
     ch: PeriodicChannel, m: int | None = None, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptResult:
     """Maximize the period-averaged Holevo quantity over one shared ensemble."""
-    return _maximize(ch.branches, "mean", m, cfg, lambda ens: holevo.chi_periodic_average(ch, ens))
+    return _maximize(ch.branches, _uniform_weights, m, cfg, lambda ens: holevo.chi_periodic_average(ch, ens))
 
 
 def maximize_min_chi(
     ch: ConvexCombinationChannel, m: int | None = None, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptResult:
     """Maximize the worst-branch Holevo quantity (maximin): each iteration
-    follows the worst branch, ties resolved toward the lowest branch index,
-    and is kept only when the minimum itself rises."""
-    return _maximize(ch.branches, "min", m, cfg, lambda ens: holevo.chi_branch_min(ch, ens))
+    follows the worst branch and is kept only when the minimum itself rises."""
+    return _maximize(ch.branches, _worst_branch_weights, m, cfg, lambda ens: holevo.chi_branch_min(ch, ens))
 

@@ -280,6 +280,18 @@ def test_verify_theorem1_small_budget():
     assert all(c.bound == 2 * rep.closed_form for c in rep.checks[2:])
 
 
+def test_verify_theorem1_three_branch_small_budget():
+    # the uniform weights 1/3 of three periodic branches are not binary
+    # fractions, unlike those of one or two
+    lambdas = [0.9, 0.5, -0.1]
+    rep = verify_theorem1(2, lambdas, cfg=FAST)
+    assert rep.passed and rep.extras["converged"]
+    assert rep.closed_form == capacity_periodic_depolarizing(2, lambdas)
+    assert rep.optimizer_value == pytest.approx(rep.closed_form, abs=1e-9)
+    assert [c.name for c in rep.checks] == TWO_SEARCH_CHECKS
+    assert all(c.bound == 2 * rep.closed_form for c in rep.checks[2:])
+
+
 def test_verify_theorem2_small_budget():
     rep = verify_theorem2(2, [0.9, 0.5], [0.3, 0.7], cfg=FAST)
     assert rep.passed

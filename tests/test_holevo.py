@@ -75,6 +75,10 @@ def test_povm_validation():
         Povm(([[1, 1], [0, 0]], [[0, -1], [0, 1]]))
     with pytest.raises(ValueError, match="square matrices"):
         Povm((1.0,))
+    # 0 x 0 elements would reach the identity-sum check with nothing to sum
+    for empty in (np.zeros((2, 0, 0)), (np.zeros((0, 0)),)):
+        with pytest.raises(ValueError, match=r"^POVM elements must have nonzero dimensions, got shape \(0, 0\)$"):
+            Povm(empty)
 
 
 def test_chi_single_state_is_zero():

@@ -33,7 +33,15 @@ from chancap import (
     verify_theorem2,
 )
 from chancap import optimize
-from chancap.optimize import OptimizerConfig, _apply_pure, _Ascent, _ascend, random_unit_vectors
+from chancap.optimize import (
+    OptimizerConfig,
+    _apply_pure,
+    _Ascent,
+    _ascend,
+    _uniform_weights,
+    _worst_branch_weights,
+    random_unit_vectors,
+)
 
 # small budgets keep the unit tests quick; the acceptance suite runs the
 # spec budgets
@@ -55,7 +63,7 @@ def test_first_of_tied_restarts_is_reported():
     # once with value exactly 0, and the report is restart 0's ensemble
     ch = depolarizing(2, 0.0)
     starts = _starts(FAST.seed, FAST.restarts, 2, 2)
-    out = _ascend(_transfers([ch]), "mean", starts, FAST.iters)
+    out = _ascend(_transfers([ch]), _uniform_weights, starts, FAST.iters)
     assert np.unique(out["value"]).size == 1 and (out["iterations"] == 0).all()
     res = maximize_chi(ch, 2, FAST)
     np.testing.assert_array_equal(res.ensemble.probs, [0.5, 0.5])
@@ -123,9 +131,9 @@ def test_determinism_same_seed():
 def test_no_restart_starts_at_the_computational_basis(monkeypatch):
     starts = []
 
-    def ascend(transfer, mode, psis, iters):
+    def ascend(transfer, rule, psis, iters):
         starts.append(psis)
-        return _ascend(transfer, mode, psis, iters)
+        return _ascend(transfer, rule, psis, iters)
 
     monkeypatch.setattr(optimize, "_ascend", ascend)
     maximize_chi(depolarizing(2, 0.5), 4, OptimizerConfig(restarts=4, iters=1, seed=0))
@@ -146,22 +154,47 @@ def _starts(seed, restarts, dim, m):
     return np.stack([random_unit_vectors(dim, m, np.random.Generator(np.random.PCG64(c))) for c in children])
 
 
+def test_weight_rules():
+    # the worst-branch rule is one-hot on the least chi, the lowest index of
+    # ties; the uniform rule weighs every branch alike
+    np.testing.assert_array_equal(_worst_branch_weights(np.array([[0.2, 0.2, 0.5], [0.4, 0.1, 0.1]])),
+                                  np.eye(3)[[0, 1]])
+    for branches in (1, 2, 3):
+        weights = _uniform_weights(np.arange(2.0 * branches).reshape(2, branches))
+        assert weights.shape == (2, branches) and (weights == weights[0, 0]).all()
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rule", ["min", "mean", None])
+def test_search_takes_only_a_rule(rule):
+    # a mode name or None in place of a weight rule fails at the first
+    # evaluation, and no objective is formed
+    with pytest.raises(TypeError, match="not callable"):
+        _ascend(_transfers([depolarizing(2, 0.9), depolarizing(2, 0.5)]), rule, _starts(7, 1, 2, 4), 1)
+
+
 _LOCKSTEP_CASES = [
-    ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 8, (5, None)),
-    ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4, (5, None)),
-    ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4, (5, None)),
+    (_uniform_weights, (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 8, (5, None)),
+    (_uniform_weights, (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4, (5, None)),
+    (_worst_branch_weights, (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4, (5, None)),
     # output dimension 9: the sums over an output take numpy's pairwise
     # path, which sums in blocks of 8
-    ("mean", (tensor_channels([depolarizing(3, 0.5)] * 2),), 9, 4, (4, None)),
+    (_uniform_weights, (tensor_channels([depolarizing(3, 0.5)] * 2),), 9, 4, (4, None)),
     # chunks of two restarts, so the five span three chunks
-    ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16, (5, 2)),
+    (_uniform_weights, (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16, (5, 2)),
     # three flat branches: the worst one changes along the search
-    ("min", tuple(tensor_channels([depolarizing(2, lam)] * 2) for lam in (0.3, 0.8, -0.1)), 4, 16, (5, None)),
+    (_worst_branch_weights, tuple(tensor_channels([depolarizing(2, lam)] * 2) for lam in (0.3, 0.8, -0.1)),
+     4, 16, (5, None)),
 ]
 
 
-@pytest.mark.parametrize("mode,channels,dim,m,cfg", _LOCKSTEP_CASES)
-def test_batching_independence(monkeypatch, mode, channels, dim, m, cfg):
+def _rule_id(value):
+    """The test ids "mean" and "min" for the two weight rules, pytest's own otherwise."""
+    return "mean" if value is _uniform_weights else "min" if value is _worst_branch_weights else None
+
+
+@pytest.mark.parametrize("rule,channels,dim,m,cfg", _LOCKSTEP_CASES, ids=_rule_id)
+def test_batching_independence(monkeypatch, rule, channels, dim, m, cfg):
     # each restart run inside the batch, while the others stop before or
     # after it, must end exactly where it ends alone; cfg pairs the restart
     # count with the restarts per chunk (None: all in one)
@@ -174,18 +207,18 @@ def test_batching_independence(monkeypatch, mode, channels, dim, m, cfg):
     batches = []
     init = _Ascent.__init__
 
-    def recording(self, transfer, mode, psis):
+    def recording(self, transfer, rule, psis):
         batches.append(len(psis))
-        init(self, transfer, mode, psis)
+        init(self, transfer, rule, psis)
 
     monkeypatch.setattr(_Ascent, "__init__", recording)
     iters = 2000
-    batched = _ascend(transfer, mode, psis, iters)
+    batched = _ascend(transfer, rule, psis, iters)
     assert batches == ([chunk] * (restarts // chunk) + [restarts % chunk] if chunk else [restarts])
     assert np.unique(batched["iterations"]).size > 1, "restarts should stop at different iterations"
     assert batched["converged"].all() and (batched["duality_gap"] < optimize._FINAL_GAP).all()
     for r in range(restarts):
-        alone = _ascend(transfer, mode, psis[r : r + 1], iters)
+        alone = _ascend(transfer, rule, psis[r : r + 1], iters)
         for name, x in alone.items():
             np.testing.assert_array_equal(batched[name][r], x[0], err_msg=name)
 
@@ -329,24 +362,24 @@ def test_transfer_matches_kraus_apply(channel):
 
 
 @pytest.mark.parametrize(
-    "mode,channels,dim,m",
+    "rule,channels,dim,m",
     [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ("mean", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
-        ("min", (depolarizing(2, 0.2), depolarizing(2, -0.1)), 2, 4),
+        (_uniform_weights, (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        (_uniform_weights, (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        (_worst_branch_weights, (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        (_worst_branch_weights, (depolarizing(2, 0.2), depolarizing(2, -0.1)), 2, 4),
         # neither branch degrades the other, so the worst one changes
-        ("mean", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
-        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+        (_uniform_weights, (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+        (_worst_branch_weights, (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
         # rank-deficient outputs, whose logs take the eigenvalue floor
-        ("mean", (identity_channel(2),), 2, 4),
-        ("mean", (_damping(0.6),), 2, 4),
-        ("mean", (_damping(0.999),), 2, 4),
+        (_uniform_weights, (identity_channel(2),), 2, 4),
+        (_uniform_weights, (_damping(0.6),), 2, 4),
+        (_uniform_weights, (_damping(0.999),), 2, 4),
     ],
     ids=["mean-two-use", "mean-periodic", "min-0.9,0.5", "min-0.2,-0.1", "mean-damping",
          "min-damping", "identity", "damping-0.6", "damping-0.999"],
 )
-def test_iteration_monotone(monkeypatch, mode, channels, dim, m):
+def test_iteration_monotone(monkeypatch, rule, channels, dim, m):
     # at no iteration does a restart's value fall, a restart that rejects
     # the iteration keeps its ensemble, and nothing turns NaN
     step = _Ascent.step
@@ -365,21 +398,21 @@ def test_iteration_monotone(monkeypatch, mode, channels, dim, m):
 
     monkeypatch.setattr(_Ascent, "step", checked)
     # starts from which every case rejects some iteration
-    out = _ascend(_transfers(channels), mode, _starts(23, 3, dim, m), 300)
+    out = _ascend(_transfers(channels), rule, _starts(23, 3, dim, m), 300)
     kept = np.concatenate(kept)
     assert kept.any() and not kept.all()
     assert np.isfinite(out["value"]).all() and np.isfinite(out["duality_gap"]).all()
 
 
 @pytest.mark.parametrize(
-    "mode,channels,dim,m",
+    "rule,channels,dim,m",
     [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+        (_uniform_weights, (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        (_worst_branch_weights, (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
     ],
     ids=["mean-two-use", "min-damping"],
 )
-def test_ascend_leaves_start_states_unwritten(monkeypatch, mode, channels, dim, m):
+def test_ascend_leaves_start_states_unwritten(monkeypatch, rule, channels, dim, m):
     # the batch holds the start states it is given, uncopied, so neither a
     # kept nor a rejected iteration may write into them
     step = _Ascent.step
@@ -387,7 +420,7 @@ def test_ascend_leaves_start_states_unwritten(monkeypatch, mode, channels, dim, 
     monkeypatch.setattr(_Ascent, "step", lambda self: kept.append(step(self)) or kept[-1])
     psis = _starts(23, 3, dim, m)
     before = psis.tobytes()
-    _ascend(_transfers(channels), mode, psis, 300)
+    _ascend(_transfers(channels), rule, psis, 300)
     assert psis.tobytes() == before
     kept = np.concatenate(kept)
     assert kept.any() and not kept.all()
@@ -400,15 +433,15 @@ def _filled(ascent):
 
 
 @pytest.mark.parametrize(
-    "mode,channels,dim,m",
+    "rule,channels,dim,m",
     [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
-        ("min", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+        (_uniform_weights, (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        (_worst_branch_weights, (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        (_worst_branch_weights, (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
     ],
     ids=["mean-two-use", "min-0.9,0.5", "min-damping"],
 )
-def test_curvature_pairs_and_step_schedule(monkeypatch, mode, channels, dim, m):
+def test_curvature_pairs_and_step_schedule(monkeypatch, rule, channels, dim, m):
     # a kept iteration with <s, y> > 0 appends the pair (change of Phi,
     # fall of its tangent gradient) and drops the oldest one; any other
     # iteration leaves the pairs as they were.  eta grows 1.5x toward 1 on a
@@ -450,7 +483,7 @@ def test_curvature_pairs_and_step_schedule(monkeypatch, mode, channels, dim, m):
         return keep
 
     monkeypatch.setattr(_Ascent, "step", checked)
-    _ascend(_transfers(channels), mode, _starts(23, 3, dim, m), 300)
+    _ascend(_transfers(channels), rule, _starts(23, 3, dim, m), 300)
     kept = np.concatenate(kept)
     assert kept.any() and not kept.all()
     assert max(n.max() for n in stored) == optimize._MEMORY, "some restart should fill its memory"
@@ -478,20 +511,20 @@ def _two_loop(grad, s, y, phis):
 
 def test_direction_without_pairs_is_the_tangent_gradient():
     transfer = _transfers([tensor_channels([depolarizing(2, 0.5)] * 2)])
-    ascent = _Ascent(transfer, "mean", _starts(5, 4, 4, 16))
+    ascent = _Ascent(transfer, _uniform_weights, _starts(5, 4, 4, 16))
     assert not ascent.s.any() and not ascent.y.any() and not _filled(ascent).any()
     np.testing.assert_allclose(ascent.direction(), ascent.grad, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
-    "mode,channels,dim,m",
+    "rule,channels,dim,m",
     [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
+        (_uniform_weights, (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        (_worst_branch_weights, (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
     ],
     ids=["mean-two-use", "min-three-branch"],
 )
-def test_directions_are_tangent(monkeypatch, mode, channels, dim, m):
+def test_directions_are_tangent(monkeypatch, rule, channels, dim, m):
     # the tangent gradient and the quasi-Newton direction have no component
     # along Phi, the whole ensemble as one unit vector, and the direction is
     # the textbook two-loop recursion over the pairs held, rho = 1 / <s, y>
@@ -509,7 +542,7 @@ def test_directions_are_tangent(monkeypatch, mode, channels, dim, m):
         return d
 
     monkeypatch.setattr(_Ascent, "direction", checked)
-    _ascend(_transfers(channels), mode, _starts(3, 3, dim, m), 300)
+    _ascend(_transfers(channels), rule, _starts(3, 3, dim, m), 300)
     assert any(seen), "some direction should use curvature pairs"
 
 
@@ -590,7 +623,7 @@ def test_one_eigensolve_per_evaluation(monkeypatch, channels):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    ascent = _Ascent(_transfers(channels), "mean", _starts(5, 3, 2, 4))
+    ascent = _Ascent(_transfers(channels), _uniform_weights, _starts(5, 3, 2, 4))
     ascent._evaluate(ascent.psis.copy(), ascent.probs.copy())
     ascent.step()
     assert calls == [(3, 5, len(channels), 2, 2)] * 3
@@ -600,11 +633,11 @@ def test_incremental_caches_match_rebuild():
     # after kept and rejected iterations alike, the cached values, Phi, its
     # tangent gradients and the gaps equal a fresh evaluation of the states
     # and probabilities read off Phi
-    for mode, channels, dim, m in [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
+    for rule, channels, dim, m in [
+        (_uniform_weights, (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        (_worst_branch_weights, (depolarizing(2, 0.9), depolarizing(2, 0.5), _damping(0.6)), 2, 6),
     ]:
-        ascent = _Ascent(_transfers(channels), mode, _starts(5, 4, dim, m))
+        ascent = _Ascent(_transfers(channels), rule, _starts(5, 4, dim, m))
         kept = []
         for eta in (0.3, 3.0, 30.0, 0.1, 10.0, 1.0):
             ascent.eta = np.full(4, eta)
@@ -617,18 +650,18 @@ def test_incremental_caches_match_rebuild():
 
 
 @pytest.mark.parametrize(
-    "mode,lambdas,iters",
-    [pytest.param("mean", (0.5,), n, id=str(n)) for n in (1, 3, 200)]
-    + [pytest.param("min", (0.9, 0.5), n, id=f"min-{n}") for n in (1, 3, 200)],
+    "rule,lambdas,iters",
+    [pytest.param(_uniform_weights, (0.5,), n, id=str(n)) for n in (1, 3, 200)]
+    + [pytest.param(_worst_branch_weights, (0.9, 0.5), n, id=f"min-{n}") for n in (1, 3, 200)],
 )
-def test_duality_gap_brackets_optimum(mode, lambdas, iters):
+def test_duality_gap_brackets_optimum(rule, lambdas, iters):
     # the computational basis is an optimal set of states for every
     # depolarizing branch, so it does not move, and over its probabilities,
     # 3/4 and 1/4 at the start, value <= closed form <= value + gap at every
     # iteration; the gap closes
     transfer = _transfers([depolarizing(2, lam) for lam in lambdas])
     psis = np.eye(2, dtype=np.complex128)[[0, 1, 0, 0]]
-    ascent = _Ascent(transfer, mode, psis[None])
+    ascent = _Ascent(transfer, rule, psis[None])
     closed = capacity_convex_depolarizing(2, lambdas)
     for t in range(iters + 1):
         assert ascent.value <= closed + 1e-12
@@ -642,20 +675,21 @@ def test_duality_gap_brackets_optimum(mode, lambdas, iters):
         assert ascent.gap < optimize._FINAL_GAP
 
 
-@pytest.mark.parametrize("mode,lambdas", [("mean", (0.5,)), ("min", (0.9, 0.5))], ids=["mean", "min"])
-def test_tol_is_the_final_gap_stop(monkeypatch, mode, lambdas):
+@pytest.mark.parametrize("rule,lambdas", [(_uniform_weights, (0.5,)), (_worst_branch_weights, (0.9, 0.5))],
+                         ids=["mean", "min"])
+def test_tol_is_the_final_gap_stop(monkeypatch, rule, lambdas):
     # a restart stops before the cap, converged, only once its gap is below
     # _FINAL_GAP and its tangent gradient below _GRAD_DONE; with either
     # bound at 0, every restart runs to the cap
     transfer = _transfers([tensor_channels([depolarizing(2, lam)] * 2) for lam in lambdas])
     psis = _starts(3, 3, 4, 8)
-    out = _ascend(transfer, mode, psis, 1000)
+    out = _ascend(transfer, rule, psis, 1000)
     assert out["converged"].all() and (out["iterations"] < 1000).all()
     assert (out["duality_gap"] < optimize._FINAL_GAP).all()
     for bound in ("_FINAL_GAP", "_GRAD_DONE"):
         with monkeypatch.context() as patch:
             patch.setattr(optimize, bound, 0.0)
-            out = _ascend(transfer, mode, psis, 1000)
+            out = _ascend(transfer, rule, psis, 1000)
             assert not out["converged"].any() and (out["iterations"] == 1000).all(), bound
 
 
@@ -664,30 +698,31 @@ def test_constant_channel_stops_at_once():
     # the gap: each restart stops, converged, at its start states
     transfer = _transfers([depolarizing(2, 0.0)])
     psis = _starts(0, 4, 2, 4)
-    assert np.abs(_Ascent(transfer, "mean", psis).grad).max() < 1e-15
-    out = _ascend(transfer, "mean", psis, 300)
+    assert np.abs(_Ascent(transfer, _uniform_weights, psis).grad).max() < 1e-15
+    out = _ascend(transfer, _uniform_weights, psis, 300)
     assert out["converged"].all() and (out["iterations"] == 0).all()
     np.testing.assert_array_equal(out["psis"], psis)
 
 
 @pytest.mark.parametrize(
-    "mode,channels,dim,m",
+    "rule,channels,dim,m",
     [
-        ("mean", (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
-        ("min", (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
-        ("min", (tensor_channels([depolarizing(2, 0.9)] * 2), tensor_channels([depolarizing(2, 0.5)] * 2)), 4, 16),
-        ("mean", (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
+        (_uniform_weights, (tensor_channels([depolarizing(2, 0.5)] * 2),), 4, 16),
+        (_worst_branch_weights, (depolarizing(2, 0.9), depolarizing(2, 0.5)), 2, 4),
+        (_worst_branch_weights, (tensor_channels([depolarizing(2, 0.9)] * 2), tensor_channels([depolarizing(2, 0.5)] * 2)),
+         4, 16),
+        (_uniform_weights, (_damping(0.6), _damping(0.6, mirrored=True)), 2, 4),
     ],
     ids=["mean-two-use", "min-0.9,0.5", "min-two-use", "mean-damping"],
 )
-def test_converged_restarts_are_stationary(mode, channels, dim, m):
+def test_converged_restarts_are_stationary(rule, channels, dim, m):
     # a converged restart has Phi's tangent gradient below _GRAD_DONE in
     # norm and a gap below _FINAL_GAP, at the states and probabilities it
     # returns
     transfer = _transfers(channels)
-    out = _ascend(transfer, mode, _starts(2, 4, dim, m), 2000)
+    out = _ascend(transfer, rule, _starts(2, 4, dim, m), 2000)
     assert out["converged"].all()
-    ascent = _Ascent(transfer, mode, out["psis"][:1])
+    ascent = _Ascent(transfer, rule, out["psis"][:1])
     for psis, probs, value, duality_gap in zip(out["psis"], out["probs"], out["value"], out["duality_gap"]):
         state = dict(zip(_Ascent._EVALUATED, ascent._evaluate(psis[None], probs[None])))
         assert np.linalg.norm(state["grad"][0]) < optimize._GRAD_DONE
@@ -725,7 +760,7 @@ def test_verify_output_independent_of_blas_threads():
     # the average outputs sum their members, and G_j its branches, in a
     # fixed order: as one BLAS product either sum, and with it the value and
     # the duality gap, moved in the last digits with the thread count at
-    # d = 3; theorem2 runs the min-mode (maximin) search
+    # d = 3; theorem2 runs the worst-branch (maximin) search
     src = os.path.dirname(os.path.dirname(os.path.abspath(optimize.__file__)))
     for search in (["additivity", "--lambda", "0.5"], ["theorem1", "--lambdas", "0.9,0.5"],
                    ["theorem2", "--lambdas", "0.9,0.5"]):
