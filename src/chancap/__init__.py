@@ -5,12 +5,13 @@ convex-combination channels, plus an independent ensemble optimizer used to
 verify the closed forms and the additivity of the capacity at desk scale.
 
 `import chancap` loads no submodule and no numpy.  The first access of an
-exported name imports every submodule and binds every export, as an eager
-import would; a submodule attribute such as `chancap.capacity` imports that
-submodule alone.  `chancap.capacity` (the closed forms and the reports),
-`chancap.params` and `chancap.errors` need the standard library alone, which
-is what lets the CLI's `capacity` and `sweep` commands run without numpy;
-the other submodules and the `verify_*` drivers need numpy.
+exported name imports only the submodule that defines it (and what that
+submodule imports), then binds the name; a submodule attribute such as
+`chancap.capacity` imports that submodule alone.  `chancap.capacity` (the
+closed forms and the reports), `chancap.params` and `chancap.errors` need the
+standard library alone, so the closed forms run without numpy, through
+`chancap.chi_star_depolarizing` as through the CLI's `capacity` and `sweep`
+commands; the other submodules and the `verify_*` drivers need numpy.
 """
 
 import importlib
@@ -70,10 +71,8 @@ def __getattr__(name: str):
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    for module in _SUBMODULES:
-        importlib.import_module(f"{__name__}.{module}")
-    globals().update((export, getattr(globals()[module], export)) for export, module in _EXPORTS.items())
-    return globals()[name]
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value
 
 
 def __dir__():

@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
-from .params import check_depolarizing, check_gammas, check_integer, check_positive_integer, check_weights
+from .params import (check_depolarizing, check_gammas, check_instance, check_integer, check_positive_integer,
+                     check_weights)
 from .states import DensityMatrix, check_identity_sum, frozen_numbers
 
 # Product channels are materialized on demand; this caps their total input
@@ -83,6 +84,8 @@ def _check_branches(branches: Sequence[KrausChannel], empty_message: str) -> tup
     branches = tuple(branches)
     if not branches:
         raise ValueError(empty_message)
+    for b in branches:
+        check_instance("branches", b, KrausChannel)
     d = branches[0].din
     if any(b.din != d or b.dout != d for b in branches):
         raise DimensionMismatchError("all branches must share din = dout = d")
@@ -157,6 +160,8 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Channel output sum_k K rho K^dag, contracted in numpy's greedy order,
     which the channel finds at its first `apply` and keeps, so the output has
     the bits of `einsum(optimize=True)` without its search on every call."""
+    check_instance("channel", ch, KrausChannel)
+    check_instance("state", rho, DensityMatrix)
     if rho.dim != ch.din:
         raise DimensionMismatchError(
             f"state dim {rho.dim} does not match channel input dim {ch.din}"
@@ -178,6 +183,8 @@ def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one channel")
+    for c in channels:
+        check_instance("channels", c, KrausChannel)
     check_product_size(math.prod(c.din for c in channels))
     return KrausChannel(reduce(_kron_terms, (c.kraus for c in channels)))
 
@@ -208,6 +215,8 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
     channels = list(channels)
     if not channels:
         raise ValueError("need at least one channel")
+    for c in channels:
+        check_instance("channels", c, KrausChannel)
     weights = check_weights(weights, len(channels), "weight")
     shapes = sorted({(c.din, c.dout) for c in channels})
     if len(shapes) > 1:

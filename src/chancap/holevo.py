@@ -14,7 +14,7 @@ from . import channels
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .entropy import _entropies, _relative_entropies, shannon_entropy, von_neumann_entropy
 from .errors import DimensionMismatchError
-from .params import check_positive_integer, check_weights
+from .params import check_instance, check_positive_integer, check_weights
 from .states import DensityMatrix, basis_state, check_identity_sum, check_positive_semidefinite, frozen_numbers
 
 
@@ -30,8 +30,7 @@ class Ensemble:
         if not states:
             raise ValueError("ensemble needs at least one state")
         for s in states:
-            if not isinstance(s, DensityMatrix):
-                raise TypeError(f"ensemble states must be DensityMatrix, got {type(s).__name__}")
+            check_instance("ensemble states", s, DensityMatrix)
         probs = np.array(check_weights(self.probs, len(states), "prob"))
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -92,6 +91,8 @@ def random_povm(dim: int, rng: np.random.Generator) -> Povm:
 def _outputs(ch: KrausChannel, ens: Ensemble) -> list[DensityMatrix]:
     """The channel outputs of the ensemble's states, in order, once the
     ensemble is checked to fit the channel's input."""
+    check_instance("channel", ch, KrausChannel)
+    check_instance("ensemble", ens, Ensemble)
     if ens.dim != ch.din:
         raise DimensionMismatchError(
             f"ensemble dim {ens.dim} does not match channel input dim {ch.din}"
@@ -129,11 +130,12 @@ def chi_via_relative_entropy(ch: KrausChannel, ens: Ensemble) -> float:
 def mutual_information(ch: KrausChannel, ens: Ensemble, m: Povm) -> float:
     """Classical mutual information of the input letter and the measurement
     outcome, P(k|j) = tr(Phi(rho_j) E_k)."""
+    check_instance("POVM", m, Povm)
+    outputs = np.array([o.mat for o in _outputs(ch, ens)])
     if m.dim != ch.dout:
         raise DimensionMismatchError(
             f"POVM dim {m.dim} does not match channel output dim {ch.dout}"
         )
-    outputs = np.array([o.mat for o in _outputs(ch, ens)])
     # tr(out_j E_k) for every pair in one contraction
     traces = np.einsum("jil,kli->jk", outputs, m.elements)
     joint = ens.probs[:, None] * np.maximum(traces.real, 0.0)

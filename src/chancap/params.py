@@ -1,4 +1,4 @@
-"""Validators of integers, channel parameters and probability vectors.
+"""Validators of argument types, integers, channel parameters and probability vectors.
 
 They use the standard library alone, so the closed-form capacities and the
 CLI commands built on them run without numpy.
@@ -24,6 +24,12 @@ def check_integer(name: str, value):
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def check_instance(name: str, value, kind: type):
+    """Raise TypeError unless `value` is a `kind`, naming the type it has."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
 
 
 def check_positive_integer(name: str, value):

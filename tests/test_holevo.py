@@ -19,6 +19,7 @@ from chancap import (
     mutual_information,
     random_povm,
     shannon_entropy,
+    tensor_channels,
     uniform_orthonormal_ensemble,
 )
 from chancap import holevo
@@ -47,6 +48,31 @@ def test_ensemble_validation():
 def test_ensemble_states_must_be_density_matrices():
     with pytest.raises(TypeError, match="^ensemble states must be DensityMatrix, got ndarray$"):
         Ensemble([1.0], (np.eye(2),))
+
+
+_CH = depolarizing(2, 0.5)
+_ENS = uniform_orthonormal_ensemble(2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: apply(_CH, np.eye(2) / 2), "state must be DensityMatrix, got ndarray"),
+        (lambda: apply(np.eye(2), maximally_mixed(2)), "channel must be KrausChannel, got ndarray"),
+        (lambda: chi(_CH, _ENS.states), "ensemble must be Ensemble, got tuple"),
+        (lambda: chi_via_relative_entropy(_CH.kraus, _ENS), "channel must be KrausChannel, got ndarray"),
+        (lambda: mutual_information(_CH, _ENS, [np.eye(2)]), "POVM must be Povm, got list"),
+        (lambda: mutual_information(_CH, _ENS.states, random_povm(2, np.random.default_rng(0))),
+         "ensemble must be Ensemble, got tuple"),
+        (lambda: tensor_channels([_CH, np.eye(2)]), "channels must be KrausChannel, got ndarray"),
+        (lambda: mix_channels([_CH, _CH.kraus], [0.5, 0.5]), "channels must be KrausChannel, got ndarray"),
+        (lambda: PeriodicChannel([_CH, "x"]), "branches must be KrausChannel, got str"),
+        (lambda: ConvexCombinationChannel((None, _CH), [0.5, 0.5]), "branches must be KrausChannel, got NoneType"),
+    ],
+)
+def test_wrong_argument_type_is_a_named_type_error(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
 
 
 def test_povm_copies_the_given_elements_into_one_frozen_stack():

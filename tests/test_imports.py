@@ -29,8 +29,10 @@ print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect"
 """
 
 
-def _fresh(code: str, *args: str) -> str:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+def _fresh(code: str, *args: str, path: str = "") -> str:
+    # `path` goes before the sources, as a stand-in package such as `_without_numpy`'s
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [path, SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -62,12 +64,17 @@ def test_verify_loads_numpy():
     assert loaded == ["True"] * 3 and code in ("0", "1")
 
 
-def test_verify_without_numpy_is_usage_error(tmp_path):
-    # a numpy package whose import fails stands in for an interpreter without
-    # numpy; the run exits 2 (usage), not 1 (a failed check)
+def _without_numpy(tmp_path) -> str:
+    """A directory whose numpy package fails to import: put first on the
+    path, it stands in for an interpreter without numpy."""
     (tmp_path / "numpy").mkdir()
     (tmp_path / "numpy" / "__init__.py").write_text('raise ImportError("numpy is unavailable")\n')
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
+    return str(tmp_path)
+
+
+def test_verify_without_numpy_is_usage_error(tmp_path):
+    # the run exits 2 (usage), not 1 (a failed check)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_without_numpy(tmp_path), SRC]))
     argv = ["verify", "additivity", "--d", "2", "--lambda", "0.5", "--iters", "2"]
     proc = subprocess.run([sys.executable, "-m", "chancap", *argv], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -88,15 +95,27 @@ def test_bare_import_loads_no_numpy_and_resolves_submodules_on_access():
     ]
 
 
-def test_first_export_access_loads_every_submodule():
-    # a tool that patches loaded chancap modules, as perfbench's tracer does,
-    # finds the same modules after any export's first use as after an eager import
-    code = (
-        "import sys, chancap\n"
-        "chancap.chi_star_depolarizing\n"
-        "print(sorted(set(chancap._SUBMODULES) - {m[8:] for m in sys.modules if m.startswith('chancap.')}))\n"
-    )
-    assert _fresh(code) == "[]"
+# looks up chancap.<name> in a fresh interpreter, then prints the chancap
+# submodules loaded and whether numpy was
+_LOADED_BY = (
+    "import sys, chancap\n"
+    "chancap.{}\n"
+    "print(*sorted(m[8:] for m in sys.modules if m.startswith('chancap.')), 'numpy' in sys.modules)\n"
+)
+
+
+def test_a_closed_form_export_loads_only_its_module_and_no_numpy():
+    assert _fresh(_LOADED_BY.format("chi_star_depolarizing")) == "capacity errors params False"
+
+
+def test_a_channel_export_loads_neither_the_search_nor_the_closed_forms():
+    loaded = set(_fresh(_LOADED_BY.format("depolarizing")).split())
+    assert "channels" in loaded and not loaded & {"optimize", "holevo", "entropy", "capacity"}
+
+
+def test_closed_forms_through_the_package_run_without_numpy(tmp_path):
+    code = "import chancap\nprint(repr(chancap.capacity_convex_depolarizing(2, [0.9, 0.5])))\n"
+    assert _fresh(code, path=_without_numpy(tmp_path)) == "0.18872187554086717"
 
 
 def test_submodule_table_matches_the_package_files():
