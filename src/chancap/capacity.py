@@ -109,17 +109,15 @@ def chi_star_depolarizing(d: int, lam: float) -> float:
     return math.log2(d) - s_min_depolarizing(d, lam)
 
 
-def _validate_lambdas(d: int, lambdas: Sequence[float]):
+def _validate_lambdas(lambdas: Sequence[float]):
     if not len(lambdas):
         raise ValueError("need at least one branch parameter")
-    for lam in lambdas:
-        check_depolarizing(d, lam)  # CPViolationError names the offending value
 
 
 def capacity_periodic_depolarizing(d: int, lambdas: Sequence[float]) -> float:
     """Product-state capacity of the periodic channel with depolarizing
     branches: log2(d) minus the period-averaged minimum output entropy."""
-    _validate_lambdas(d, lambdas)
+    _validate_lambdas(lambdas)
     s_mins = [s_min_depolarizing(d, lam) for lam in lambdas]
     return math.log2(d) - sum(s_mins) / len(s_mins)
 
@@ -128,7 +126,7 @@ def capacity_convex_depolarizing(d: int, lambdas: Sequence[float]) -> float:
     """Product-state capacity of a convex combination of depolarizing
     channels: the worst branch's Holevo capacity.  The mixing weights do
     not enter."""
-    _validate_lambdas(d, lambdas)
+    _validate_lambdas(lambdas)
     return min(chi_star_depolarizing(d, lam) for lam in lambdas)
 
 

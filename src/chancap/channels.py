@@ -202,6 +202,7 @@ def check_product_size(d: int, n: int = 1):
 
 def periodic_branch(ch: PeriodicChannel, i: int, n: int) -> KrausChannel:
     """Product of n consecutive branches starting at index i (cyclic)."""
+    check_instance("channel", ch, PeriodicChannel)
     check_integer("i", i)
     if not 0 <= i < ch.period:
         raise IndexError(f"branch index {i} out of range for period {ch.period}")
@@ -227,11 +228,13 @@ def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> 
 def periodic_uses(ch: PeriodicChannel, n: int) -> KrausChannel:
     """n uses of the periodic channel: the uniform average over the starting
     phase i of the branch products phi_i (x) phi_{i+1} (x) ... (x) phi_{i+n-1}."""
+    check_instance("channel", ch, PeriodicChannel)
     products = [periodic_branch(ch, i, n) for i in range(ch.period)]
     return mix_channels(products, [1.0 / ch.period] * ch.period)
 
 
 def convex_uses(ch: ConvexCombinationChannel, n: int) -> KrausChannel:
     """n uses of the convex combination: sum_i gamma_i phi_i^(x)n."""
+    check_instance("channel", ch, ConvexCombinationChannel)
     check_product_size(ch.branches[0].din, n)
     return mix_channels([tensor_channels([b] * n) for b in ch.branches], ch.gammas)

@@ -3,9 +3,12 @@
 Subcommands: `capacity {depolarizing|periodic|convex}`,
 `verify {additivity|theorem1|theorem2}`, and `sweep`.  Output is a JSON
 report (or CSV with --format csv); exit code 0 on success, 1 when a
-verification check fails, 2 on usage or validation errors, 3 on a numerical
-failure (an eigensolver that did not converge, a search whose value the
-Kraus form does not reproduce, or a non-finite value in the report).
+verification check fails, 2 on usage or validation errors (among them a --d
+whose completely positive bound -1/(d^2-1) overflows a double, and --timings
+with the sweep's CSV table, which has no place for the timing), 3 on a
+numerical failure (an eigensolver that did not converge, a search whose
+value the Kraus form does not reproduce, or a non-finite value in the
+report).
 
 Each command's flags are declared once, in `_COMMANDS` and the `_CHANNEL`,
 `_OPTIMIZER` and `_COMMON` sets; the parser, the config file and the
@@ -222,7 +225,6 @@ def _sweep(d: int, lo: float, hi: float, step: float) -> dict:
     for name, value in (("lambda_from", lo), ("lambda_to", hi), ("step", step)):
         if not math.isfinite(value):
             raise ValueError(f"{_flag(name)} must be finite, got {value}")
-    check_depolarizing(d, 1.0)  # rejects d < 2 before the grid bounds divide by d*d - 1
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if lo > hi:
@@ -255,6 +257,8 @@ def _run(args: argparse.Namespace) -> tuple[dict, int]:
             raise ValueError(f"missing required value: {_flag(name)} (flag or config file)")
     inputs = dict(zip(names, params))
     if args.command == "sweep":
+        if args.timings and args.format == "csv":
+            raise ValueError("--timings needs the JSON report: the sweep's CSV table has no timing")
         return _payload(args.invoked, inputs, _sweep(*params)), 0
     if args.command == "capacity":
         report = getattr(capacity, function)(*params)

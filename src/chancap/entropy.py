@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .params import check_instance
 from .states import DensityMatrix
 
 # Eigenvalues of the second argument below this count as "no support" when
@@ -33,6 +34,7 @@ def shannon_entropy(p: np.ndarray) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr(rho log2 rho)."""
+    check_instance("state", rho, DensityMatrix)
     return float(_entropies(rho._eigvals))
 
 
@@ -42,6 +44,8 @@ def relative_entropy(a: DensityMatrix, b: DensityMatrix) -> float:
     Returns math.inf when `a` has weight above 1e-9 on a direction where `b`
     has eigenvalue below 1e-12 (support mismatch).
     """
+    check_instance("first state", a, DensityMatrix)
+    check_instance("second state", b, DensityMatrix)
     return float(_relative_entropies((a,), b.mat)[0])
 
 

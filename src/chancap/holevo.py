@@ -146,11 +146,13 @@ def mutual_information(ch: KrausChannel, ens: Ensemble, m: Povm) -> float:
 
 def chi_periodic_average(ch: PeriodicChannel, ens: Ensemble) -> float:
     """Arithmetic mean over the period of the per-branch Holevo quantities."""
+    check_instance("channel", ch, PeriodicChannel)
     return float(np.mean([chi(branch, ens) for branch in ch.branches]))
 
 
 def chi_branch_min(ch: ConvexCombinationChannel, ens: Ensemble) -> float:
     """Minimum over the branches of the per-branch Holevo quantities."""
+    check_instance("channel", ch, ConvexCombinationChannel)
     return float(np.min([chi(branch, ens) for branch in ch.branches]))
 
 

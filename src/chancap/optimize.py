@@ -65,7 +65,7 @@ from . import holevo
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel, check_product_size
 from .entropy import _entropies
 from .holevo import Ensemble
-from .params import check_integer, check_positive_integer
+from .params import check_instance, check_integer, check_positive_integer
 from .states import DensityMatrix
 
 _EIG_FLOOR = 1e-30  # keeps the logs of rank-deficient outputs finite
@@ -358,6 +358,7 @@ def maximize_chi(
     ch: KrausChannel, m: int | None = None, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptResult:
     """Lower-bound the Holevo capacity by ascent over size-m pure ensembles."""
+    check_instance("channel", ch, KrausChannel)
     return _maximize([ch], _uniform_weights, m, cfg, lambda ens: holevo.chi(ch, ens))
 
 
@@ -365,6 +366,7 @@ def maximize_avg_chi(
     ch: PeriodicChannel, m: int | None = None, cfg: OptimizerConfig = OptimizerConfig()
 ) -> OptResult:
     """Maximize the period-averaged Holevo quantity over one shared ensemble."""
+    check_instance("channel", ch, PeriodicChannel)
     return _maximize(ch.branches, _uniform_weights, m, cfg, lambda ens: holevo.chi_periodic_average(ch, ens))
 
 
@@ -373,5 +375,6 @@ def maximize_min_chi(
 ) -> OptResult:
     """Maximize the worst-branch Holevo quantity (maximin): each iteration
     follows the worst branch and is kept only when the minimum itself rises."""
+    check_instance("channel", ch, ConvexCombinationChannel)
     return _maximize(ch.branches, _worst_branch_weights, m, cfg, lambda ens: holevo.chi_branch_min(ch, ens))
 

@@ -16,11 +16,10 @@ WEIGHT_SUM_TOL = 1e-12  # every probability vector: weights, gammas, ensembles
 
 
 def check_integer(name: str, value):
-    """Raise TypeError unless `value` is an integer other than a bool, as numbers.Integral tests."""
+    """`value` as an int; raise TypeError unless it is an integer other than a bool, as numbers.Integral tests."""
     if not isinstance(value, bool):
         try:
-            operator.index(value)
-            return
+            return operator.index(value)
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
@@ -42,17 +41,20 @@ def check_positive_integer(name: str, value):
 def check_depolarizing(d: int, lam: float) -> float:
     """`lam` as a float once rho -> lam*rho + (1-lam)*I/d is a channel, so a
     reduced-precision lam is computed with in double precision; raise
-    TypeError for a d that is not an integer, ValueError for d < 2 or a lam
-    that is not a real number (numpy orders complex ones, text fails to
-    compare, and a bool or NaN is no lambda), CPViolationError for lam
-    outside [-1/(d^2-1), 1]."""
-    check_integer("d", d)
+    TypeError for a d that is not an integer, ValueError for d < 2, for a d
+    whose bound -1/(d^2-1) overflows a double or for a lam that is not real
+    (numpy orders complex ones, text fails to compare, and a bool or NaN is
+    no lambda), CPViolationError for lam outside [-1/(d^2-1), 1]."""
+    d = check_integer("d", d)  # a Python int, whose d**2 cannot wrap as a numpy integer's can
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or lam != lam:  # NaN != NaN
         raise ValueError(f"lambda must be a real number, got {lam!r}")
-    if not -1.0 / (d**2 - 1) <= lam <= 1.0:
-        raise CPViolationError(d, lam)
+    try:
+        if not -1.0 / (d**2 - 1) <= lam <= 1.0:
+            raise CPViolationError(d, lam)
+    except OverflowError:  # d above about 1.34e154
+        raise ValueError(f"dimension {d} is too large: -1/(d^2-1) overflows a double") from None
     return float(lam)
 
 

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .params import check_integer, check_positive_integer
+from .params import check_instance, check_integer, check_positive_integer
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -105,6 +105,8 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two density matrices."""
+    check_instance("first state", a, DensityMatrix)
+    check_instance("second state", b, DensityMatrix)
     return DensityMatrix(np.kron(a.mat, b.mat))
 
 
@@ -116,6 +118,7 @@ def partial_trace(
     `dims` gives the dimension of each factor; their product must equal the
     dimension of `rho`.  Kept factors appear in their original order.
     """
+    check_instance("state", rho, DensityMatrix)
     dims = list(dims)
     for d in dims:
         check_positive_integer("dims entry", d)
@@ -143,6 +146,7 @@ def partial_trace(
 def eigenvalues(rho: DensityMatrix) -> np.ndarray:
     """Read-only real spectrum in descending order; round-off negatives in
     [-1e-10, 0) clamp to 0."""
+    check_instance("state", rho, DensityMatrix)
     w = rho._eigvals[::-1].copy()
     w[w < 0] = 0.0
     w.setflags(write=False)

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from chancap import (
     ConvexCombinationChannel,
     CPViolationError,
+    DensityMatrix,
+    DimensionMismatchError,
+    Ensemble,
+    Povm,
     capacity_convex_depolarizing,
     capacity_periodic_depolarizing,
     chi,
@@ -17,6 +21,7 @@ from chancap import (
     chi_periodic_average,
     chi_star_depolarizing,
     depolarizing,
+    mutual_information,
     PeriodicChannel,
     periodic_branch,
     s_min_depolarizing,
@@ -73,6 +78,34 @@ def test_closed_forms_reject_cp_violation():
         capacity_periodic_depolarizing(2, [0.5, -0.4])
     with pytest.raises(CPViolationError):
         capacity_convex_depolarizing(2, [0.5, 2.0])
+
+
+@pytest.mark.parametrize("d", [10**200, 10**400], ids=["1e200", "1e400"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: check_depolarizing(d, 0.5),
+        lambda d: chi_star_depolarizing(d, 0.5),
+        lambda d: capacity_periodic_depolarizing(d, [0.5, 0.9]),
+        lambda d: capacity_convex_depolarizing(d, [0.5, 0.9]),
+    ],
+    ids=["check", "chi_star", "periodic", "convex"],
+)
+def test_dimension_whose_bound_overflows_is_a_value_error(call, d):
+    # -1/(d^2-1) does not fit a double once d exceeds about 1.34e154
+    with pytest.raises(ValueError, match=f"^dimension {d} is too large: "):
+        call(d)
+
+
+def test_dimension_bound_is_exact_up_to_the_overflow():
+    # at d = 1e154 the bound is -1e-308, still formed
+    assert check_depolarizing(10**154, -1e-309) == -1e-309
+    with pytest.raises(CPViolationError):
+        check_depolarizing(10**154, -1e-300)
+    # a numpy integer's d**2 would wrap (17**2 = 33 in uint8) and admit this lambda
+    with pytest.raises(CPViolationError, match=re.escape("[-0.003472, 1]")):
+        chi_star_depolarizing(np.uint8(17), -0.03)
+    assert chi_star_depolarizing(np.uint8(17), 0.5) == chi_star_depolarizing(17, 0.5)
 
 
 def test_chi_star_monotone_on_unit_interval():
@@ -246,6 +279,32 @@ def test_non_integer_rejected(call, error, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: capacity_periodic_depolarizing(2, []), ValueError, "need at least one branch parameter"),
+        (lambda: PeriodicChannel(()), ValueError, "periodic channel needs at least one branch"),
+        (lambda: PeriodicChannel((depolarizing(2, 0.5), depolarizing(3, 0.5))), DimensionMismatchError,
+         "all branches must share din = dout = d"),
+        (lambda: tensor_channels([]), ValueError, "need at least one channel"),
+        (lambda: Ensemble([], ()), ValueError, "ensemble needs at least one state"),
+        (lambda: Povm(np.zeros((0, 2, 2))), ValueError, "POVM needs at least one element"),
+        (lambda: mutual_information(depolarizing(2, 0.5), uniform_orthonormal_ensemble(2), random_povm(3, RNG)),
+         DimensionMismatchError, "POVM dim 3 does not match channel output dim 2"),
+        (lambda: DensityMatrix(np.ones(2) / 2), ValueError, "density matrix must be square, got shape (2,)"),
+        (lambda: basis_state(2, 2), ValueError, "basis index 2 out of range for dim 2"),
+        (lambda: partial_trace(MIXED_4, [2, 2], [2]), ValueError, "keep indices [2] out of range for 2 factors"),
+        (lambda: partial_trace(MIXED_4, [2, 2], []), ValueError, "must keep at least one factor"),
+    ],
+    ids=["no_lambdas", "no_branches", "branch_dims", "no_channels", "no_states", "no_povm_elements",
+         "povm_dim", "density_matrix_vector", "basis_index", "keep_index", "keep_nothing"],
+)
+def test_empty_or_mismatched_input_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert caught.type is error
+
+
 def test_records_are_validated_immutable_values():
     a, b = CapacityReport(1.0), CapacityReport(closed_form=1.0)
     assert a == b and a.gap is None and a.passed
@@ -315,6 +374,14 @@ def test_reported_seed_reproduces_report(verify, args):
     rerun = verify(*args, cfg=OptimizerConfig(restarts=2, iters=40, seed=drawn.extras["opt_seed"]))
     assert rerun.results_dict() == drawn.results_dict()
     assert rerun.checks == drawn.checks
+
+
+def test_verify_additivity_default_budget():
+    # no cfg: the default budget, under a seed drawn and reported
+    rep = verify_additivity(2, 0.5)
+    assert rep.passed and rep.extras["converged"]
+    assert rep.extras["restarts"] == OptimizerConfig().restarts
+    assert isinstance(rep.extras["opt_seed"], int)
 
 
 def test_verify_theorem2_gamma_independent_closed_form():

@@ -234,6 +234,42 @@ def test_sweep_rejects_small_dimension(capsys, d):
     assert err == f"error: dimension must be at least 2, got {d}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--lambda-from", "0.5", "--lambda-to", "0.2"], "empty grid: lambda-from 0.5 exceeds lambda-to 0.2"),
+        (["--lambda-from", "0", "--lambda-to", "1.2"],
+         "lambda=1.2 is not completely positive for d=2; admissible interval is [-0.333333, 1]"),
+    ],
+    ids=["reversed", "past-one"],
+)
+def test_sweep_rejects_bad_range(capsys, argv, message):
+    code, out, err = run(capsys, ["sweep", "--d", "2", "--step", "0.1"] + argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("d", [10**200, 10**400], ids=["1e200", "1e400"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["capacity", "depolarizing", "--lambda", "0.5"],
+        ["capacity", "periodic", "--lambdas", "0.5,0.9"],
+        ["capacity", "convex", "--lambdas", "0.5,0.9"],
+        ["sweep", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.5"],
+        ["verify", "additivity", "--lambda", "0.5"],
+        ["verify", "theorem1", "--lambdas", "0.5,0.9"],
+        ["verify", "theorem2", "--lambdas", "0.5,0.9"],
+    ],
+    ids=["capacity-depolarizing", "capacity-periodic", "capacity-convex", "sweep",
+         "verify-additivity", "verify-theorem1", "verify-theorem2"],
+)
+def test_dimension_whose_bound_overflows_is_usage_error(capsys, argv, d):
+    code, out, err = run(capsys, argv + ["--d", str(d)])
+    assert code == 2 and out == ""
+    assert err == f"error: dimension {d} is too large: -1/(d^2-1) overflows a double\n"
+
+
 def test_missing_dimension_is_usage_error(capsys):
     code, _, err = run(capsys, ["capacity", "depolarizing", "--lambda", "0.5"])
     assert code == 2
@@ -418,6 +454,49 @@ def test_timings_flag_adds_measurement(capsys):
     assert json.loads(out)["timing_ms"] > 0
 
 
+_SWEEP = ["sweep", "--d", "2", "--lambda-from", "0", "--lambda-to", "1", "--step", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "flags,cfg",
+    [
+        (["--format", "csv", "--timings"], None),
+        (["--format", "csv"], {"timings": True}),
+        (["--timings"], {"format": "csv"}),
+        ([], {"format": "csv", "timings": True}),
+    ],
+    ids=["flags", "config-timings", "config-format", "config-both"],
+)
+def test_sweep_csv_rejects_timings(tmp_path, capsys, flags, cfg):
+    # the table has no place for the timing, which would be dropped
+    if cfg is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        flags = flags + ["--config", str(path)]
+    code, out, err = run(capsys, _SWEEP + flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --timings ") and err.count("\n") == 1
+
+
+def test_timings_kept_outside_the_sweep_csv(capsys):
+    code, out, _ = run(capsys, _SWEEP + ["--timings"])
+    assert code == 0 and json.loads(out)["timing_ms"] > 0
+    argv = ["capacity", "depolarizing", "--d", "2", "--lambda", "0.5", "--format", "csv", "--timings"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and float(dict(line.split(",") for line in out.splitlines())["timing_ms"]) > 0
+
+
+def test_config_sets_timings_and_out(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"d": 2, "lambda": 0.5, "timings": True, "out": str(target)}))
+    code, out, err = run(capsys, ["capacity", "depolarizing", "--config", str(path)])
+    assert (code, out, err) == (0, "", "")
+    payload = json.loads(target.read_text())
+    assert payload["timing_ms"] > 0
+    assert payload["results"]["closed_form"] == pytest.approx(CHI_HALF, abs=1e-9)
+
+
 def test_report_csv_flattening(capsys):
     code, out, _ = run(
         capsys,
@@ -552,9 +631,11 @@ def test_non_finite_report_is_numerical_failure(capsys, monkeypatch, command, fm
         (["capacity", "periodic", "--d", "2"], {"lambdas": [0.9, "", 0.5]}, "lambdas"),
         # a key repeated inside one object, given as raw JSON text
         (["capacity", "depolarizing"], '{"d": 2, "lambda": 0.5, "lambda": 0.9}', "lambda"),
+        # a JSON value that is not an object
+        (["capacity", "depolarizing", "--d", "2", "--lambda", "0.5"], "[1]", "object"),
     ],
     ids=["lam", "d-float", "seed-float", "lambdas-text", "format", "timings", "out",
-         "lambdas-empty-entry", "lambdas-empty-item", "lambda-repeated"],
+         "lambdas-empty-entry", "lambdas-empty-item", "lambda-repeated", "not-an-object"],
 )
 def test_config_rejects_bad_value(tmp_path, capsys, argv, cfg, key):
     path = tmp_path / "run.json"

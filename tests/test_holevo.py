@@ -12,17 +12,28 @@ from chancap import (
     chi_branch_min,
     chi_periodic_average,
     chi_via_relative_entropy,
+    convex_uses,
     depolarizing,
+    eigenvalues,
     identity_channel,
     maximally_mixed,
+    maximize_avg_chi,
+    maximize_chi,
+    maximize_min_chi,
     mix_channels,
     mutual_information,
+    partial_trace,
+    periodic_branch,
+    periodic_uses,
     random_povm,
+    relative_entropy,
     shannon_entropy,
+    tensor,
     tensor_channels,
     uniform_orthonormal_ensemble,
+    von_neumann_entropy,
 )
-from chancap import holevo
+from chancap import holevo, optimize
 from random_inputs import haar_unitary, random_density_matrix, random_pure_state
 
 # chi of Delta_0.5 on the uniform qubit basis: 1 - H(0.25), frozen
@@ -52,6 +63,9 @@ def test_ensemble_states_must_be_density_matrices():
 
 _CH = depolarizing(2, 0.5)
 _ENS = uniform_orthonormal_ensemble(2)
+_PERIODIC = PeriodicChannel((depolarizing(2, 0.9), _CH))
+_CONVEX = ConvexCombinationChannel(_PERIODIC.branches, [0.5, 0.5])
+_MIXED = maximally_mixed(2)
 
 
 @pytest.mark.parametrize(
@@ -68,9 +82,49 @@ _ENS = uniform_orthonormal_ensemble(2)
         (lambda: mix_channels([_CH, _CH.kraus], [0.5, 0.5]), "channels must be KrausChannel, got ndarray"),
         (lambda: PeriodicChannel([_CH, "x"]), "branches must be KrausChannel, got str"),
         (lambda: ConvexCombinationChannel((None, _CH), [0.5, 0.5]), "branches must be KrausChannel, got NoneType"),
+        # the other memory channel's objective is no answer for this one
+        pytest.param(lambda: maximize_avg_chi(_CONVEX),
+                     "channel must be PeriodicChannel, got ConvexCombinationChannel", id="maximize_avg_chi-convex"),
+        pytest.param(lambda: chi_periodic_average(_CONVEX, _ENS),
+                     "channel must be PeriodicChannel, got ConvexCombinationChannel", id="chi_periodic_average-convex"),
+        pytest.param(lambda: maximize_min_chi(_PERIODIC),
+                     "channel must be ConvexCombinationChannel, got PeriodicChannel", id="maximize_min_chi-periodic"),
+        pytest.param(lambda: chi_branch_min(_PERIODIC, _ENS),
+                     "channel must be ConvexCombinationChannel, got PeriodicChannel", id="chi_branch_min-periodic"),
+        pytest.param(lambda: chi_periodic_average(_CH, _ENS),
+                     "channel must be PeriodicChannel, got KrausChannel", id="chi_periodic_average-kraus"),
+        pytest.param(lambda: chi_branch_min(_PERIODIC.branches, _ENS),
+                     "channel must be ConvexCombinationChannel, got tuple", id="chi_branch_min-tuple"),
+        pytest.param(lambda: periodic_branch(_CONVEX, 0, 2),
+                     "channel must be PeriodicChannel, got ConvexCombinationChannel", id="periodic_branch-convex"),
+        pytest.param(lambda: periodic_uses(_CH, 2),
+                     "channel must be PeriodicChannel, got KrausChannel", id="periodic_uses-kraus"),
+        pytest.param(lambda: convex_uses(_PERIODIC, 2),
+                     "channel must be ConvexCombinationChannel, got PeriodicChannel", id="convex_uses-periodic"),
+        pytest.param(lambda: maximize_chi(np.eye(2), 4),
+                     "channel must be KrausChannel, got ndarray", id="maximize_chi-ndarray"),
+        pytest.param(lambda: maximize_avg_chi(_CH),
+                     "channel must be PeriodicChannel, got KrausChannel", id="maximize_avg_chi-kraus"),
+        pytest.param(lambda: maximize_min_chi(_CH),
+                     "channel must be ConvexCombinationChannel, got KrausChannel", id="maximize_min_chi-kraus"),
+        pytest.param(lambda: von_neumann_entropy(np.eye(2) / 2),
+                     "state must be DensityMatrix, got ndarray", id="von_neumann_entropy"),
+        pytest.param(lambda: eigenvalues(np.eye(2) / 2),
+                     "state must be DensityMatrix, got ndarray", id="eigenvalues"),
+        pytest.param(lambda: partial_trace(np.eye(4) / 4, [2, 2], [0]),
+                     "state must be DensityMatrix, got ndarray", id="partial_trace"),
+        pytest.param(lambda: relative_entropy(_MIXED, np.eye(2) / 2),
+                     "second state must be DensityMatrix, got ndarray", id="relative_entropy"),
+        pytest.param(lambda: tensor(_MIXED, np.eye(2) / 2),
+                     "second state must be DensityMatrix, got ndarray", id="tensor"),
     ],
 )
-def test_wrong_argument_type_is_a_named_type_error(call, message):
+def test_wrong_argument_type_is_a_named_type_error(monkeypatch, call, message):
+    # a maximize_* call is refused before its search starts
+    def search(*args):
+        raise AssertionError("search started before the type check")
+
+    monkeypatch.setattr(optimize, "_ascend", search)
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
 
