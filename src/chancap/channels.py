@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, DimensionMismatchError
-from .params import (check_depolarizing, check_gammas, check_instance, check_integer, check_positive_integer,
-                     check_weights)
+from .params import (check_depolarizing, check_gammas, check_instance, check_integer, check_items,
+                     check_positive_integer, check_weights)
 from .states import DensityMatrix, check_identity_sum, frozen_numbers
 
 # Product channels are materialized on demand; this caps their total input
@@ -81,11 +81,7 @@ class KrausChannel:
 
 def _check_branches(branches: Sequence[KrausChannel], empty_message: str) -> tuple[KrausChannel, ...]:
     """The branches of a memory channel as a tuple: at least one, all with one din = dout."""
-    branches = tuple(branches)
-    if not branches:
-        raise ValueError(empty_message)
-    for b in branches:
-        check_instance("branches", b, KrausChannel)
+    branches = check_items("branches", branches, KrausChannel, empty_message)
     d = branches[0].din
     if any(b.din != d or b.dout != d for b in branches):
         raise DimensionMismatchError("all branches must share din = dout = d")
@@ -137,7 +133,7 @@ def _weyl_operators(d: int) -> np.ndarray:
 
 
 def identity_channel(d: int) -> KrausChannel:
-    check_positive_integer("d", d)
+    d = check_positive_integer("d", d)
     return KrausChannel(np.eye(d, dtype=np.complex128)[None])
 
 
@@ -147,9 +143,11 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
     Its Kraus terms are the one stack of d^2 Weyl operators X^a Z^b,
     X^a Z^b|k> = omega^(b k)|k + a mod d>, scaled by the square roots of the
     weights lam + (1-lam)/d^2 on the identity and (1-lam)/d^2 elsewhere; both
-    are nonnegative exactly on the completely positive range of lam.
+    are nonnegative exactly on the completely positive range of lam.  Its
+    d^4 entries are built only for a d that `check_product_size` allows.
     """
     lam = check_depolarizing(d, lam)
+    d = check_product_size(d)
     # at lam = -1/(d^2-1) round-off can leave the identity weight just below 0 (e.g. d = 6)
     weights = np.full(d * d, (1.0 - lam) / d**2)
     weights[0] = max(0.0, lam + (1.0 - lam) / d**2)
@@ -180,30 +178,28 @@ def _kron_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tensor_channels(channels: Sequence[KrausChannel]) -> KrausChannel:
     """Tensor product channel; Kraus terms are all Kronecker products of
     the factors' terms, the first factor's term varying slowest."""
-    channels = list(channels)
-    if not channels:
-        raise ValueError("need at least one channel")
-    for c in channels:
-        check_instance("channels", c, KrausChannel)
+    channels = check_items("channels", channels, KrausChannel, "need at least one channel")
     check_product_size(math.prod(c.din for c in channels))
     return KrausChannel(reduce(_kron_terms, (c.kraus for c in channels)))
 
 
-def check_product_size(d: int, n: int = 1):
-    """Refuse n uses of dimension d unless n is a positive integer and the
-    input dimension d^n is at most MAX_PRODUCT_DIM: the one size rule, for
-    products and searches alike."""
-    check_integer("n", n)
+def check_product_size(d: int, n: int = 1) -> int:
+    """The input dimension d^n of n uses of dimension d, as a Python int;
+    refuse it unless d and n are integers, n is positive and d^n is at most
+    MAX_PRODUCT_DIM: the one size rule, for products and searches alike."""
+    n = check_integer("n", n)
     if n < 1:
         raise ValueError(f"number of uses must be positive, got {n}")
-    if d**n > MAX_PRODUCT_DIM:
-        raise CapabilityError(f"input dimension {d**n} exceeds the desk-scale cap {MAX_PRODUCT_DIM}")
+    dim = check_integer("d", d) ** n
+    if dim > MAX_PRODUCT_DIM:
+        raise CapabilityError(f"input dimension {dim} exceeds the desk-scale cap {MAX_PRODUCT_DIM}")
+    return dim
 
 
 def periodic_branch(ch: PeriodicChannel, i: int, n: int) -> KrausChannel:
     """Product of n consecutive branches starting at index i (cyclic)."""
     check_instance("channel", ch, PeriodicChannel)
-    check_integer("i", i)
+    i = check_integer("i", i)
     if not 0 <= i < ch.period:
         raise IndexError(f"branch index {i} out of range for period {ch.period}")
     check_product_size(ch.d, n)
@@ -213,11 +209,7 @@ def periodic_branch(ch: PeriodicChannel, i: int, n: int) -> KrausChannel:
 def mix_channels(channels: Sequence[KrausChannel], weights: Sequence[float]) -> KrausChannel:
     """The channel rho -> sum_i w_i Phi_i(rho): the channels' Kraus stacks,
     each scaled by sqrt(w_i), concatenated in order."""
-    channels = list(channels)
-    if not channels:
-        raise ValueError("need at least one channel")
-    for c in channels:
-        check_instance("channels", c, KrausChannel)
+    channels = check_items("channels", channels, KrausChannel, "need at least one channel")
     weights = check_weights(weights, len(channels), "weight")
     shapes = sorted({(c.din, c.dout) for c in channels})
     if len(shapes) > 1:

@@ -14,7 +14,7 @@ from . import channels
 from .channels import ConvexCombinationChannel, KrausChannel, PeriodicChannel
 from .entropy import _entropies, _relative_entropies, shannon_entropy, von_neumann_entropy
 from .errors import DimensionMismatchError
-from .params import check_instance, check_positive_integer, check_weights
+from .params import check_instance, check_items, check_positive_integer, check_weights
 from .states import DensityMatrix, basis_state, check_identity_sum, check_positive_semidefinite, frozen_numbers
 
 
@@ -26,11 +26,7 @@ class Ensemble:
     states: tuple[DensityMatrix, ...]
 
     def __post_init__(self):
-        states = tuple(self.states)
-        if not states:
-            raise ValueError("ensemble needs at least one state")
-        for s in states:
-            check_instance("ensemble states", s, DensityMatrix)
+        states = check_items("ensemble states", self.states, DensityMatrix, "ensemble needs at least one state")
         probs = np.array(check_weights(self.probs, len(states), "prob"))
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -81,7 +77,7 @@ def _wishart(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 def random_povm(dim: int, rng: np.random.Generator) -> Povm:
     """Random POVM from dim + 1 Wishart matrices, so the measurement is
     non-projective, normalized by the inverse square root of their sum."""
-    check_positive_integer("dim", dim)
+    dim = check_positive_integer("dim", dim)
     raw = [_wishart(dim, dim, rng) for _ in range(dim + 1)]
     w, v = np.linalg.eigh(sum(raw))
     inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T

@@ -91,10 +91,10 @@ class OptimizerConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        check_positive_integer("restarts", self.restarts)
-        check_positive_integer("iters", self.iters)
+        object.__setattr__(self, "restarts", check_positive_integer("restarts", self.restarts))
+        object.__setattr__(self, "iters", check_positive_integer("iters", self.iters))
         if self.seed is not None:
-            check_integer("seed", self.seed)
+            object.__setattr__(self, "seed", check_integer("seed", self.seed))
             if self.seed < 0:
                 raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -314,8 +314,8 @@ def _ascend(transfer: np.ndarray, rule: Callable, psis: np.ndarray, iters: int) 
 def random_unit_vectors(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """m Haar-random state vectors as the rows of an (m, dim) array:
     normalized complex Gaussians, the real parts drawn before the imaginary."""
-    check_positive_integer("dim", dim)
-    check_positive_integer("m", m)
+    dim = check_positive_integer("dim", dim)
+    m = check_positive_integer("m", m)
     psis = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
     return psis / np.linalg.norm(psis, axis=1, keepdims=True)
 
@@ -324,13 +324,10 @@ def _maximize(branches: Sequence[KrausChannel], rule: Callable[[np.ndarray], np.
               cfg: OptimizerConfig, evaluate: Callable[[Ensemble], float]) -> OptResult:
     # checked before the transfer matrices, which grow as the input
     # dimension to the fourth power, are built
-    dim = branches[0].din
-    check_product_size(dim)
+    dim = check_product_size(branches[0].din)
     # an optimal ensemble needs at most dim^2 pure states (Davies), and m
     # sizes every restart's cached outputs
-    if m is None:
-        m = dim * dim
-    check_integer("m", m)
+    m = dim * dim if m is None else check_integer("m", m)
     if not 1 <= m <= dim * dim:
         raise ValueError(f"ensemble size m must be between 1 and {dim * dim}, the input "
                          f"dimension squared, got {m}")

@@ -1,7 +1,10 @@
 """Validators of argument types, integers, channel parameters and probability vectors.
 
-They use the standard library alone, so the closed-form capacities and the
-CLI commands built on them run without numpy.
+Each returns the value it checked, in the form its caller computes with: an
+integer as a Python int, which cannot wrap as a numpy integer can, a
+sequence as a tuple, a number as a float.  They use the standard library
+alone, so the closed-form capacities and the CLI commands built on them run
+without numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .errors import CPViolationError
 WEIGHT_SUM_TOL = 1e-12  # every probability vector: weights, gammas, ensembles
 
 
-def check_integer(name: str, value):
+def check_integer(name: str, value) -> int:
     """`value` as an int; raise TypeError unless it is an integer other than a bool, as numbers.Integral tests."""
     if not isinstance(value, bool):
         try:
@@ -26,16 +29,29 @@ def check_integer(name: str, value):
 
 
 def check_instance(name: str, value, kind: type):
-    """Raise TypeError unless `value` is a `kind`, naming the type it has."""
+    """`value`; raise TypeError unless it is a `kind`, naming the type it has."""
     if not isinstance(value, kind):
         raise TypeError(f"{name} must be {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
-def check_positive_integer(name: str, value):
+def check_items(name: str, items, kind: type, empty_message: str) -> tuple:
+    """`items` as a tuple; raise ValueError with `empty_message` if it is
+    empty, and check_instance(name, item, kind) on each item."""
+    items = tuple(items)
+    if not items:
+        raise ValueError(empty_message)
+    for item in items:
+        check_instance(name, item, kind)
+    return items
+
+
+def check_positive_integer(name: str, value) -> int:
     """check_integer, then raise ValueError unless `value` is at least 1."""
-    check_integer(name, value)
+    value = check_integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 def check_depolarizing(d: int, lam: float) -> float:

@@ -3,6 +3,7 @@ tensor/trace plumbing and spectra as read-only arrays."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -89,8 +90,8 @@ class DensityMatrix:
 
 def basis_state(dim: int, k: int) -> DensityMatrix:
     """Computational basis state |k><k| on a dim-dimensional space."""
-    check_positive_integer("dim", dim)
-    check_integer("k", k)
+    dim = check_positive_integer("dim", dim)
+    k = check_integer("k", k)
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dim {dim}")
     mat = np.zeros((dim, dim))
@@ -99,7 +100,7 @@ def basis_state(dim: int, k: int) -> DensityMatrix:
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
-    check_positive_integer("dim", dim)
+    dim = check_positive_integer("dim", dim)
     return DensityMatrix(np.eye(dim) / dim)
 
 
@@ -119,17 +120,10 @@ def partial_trace(
     dimension of `rho`.  Kept factors appear in their original order.
     """
     check_instance("state", rho, DensityMatrix)
-    dims = list(dims)
-    for d in dims:
-        check_positive_integer("dims entry", d)
-    if int(np.prod(dims)) != rho.dim:
-        raise DimensionMismatchError(
-            f"product of dims {dims} is {int(np.prod(dims))}, expected {rho.dim}"
-        )
-    keep = list(keep)
-    for i in keep:
-        check_integer("keep entry", i)
-    keep = sorted(set(keep))
+    dims = [check_positive_integer("dims entry", d) for d in dims]
+    if math.prod(dims) != rho.dim:
+        raise DimensionMismatchError(f"product of dims {dims} is {math.prod(dims)}, expected {rho.dim}")
+    keep = sorted({check_integer("keep entry", i) for i in keep})
     n = len(dims)
     if any(i < 0 or i >= n for i in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
@@ -139,7 +133,7 @@ def partial_trace(
     reshaped = rho.mat.reshape(dims + dims)
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
         reshaped = np.trace(reshaped, axis1=idx, axis2=idx + reshaped.ndim // 2)
-    d_kept = int(np.prod([dims[i] for i in keep]))
+    d_kept = math.prod(dims[i] for i in keep)
     return DensityMatrix(reshaped.reshape(d_kept, d_kept))
 
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from chancap import (
     identity_channel,
     maximally_mixed,
     mix_channels,
+    partial_trace,
     periodic_branch,
     periodic_uses,
+    random_povm,
     tensor,
     tensor_channels,
 )
@@ -368,7 +371,7 @@ OVER_CAP = {
     "verify_additivity": (lambda: None, lambda _: capacity.verify_additivity(5, 0.5), 25),
     "verify_theorem1": (lambda: None, lambda _: capacity.verify_theorem1(5, [0.9, 0.5]), 25),
     "verify_theorem2": (lambda: None, lambda _: capacity.verify_theorem2(5, [0.9, 0.5]), 25),
-    "maximize_chi": (lambda: depolarizing(17, 0.5), optimize.maximize_chi, 17),
+    "maximize_chi": (lambda: identity_channel(17), optimize.maximize_chi, 17),
 }
 
 
@@ -388,6 +391,61 @@ def test_every_over_cap_entry_point_refuses_alike(monkeypatch, entry):
     monkeypatch.setattr(KrausChannel, "transfer", property(fail))
     with pytest.raises(CapabilityError, match=f"^input dimension {dim} exceeds the desk-scale cap 16$"):
         call(arg)
+
+
+@pytest.mark.parametrize("d, n, dim", [(np.uint8(16), 2, 256), (np.int64(2**32), 2, 2**64), (2, np.uint8(8), 256)],
+                         ids=repr)
+def test_size_rule_computes_in_python_integers(d, n, dim):
+    # in the numpy type each of these powers wraps to 0
+    with pytest.raises(CapabilityError, match=f"^input dimension {dim} exceeds the desk-scale cap 16$"):
+        channels.check_product_size(d, n)
+
+
+def test_size_rule_takes_only_an_integer_dimension():
+    with pytest.raises(TypeError, match="^d must be an integer, got 2.5$"):
+        channels.check_product_size(2.5, 2)
+
+
+def test_depolarizing_over_cap_refuses_before_its_weyl_stack(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("Weyl stack built before the size check")
+
+    monkeypatch.setattr(channels, "_weyl_operators", fail)
+    with pytest.raises(CapabilityError, match="^input dimension 17 exceeds the desk-scale cap 16$"):
+        depolarizing(17, 0.5)
+
+
+_PERIODIC = PeriodicChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)))
+_RHO4 = random_density_matrix(4, np.random.default_rng(5))
+
+# each public function that takes an integer, called with the integer type `i`
+INTEGER_CALLS = {
+    "identity_channel": lambda i: identity_channel(i(3)).kraus,
+    # np.uint8(16)**2 wraps to 0, by which the weights were divided
+    "depolarizing": lambda i: depolarizing(i(16), 0.5).kraus,
+    "check_product_size": lambda i: (channels.check_product_size(i(2), i(4)),),
+    "periodic_branch": lambda i: periodic_branch(_PERIODIC, i(1), i(2)).kraus,
+    "basis_state": lambda i: basis_state(i(3), i(2)).mat,
+    "maximally_mixed": lambda i: maximally_mixed(i(3)).mat,
+    "partial_trace": lambda i: partial_trace(_RHO4, [i(2), i(2)], [i(1)]).mat,
+    "random_povm": lambda i: random_povm(i(2), np.random.default_rng(0)).elements,
+    "random_unit_vectors": lambda i: optimize.random_unit_vectors(i(2), i(3), np.random.default_rng(0)),
+    "maximize_chi": lambda i: attrgetter("value", "seed", "duality_gap")(optimize.maximize_chi(
+        depolarizing(2, 0.5), i(4), optimize.OptimizerConfig(restarts=i(1), iters=i(5), seed=i(0)))),
+    "OptimizerConfig": lambda i: attrgetter("restarts", "iters", "seed")(
+        optimize.OptimizerConfig(restarts=i(2), iters=i(5), seed=i(4))),
+}
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8], ids=lambda kind: kind.__name__)
+@pytest.mark.parametrize("call", INTEGER_CALLS)
+def test_numpy_integers_give_the_python_integer_result(call, kind):
+    result, expected = INTEGER_CALLS[call](kind), INTEGER_CALLS[call](int)
+    if isinstance(expected, np.ndarray):
+        np.testing.assert_array_equal(result, expected)
+    else:
+        assert result == expected
+        assert [type(x) for x in result] == [type(x) for x in expected]
 
 
 def test_mix_channels_dimension_mismatch():
@@ -536,6 +594,19 @@ def test_reduced_precision_lambda_is_computed_in_double(dtype):
 def test_mix_channels_needs_a_channel():
     with pytest.raises(ValueError, match="^need at least one channel$"):
         mix_channels([], [])
+
+
+def test_item_sequences_may_be_generators():
+    # each is read once, into a tuple, and every item checked; the message
+    # tests pin the empty and wrong-type errors
+    ch, mixed = depolarizing(2, 0.5), maximally_mixed(2)
+    np.testing.assert_array_equal(tensor_channels(c for c in (ch, ch)).kraus, tensor_channels((ch, ch)).kraus)
+    np.testing.assert_array_equal(mix_channels((c for c in (ch, ch)), [0.5, 0.5]).kraus,
+                                  mix_channels((ch, ch), [0.5, 0.5]).kraus)
+    assert PeriodicChannel(c for c in (ch, ch)).branches == (ch, ch)
+    assert Ensemble([1.0], (s for s in (mixed,))).states == (mixed,)
+    with pytest.raises(TypeError, match="^channels must be KrausChannel, got ndarray$"):
+        tensor_channels(c for c in (ch, ch.kraus))
 
 
 NAN = float("nan")

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import re
@@ -32,7 +33,7 @@ from chancap import (
     tensor_channels,
     verify_theorem2,
 )
-from chancap import optimize
+from chancap import capacity, optimize
 from chancap.optimize import (
     OptimizerConfig,
     _apply_pure,
@@ -754,6 +755,15 @@ def test_non_integer_budget_rejected(field, value):
 def test_numpy_integer_budget_accepted():
     cfg = OptimizerConfig(restarts=np.int64(2), iters=np.int32(3), seed=np.uint8(4))
     assert (cfg.restarts, cfg.iters, cfg.seed) == (2, 3, 4)
+    assert [type(x) for x in (cfg.restarts, cfg.iters, cfg.seed)] == [int, int, int]
+
+
+def test_report_of_a_numpy_integer_budget_serialises():
+    # the budget's numpy integers would reach the report, which json cannot write
+    cfg = OptimizerConfig(restarts=np.int64(2), iters=5, seed=np.uint8(4))
+    results = capacity.verify_additivity(2, 0.5, None, cfg).results_dict()
+    assert json.loads(json.dumps(results)) == results
+    assert (type(results["restarts"]), type(results["opt_seed"])) == (int, int)
 
 
 def test_verify_output_independent_of_blas_threads():
