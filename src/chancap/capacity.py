@@ -148,6 +148,7 @@ def report_convex(d: int, lambdas: Sequence[float], gammas: Sequence[float] | No
     """The mixing weights, when given, must be a positive probability vector
     with one entry per branch, as for ConvexCombinationChannel; they do not
     enter the closed form."""
+    _validate_lambdas(lambdas)
     if gammas is not None:
         check_gammas(gammas, len(lambdas))
     return CapacityReport(

@@ -6,8 +6,9 @@ one constructor, which copies each stack once, in C order, and freezes it.
 
 A channel also carries its transfer matrix, the same map on vectorized
 density matrices, which the optimizer uses; `apply` keeps the Kraus sum. It
-runs that sum in numpy's greedy contraction order, found once per channel at
-its first `apply`, so each output keeps the bits of `einsum(optimize=True)`.
+contracts each term with its conjugate first, then with rho, for every
+channel: numpy's greedy order wherever there are d^2 or more terms on input
+dimension d, as in every depolarizing channel, product and mixture built here.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .states import DensityMatrix, check_identity_sum, frozen_numbers
 # dimension, and the input dimension of every search, as `check_product_size`
 # checks before any Kronecker product or transfer matrix is formed.
 MAX_PRODUCT_DIM = 16
+
+# `apply`'s contraction order: each Kraus term with its conjugate, then with rho
+_KRAUS_ORDER = ("einsum_path", (0, 2), (0, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +74,6 @@ class KrausChannel:
         s = np.einsum("kia,kjb->ijab", k, k.conj()).reshape(self.dout**2, self.din**2)
         s.setflags(write=False)
         return s
-
-    @cached_property
-    def _apply_path(self) -> tuple:
-        """numpy's greedy contraction order for `apply`'s Kraus sum, which
-        depends only on the operand shapes."""
-        k = self.kraus
-        return tuple(np.einsum_path("kij,jl,kml->im", k, np.empty((self.din, self.din)), k, optimize=True)[0])
 
 
 def _check_branches(branches: Sequence[KrausChannel], empty_message: str) -> tuple[KrausChannel, ...]:
@@ -155,9 +152,10 @@ def depolarizing(d: int, lam: float) -> KrausChannel:
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Channel output sum_k K rho K^dag, contracted in numpy's greedy order,
-    which the channel finds at its first `apply` and keeps, so the output has
-    the bits of `einsum(optimize=True)` without its search on every call."""
+    """Channel output sum_k K rho K^dag, contracted in `_KRAUS_ORDER`.  Greedy
+    `einsum(optimize=True)` picks it too, bit for bit, at d^2 or more terms on
+    input dimension d; with fewer (identity, amplitude damping) greedy contracts
+    rho first, about 1e-16 away.  No output depends on numpy's cost model."""
     check_instance("channel", ch, KrausChannel)
     check_instance("state", rho, DensityMatrix)
     if rho.dim != ch.din:
@@ -165,7 +163,7 @@ def apply(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
             f"state dim {rho.dim} does not match channel input dim {ch.din}"
         )
     k = ch.kraus
-    return DensityMatrix(np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=ch._apply_path))
+    return DensityMatrix(np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=_KRAUS_ORDER))
 
 
 def _kron_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -193,7 +193,10 @@ def _apply_config(args: argparse.Namespace):
     if args.config is None:
         return
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            cfg = json.load(fh, object_pairs_hook=_unique_keys)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"config file {args.config} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
     flags = _flags(args.invoked)

@@ -283,6 +283,8 @@ def test_non_integer_rejected(call, error, message):
     "call,error,message",
     [
         (lambda: capacity_periodic_depolarizing(2, []), ValueError, "need at least one branch parameter"),
+        # the branch parameters are checked before the mixing weights
+        (lambda: report_convex(2, [], [0.5, 0.5]), ValueError, "need at least one branch parameter"),
         (lambda: PeriodicChannel(()), ValueError, "periodic channel needs at least one branch"),
         (lambda: PeriodicChannel((depolarizing(2, 0.5), depolarizing(3, 0.5))), DimensionMismatchError,
          "all branches must share din = dout = d"),
@@ -296,8 +298,8 @@ def test_non_integer_rejected(call, error, message):
         (lambda: partial_trace(MIXED_4, [2, 2], [2]), ValueError, "keep indices [2] out of range for 2 factors"),
         (lambda: partial_trace(MIXED_4, [2, 2], []), ValueError, "must keep at least one factor"),
     ],
-    ids=["no_lambdas", "no_branches", "branch_dims", "no_channels", "no_states", "no_povm_elements",
-         "povm_dim", "density_matrix_vector", "basis_index", "keep_index", "keep_nothing"],
+    ids=["no_lambdas", "convex_no_lambdas", "no_branches", "branch_dims", "no_channels", "no_states",
+         "no_povm_elements", "povm_dim", "density_matrix_vector", "basis_index", "keep_index", "keep_nothing"],
 )
 def test_empty_or_mismatched_input_rejected(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:

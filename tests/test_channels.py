@@ -151,48 +151,72 @@ def test_apply_preserves_trace_randomly():
         assert abs(np.trace(out.mat) - 1) < 1e-12
 
 
-_GREEDY_ORDER_CASES = {
-    "depolarizing-2": (lambda: depolarizing(2, 0.7), [(0, 2), (0, 1)]),
-    "depolarizing-3": (lambda: depolarizing(3, -0.1), [(0, 2), (0, 1)]),
-    "two-use": (lambda: tensor_channels([depolarizing(2, 0.5)] * 2), [(0, 2), (0, 1)]),
-    "identity": (lambda: identity_channel(2), [(0, 1), (0, 1)]),
-    "identity-x-depolarizing": (
-        lambda: tensor_channels([identity_channel(2), depolarizing(2, 0.3)]), [(0, 1), (0, 1)]),
+_PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+# channels with d^2 or more Kraus terms on input dimension d, as every search builds
+_MANY_TERM_CASES = {
+    "depolarizing-2": lambda: depolarizing(2, 0.7),
+    "depolarizing-3": lambda: depolarizing(3, -0.1),
+    "depolarizing-4": lambda: depolarizing(4, 0.37),
+    "depolarizing-16": lambda: depolarizing(16, 0.5),
+    "two-use": lambda: tensor_channels([depolarizing(2, 0.5)] * 2),
+    "two-use-3-mixed": lambda: tensor_channels([depolarizing(3, 0.9), depolarizing(3, -0.1)]),
+    "two-use-4": lambda: tensor_channels([depolarizing(4, 0.5)] * 2),
+    "periodic-uses": lambda: periodic_uses(
+        PeriodicChannel((depolarizing(2, -1 / 3), depolarizing(2, 2 / 3))), 2),
+    "convex-uses": lambda: convex_uses(
+        ConvexCombinationChannel((depolarizing(2, 0.9), depolarizing(2, 0.5)), [0.3, 0.7]), 2),
+}
+
+# channels with fewer terms, on which greedy contracts rho first
+_FEW_TERM_CASES = {
+    "identity": lambda: identity_channel(2),
+    "identity-x-depolarizing": lambda: tensor_channels([identity_channel(2), depolarizing(2, 0.3)]),
+    "amplitude-damping": lambda: KrausChannel(
+        (np.array([[1, 0], [0, np.sqrt(0.7)]]), np.array([[0, np.sqrt(0.3)], [0, 0]]))),
+    "correlated-pauli": lambda: KrausChannel(
+        tuple(np.sqrt(w) * np.kron(s, s) for w, s in zip([0.5, 1 / 6, 1 / 6, 1 / 6], _PAULIS))),
 }
 
 
-@pytest.mark.parametrize("build,order", _GREEDY_ORDER_CASES.values(), ids=_GREEDY_ORDER_CASES.keys())
-def test_apply_keeps_the_bits_of_the_greedy_einsum(build, order):
-    # greedy picks either order depending on the shapes; the kept one is the one it picks
-    ch = build()
+def _greedy_outputs(ch):
+    """(apply, greedy einsum) output pairs on three random states."""
     rng = np.random.default_rng(8)
     k = ch.kraus
     for _ in range(3):
         rho = random_density_matrix(ch.din, rng)
-        expected = np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=True)
-        assert np.array_equal(apply(ch, rho).mat, expected)
-    assert list(ch._apply_path) == ["einsum_path", *order]
+        yield apply(ch, rho).mat, np.einsum("kij,jl,kml->im", k, rho.mat, k.conj(), optimize=True)
 
 
-def test_apply_finds_the_contraction_order_once_per_channel(monkeypatch):
-    calls = []
-    search = np.einsum_path
+@pytest.mark.parametrize("build", _MANY_TERM_CASES.values(), ids=_MANY_TERM_CASES.keys())
+def test_apply_keeps_the_bits_of_the_greedy_einsum(build):
+    for out, expected in _greedy_outputs(build()):
+        assert np.array_equal(out, expected)
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return search(*args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum_path", counting)
+@pytest.mark.parametrize("build", _FEW_TERM_CASES.values(), ids=_FEW_TERM_CASES.keys())
+def test_apply_is_within_rounding_of_the_greedy_einsum(build):
+    for out, expected in _greedy_outputs(build()):
+        assert np.abs(out - expected).max() <= 1e-15
+
+
+def test_apply_runs_no_contraction_order_search(monkeypatch):
+    orders = []
+    einsum = np.einsum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum_path called")
+
+    def recording(*args, **kwargs):
+        orders.append(kwargs.get("optimize"))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", refuse)
+    monkeypatch.setattr(np, "einsum", recording)
     rng = np.random.default_rng(9)
-    ch = depolarizing(3, 0.4)
-    assert not calls  # built without a search
-    for _ in range(5):
-        apply(ch, random_density_matrix(3, rng))
-    assert len(calls) == 1
-    other = tensor_channels([depolarizing(2, 0.5)] * 2)
-    for _ in range(3):
-        apply(other, random_density_matrix(4, rng))
-    assert len(calls) == 2
+    for ch in (depolarizing(3, 0.4), identity_channel(2), tensor_channels([depolarizing(2, 0.5)] * 2)):
+        apply(ch, random_density_matrix(ch.din, rng))
+    assert orders == [("einsum_path", (0, 2), (0, 1))] * 3
 
 
 def test_kraus_channel_copies_a_given_stack_and_freezes_its_own():

@@ -646,6 +646,20 @@ def test_config_rejects_bad_value(tmp_path, capsys, argv, cfg, key):
     assert re.search(rf"\b{key}\b", err)
 
 
+@pytest.mark.parametrize(
+    "text,reason",
+    [("", "Expecting value: line 1 column 1 (char 0)"),
+     ('{"d": 2, "lambda"', "Expecting ':' delimiter: line 1 column 18 (char 17)")],
+    ids=["empty", "truncated"],
+)
+def test_config_that_is_not_json_names_the_file(tmp_path, capsys, text, reason):
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["capacity", "depolarizing", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: config file {path} is not valid JSON: {reason}\n"
+
+
 _COMMAND_IDS = ["capacity-depolarizing", "capacity-periodic", "capacity-convex",
                 "verify-additivity", "verify-theorem1", "verify-theorem2", "sweep"]
 _VERIFY_BUDGET = ["--restarts", "2", "--iters", "60", "--seed", "3"]
